@@ -84,10 +84,10 @@ pub struct SessionStats {
     /// Arcs appended for newly arrived interactions so far.
     pub added_arcs: usize,
     /// Formulation rebuilds triggered by tombstone pile-up: the patched
-    /// arrays keep dead arcs for id stability, so once they outnumber the
-    /// live arcs the session re-emits the formulation from the current
-    /// graph (and the next solve restarts the resident engine on the
-    /// compact instance).
+    /// arrays keep dead arcs for id stability, so once more than a quarter
+    /// of the arcs are dead (in arrays of at least 256 arcs) the session
+    /// re-emits the formulation from the current graph (and the next solve
+    /// restarts the resident engine on the compact instance).
     pub compactions: usize,
 }
 
@@ -202,11 +202,11 @@ impl FlowSession {
         self.tombstoned_since_rebuild += patch.tombstoned;
         // Compaction: id stability keeps every dead arc (and dead vertex
         // copy) in the patched arrays, so a long session's solves would pay
-        // `O(total history)` instead of `O(live window)`. Once the dead
-        // outnumber the living, re-emit the formulation from the current
-        // graph; the next solve restarts the resident engine on the compact
-        // instance. Amortized over the batches that grew the pile, the
-        // rebuild is O(1) per batch.
+        // `O(total history)` instead of `O(live window)`. Once more than a
+        // quarter of the arcs are dead, re-emit the formulation from the
+        // current graph; the next solve restarts the resident engine on the
+        // compact instance. Amortized over the batches that grew the pile,
+        // the rebuild is O(1) per batch.
         let arcs = self.formulation.problem.num_arcs();
         if arcs >= 256 && self.tombstoned_since_rebuild * 4 > arcs {
             self.formulation = build_mcf_session(graph, self.source, self.sink);

@@ -580,9 +580,9 @@ impl MinCostFlowProblem {
         let limit = self.pivot_limit();
         let mut s = NetSimplex::seeded(self, basis, dual);
         if dual {
-            match s.dual_repair(limit) {
-                Ok(()) => {}
-                Err(DualOutcome::Stall) | Err(DualOutcome::Limit) => return None,
+            let mut worklist = s.tree_arcs();
+            if s.dual_repair(limit, &mut worklist).is_err() {
+                return None;
             }
         } else {
             // Primal repair: the seeded constructor has already clamped the
@@ -1552,35 +1552,46 @@ impl NetSimplex {
         self.refresh_subtree(q);
     }
 
-    /// Dual network simplex over a seeded tree: while some tree arc is
-    /// outside its bounds, repair the most-violated one with a single dual
-    /// pivot. The tree stays dual-feasible throughout (the entering arc is
-    /// the minimum-reduced-cost nonbasic arc crossing the violated arc's
-    /// tree cut), so when the loop drains, the final primal phase the
-    /// caller runs is typically pivot-free.
-    fn dual_repair(&mut self, limit: usize) -> Result<(), DualOutcome> {
+    /// Every tree arc (each is exactly one real node's entry arc): the
+    /// [`Self::dual_repair`] worklist of a caller that recomputed all tree
+    /// flows.
+    fn tree_arcs(&self) -> Vec<u32> {
+        self.nodes[..self.n].iter().map(|node| node.pred).collect()
+    }
+
+    /// Dual network simplex over a dual-feasible tree: while some tree arc
+    /// is outside its bounds, repair the most-violated one with a single
+    /// dual pivot. The tree stays dual-feasible throughout (the entering
+    /// arc is the minimum-reduced-cost nonbasic arc crossing the violated
+    /// arc's tree cut), so when the loop drains, the final primal phase
+    /// the caller runs is typically pivot-free.
+    ///
+    /// `worklist` must hold every tree arc that may be out of bounds: the
+    /// caller seeds it with the arcs whose flows it rewrote, and each pivot
+    /// appends the arcs it touched (its cycle plus the entering arc). Each
+    /// round scans the list once, dropping entries that left the tree or
+    /// sit within their bounds, and pivots out the most-violated survivor;
+    /// ties go to the higher arc id, so the order of the list never
+    /// matters. Worst-first keeps a pivot from re-damaging arcs an earlier
+    /// pivot already repaired, which an arbitrary drain order does over and
+    /// over on degenerate time-expanded chains.
+    fn dual_repair(&mut self, limit: usize, worklist: &mut Vec<u32>) -> Result<(), DualOutcome> {
         loop {
-            // Every tree arc is exactly one node's entry arc, so walking
-            // the `pred` links visits each once — O(n) per round instead
-            // of scanning the full arc array.
-            let mut worst: Option<(usize, f64, bool)> = None;
-            for node in &self.nodes[..self.n] {
-                if node.pred == NIL {
+            let mut worst: Option<(u32, f64, bool)> = None;
+            let mut i = 0;
+            while i < worklist.len() {
+                let t = worklist[i];
+                let arc = &self.arcs[t as usize];
+                let (over, under) = (arc.flow - arc.cap, -arc.flow);
+                let v = over.max(under);
+                if arc.state != ArcState::Tree || v <= FEAS_EPS {
+                    worklist.swap_remove(i);
                     continue;
                 }
-                let a = node.pred as usize;
-                let arc = &self.arcs[a];
-                debug_assert_eq!(arc.state, ArcState::Tree);
-                let over = arc.flow - arc.cap;
-                let under = -arc.flow;
-                let (v, is_over) = if over > under {
-                    (over, true)
-                } else {
-                    (under, false)
-                };
-                if v > FEAS_EPS && worst.is_none_or(|(_, bv, _)| v > bv) {
-                    worst = Some((a, v, is_over));
+                if worst.is_none_or(|(bt, bv, _)| v > bv || (v == bv && t > bt)) {
+                    worst = Some((t, v, over > under));
                 }
+                i += 1;
             }
             let Some((t, violation, over)) = worst else {
                 return Ok(());
@@ -1588,7 +1599,10 @@ impl NetSimplex {
             if self.pivots >= limit {
                 return Err(DualOutcome::Limit);
             }
-            self.dual_pivot(t, violation, over)?;
+            let enter = self.dual_pivot(t as usize, violation, over)?;
+            let cycle = self.path_from.iter().chain(&self.path_to);
+            worklist.extend(cycle.map(|&(_, a, _)| a as u32));
+            worklist.push(enter as u32);
         }
     }
 
@@ -1621,47 +1635,6 @@ impl NetSimplex {
         }
         self.stack.clear();
         self.adj_valid = true;
-    }
-
-    /// [`Self::dual_repair`] driven by a candidate list instead of repeated
-    /// full scans: only arcs whose flows were just rewritten can have
-    /// fallen outside their bounds, so the incremental path seeds the
-    /// worklist with exactly those and each pivot appends the arcs it
-    /// touched (its cycle plus the entering arc). Arcs drained from the
-    /// list are re-checked before pivoting — stale entries are free.
-    fn dual_repair_sparse(
-        &mut self,
-        limit: usize,
-        worklist: &mut Vec<u32>,
-    ) -> Result<(), DualOutcome> {
-        while let Some(t) = worklist.pop() {
-            let arc = &self.arcs[t as usize];
-            if arc.state != ArcState::Tree {
-                continue;
-            }
-            let over = arc.flow - arc.cap;
-            let under = -arc.flow;
-            let (v, is_over) = if over > under {
-                (over, true)
-            } else {
-                (under, false)
-            };
-            if v <= FEAS_EPS {
-                continue;
-            }
-            if self.pivots >= limit {
-                return Err(DualOutcome::Limit);
-            }
-            let enter = self.dual_pivot(t as usize, v, is_over)?;
-            for i in 0..self.path_from.len() {
-                worklist.push(self.path_from[i].1 as u32);
-            }
-            for i in 0..self.path_to.len() {
-                worklist.push(self.path_to[i].1 as u32);
-            }
-            worklist.push(enter as u32);
-        }
-        Ok(())
     }
 
     /// Scores a candidate entering arc for a dual pivot across the marked
@@ -1839,12 +1812,12 @@ enum DualOutcome {
 ///   shifts up in place) and appended nodes hang off the root as fresh
 ///   zero-capacity anchors;
 /// * `touched` arcs (capacity, cost or endpoint patches) are refreshed
-///   individually; the spanning tree is rebuilt only when a *tree* arc was
-///   retargeted or re-costed, and the potentials survive otherwise;
-/// * each solve then snaps nonbasic arcs to their bounds and recomputes
-///   the basic flows by tree elimination in one allocation-light
-///   `O(n + m)` sweep, repairs any bound violation with dual pivots, and
-///   finishes with primal pricing.
+///   individually and the flow each edit displaces is routed root-ward
+///   through the tree; the spanning tree is rebuilt (and every basic flow
+///   recomputed by tree elimination) only when a *tree* arc was re-costed,
+///   and the potentials survive otherwise;
+/// * each solve then repairs the tree arcs left outside their bounds with
+///   worst-first dual pivots and finishes with primal pricing.
 ///
 /// The caller must list in `touched` every pre-existing arc it mutated
 /// since the previous solve (appended arcs are picked up automatically;
@@ -2064,9 +2037,10 @@ impl NetflowSession {
         let root = n;
         let limit = problem.pivot_limit();
 
-        if reseed {
-            // Dense fallback: sync every touched arc in place, rebuild the
-            // tree from the arc states, recompute all flows by elimination.
+        let mut worklist: Vec<u32> = if reseed {
+            // Sync every touched arc in place, rebuild the tree from the arc
+            // states, recompute all flows by elimination: any tree arc may
+            // now be out of bounds.
             for &t in &touched {
                 let a = &problem.arcs[t as usize];
                 let rec = &mut s.arcs[t as usize];
@@ -2107,10 +2081,7 @@ impl NetflowSession {
                 s.refresh_subtree(c as usize);
                 c = s.nodes[c as usize].next_sib;
             }
-            s.adj_enabled = true;
-            if s.dual_repair(limit).is_err() {
-                return None;
-            }
+            s.tree_arcs()
         } else {
             // Sparse sync. `excess` tracks the conservation surplus each
             // flow edit leaves behind at a node; `hot` the nodes holding
@@ -2224,22 +2195,11 @@ impl NetflowSession {
                     v = s.nodes[v].parent as usize;
                 }
             }
-            // The worklist drains in arbitrary order, which (unlike the
-            // worst-violation-first dense scan) can thrash on degenerate
-            // pivot chains. A tight budget bounds that: on exhaustion the
-            // flows are still a conserving circulation, so the dense
-            // repair finishes the job worst-first.
-            s.adj_enabled = true;
-            let budget = (s.pivots + 4 * worklist.len() + 32).min(limit);
-            match s.dual_repair_sparse(budget, &mut worklist) {
-                Ok(()) => {}
-                Err(DualOutcome::Limit) if budget < limit => {
-                    if s.dual_repair(limit).is_err() {
-                        return None;
-                    }
-                }
-                Err(_) => return None,
-            }
+            worklist
+        };
+        s.adj_enabled = true;
+        if s.dual_repair(limit, &mut worklist).is_err() {
+            return None;
         }
 
         if cfg!(debug_assertions) {
@@ -2741,6 +2701,30 @@ mod tests {
         let warm = session.solve(&p, &[2, 3]);
         assert!(warm.basis_reused);
         assert_warm_matches_cold(&p, &warm);
+    }
+
+    #[test]
+    fn resident_session_reseeds_after_recosting_a_tree_arc() {
+        let p = circulation();
+        let mut session = NetflowSession::new();
+        assert_warm_matches_cold(&p, &session.solve(&p, &[]));
+        // The return arc carries 5 of its 100 units, strictly inside its
+        // bounds, so it is basic.
+        let engine = session.engine.as_ref().expect("resident");
+        assert_eq!(engine.arcs[4].state, ArcState::Tree);
+
+        // Re-cost it and, in the same batch, cut it below its flow: the
+        // re-cost rebuilds the tree and the cut leaves a tree arc out of
+        // bounds for the dual repair.
+        let mut q = MinCostFlowProblem::new(p.num_nodes());
+        for a in &p.arcs()[..4] {
+            q.add_arc(a.tail, a.head, a.cost, a.upper);
+        }
+        q.add_arc(3, 0, -2.0, 4.0);
+        let warm = session.solve(&q, &[4]);
+        assert!(warm.basis_reused && !warm.fallback_cold);
+        assert!((warm.objective - (-8.0)).abs() < 1e-9);
+        assert_warm_matches_cold(&q, &warm);
     }
 
     #[test]

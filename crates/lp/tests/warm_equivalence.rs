@@ -2,10 +2,10 @@
 //!
 //! A random bounded min-cost-flow instance evolves through a random delta
 //! sequence — arc additions, capacity raises and cuts, removals
-//! (capacity → 0), endpoint retargets, node additions and (in the second
-//! family) supply-preserving supply churn. After **every** step three
-//! independent answers must agree on status and, when optimal, on the
-//! optimal cost:
+//! (capacity → 0), endpoint retargets, cost changes, node additions and
+//! (in the second family) supply-preserving supply churn. After **every**
+//! step three independent answers must agree on status and, when optimal,
+//! on the optimal cost:
 //!
 //! * the cold network simplex on the patched instance;
 //! * the warm path — a resident [`NetflowSession`] fed the in-place
@@ -36,12 +36,13 @@ impl Lcg {
         Lcg(seed | 1)
     }
 
+    /// Uniform in `[0, 1)`: the top 31 bits over 2³¹.
     fn next(&mut self) -> f64 {
         self.0 = self
             .0
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (self.0 >> 33) as f64 / (u32::MAX as f64)
+        (self.0 >> 33) as f64 / (1u64 << 31) as f64
     }
 
     fn below(&mut self, n: usize) -> usize {
@@ -95,7 +96,7 @@ fn apply_random_delta(
 ) -> (bool, bool) {
     let n = p.num_nodes();
     let m = p.num_arcs();
-    let kind = rng.below(if allow_churn { 6 } else { 5 });
+    let kind = rng.below(if allow_churn { 7 } else { 6 });
     match kind {
         0 => {
             // Append an arc.
@@ -142,7 +143,25 @@ fn apply_random_delta(
             p.add_arc(v, other, 0.0, 2.0);
             (false, false)
         }
-        5 => {
+        5 if m > 0 => {
+            // Re-cost an arc. There is no in-place cost setter, so rebuild
+            // the instance with one cost changed: to the resident session
+            // it is the same problem with that arc patched.
+            let a = rng.below(m);
+            let cost = (rng.next() * 7.0).floor() - 3.0;
+            let mut q = MinCostFlowProblem::new(n);
+            for v in 0..n {
+                q.set_supply(v, p.supply(v));
+            }
+            for (i, arc) in p.arcs().iter().enumerate() {
+                let c = if i == a { cost } else { arc.cost };
+                q.add_arc_bounded(arc.tail, arc.head, c, arc.lower, arc.upper);
+            }
+            *p = q;
+            touched.push(a as u32);
+            (false, false)
+        }
+        6 => {
             // Supply-preserving churn: move a unit of supply between two
             // nodes (total stays balanced, but the basis' supplies lie).
             let u = rng.below(n);
