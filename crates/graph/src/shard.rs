@@ -276,6 +276,26 @@ impl ShardedGraph {
         srcs.into_iter().map(|(_, src)| src).collect()
     }
 
+    /// Number of live out-edges of `u` across all shards — the serial
+    /// [`TemporalGraph::out_degree`]. Every edge lives in exactly one
+    /// shard, so the replicas' local degrees add up; nothing is allocated.
+    pub fn out_degree(&self, u: NodeId) -> usize {
+        self.shards
+            .iter()
+            .filter_map(|s| s.to_local.get(&u).map(|&lu| s.graph.out_degree(lu)))
+            .sum()
+    }
+
+    /// Number of live in-edges of `u` across all shards — the serial
+    /// [`TemporalGraph::in_degree`], summed like
+    /// [`ShardedGraph::out_degree`].
+    pub fn in_degree(&self, u: NodeId) -> usize {
+        self.shards
+            .iter()
+            .filter_map(|s| s.to_local.get(&u).map(|&lu| s.graph.in_degree(lu)))
+            .sum()
+    }
+
     /// Merges a delta into the sharded graph: routes it into at most K
     /// shard-local deltas, applies them in parallel, and reports one global
     /// [`AppliedDelta`] with the same ids the serial path would report (see
@@ -647,6 +667,10 @@ mod tests {
             assert_eq!(serial_out, sharded_out, "k={k}");
             let serial_in: Vec<NodeId> = serial.in_neighbors(hub).collect();
             assert_eq!(serial_in, sharded.in_sources(hub), "k={k}");
+            for v in serial.node_ids() {
+                assert_eq!(sharded.out_degree(v), serial.out_degree(v), "k={k}");
+                assert_eq!(sharded.in_degree(v), serial.in_degree(v), "k={k}");
+            }
             for (e, _, ints) in sharded.out_pairs(hub) {
                 assert_eq!(ints, serial.edge(e).interactions.as_slice());
             }

@@ -55,13 +55,19 @@
 //!   anchored at `v`.
 //!
 //! [`PathTables::apply`] re-runs the chain kernel for exactly those row
-//! groups — the `[u, v, *]` first-edge block, one `[a, u, v]` row per
-//! in-neighbor `a`, the closing rows `[v, u]` / `[v, w, u]` — and splices
-//! the fresh rows over the stale ones. The kernel work per touched edge is
-//! *linear* in the endpoint degrees, never the O(deg²) of rebuilding a
-//! whole anchor, which is what keeps hub-heavy appends cheap. Replaced rows
-//! leave their delivered profiles behind as arena garbage, which is
-//! reclaimed by an amortized compaction once it outweighs the live data.
+//! groups that can hold a row before or after the delta — the `[u, v, *]`
+//! first-edge block, the middle-edge rows `[a, u, v]`, the closing rows
+//! `[v, u]` / `[v, w, u]` — and splices the fresh rows over the stale ones.
+//! With `C2` every chain `a → u → v` is a row, so there is one middle row
+//! per in-neighbor `a` of `u`: O(`in(u)`) work per changed edge. Cycle-only
+//! tables refresh just the 3-cycles through `u → v` (the vertices
+//! `out(v) ∩ in(u)`, found by scanning the smaller side) plus the cycles
+//! whose closing edge changed in the same delta: work per changed edge
+//! proportional to `min(in(u), out(v))` plus the delta's own changed pairs.
+//! Neither is ever the O(deg²) of rebuilding a whole anchor, which is what
+//! keeps hub-heavy appends cheap. Replaced rows leave their delivered
+//! profiles behind as arena garbage, which is reclaimed by an amortized
+//! compaction once it outweighs the live data.
 //! [`LazyPathTables::apply`] is the cache-side analogue at its natural
 //! (anchor) granularity: it evicts the anchors named by
 //! [`invalidated_anchors`] (`{u, v} ∪ in(u)` per touched edge) and lets the
@@ -912,48 +918,70 @@ impl InvalidationGroups {
 /// Collects the row groups a delta can invalidate — only for the tables
 /// `config` actually builds. For each changed edge `u → v` (touched by
 /// additions, shrunk by eviction, or tombstoned — the sets are exactly
-/// symmetric): the `[u, v, *]` block (first-edge rows), the point rows
-/// `[a, u, v]` per in-neighbor `a` of `u` (middle-edge rows), and the
-/// closing-edge rows `[v, u]` / `[v, w, u]`. This is linear in the endpoint
-/// degrees — never the O(deg²) of a whole anchor rebuild.
+/// symmetric): the `[u, v, *]` block (first-edge rows), the middle-edge
+/// point rows `[a, u, v]`, and the closing-edge rows `[v, u]` / `[v, w, u]`.
+///
+/// Which middle points are collected depends on the tables. With `C2`
+/// every chain `a → u → v` is a row, so every in-neighbor `a` of `u` is
+/// a point: O(`in(u)`) per changed edge. Without `C2` only 3-cycles hold
+/// rows, and the middle and closing points are both the cycle vertices
+/// `out(v) ∩ in(u)` ([`for_each_cycle_vertex`]), plus the middle points
+/// whose closing pair `(v, a)` is itself changed in this delta — a cycle
+/// that lost its `v → a` edge along with `u → v` is visible from neither
+/// edge's post-delta neighborhood. That is `min(in(u), out(v))` pair
+/// probes plus a binary search over the delta's own changed pairs, never
+/// a scan of a hub's whole neighborhood, and never the O(deg²) of a whole
+/// anchor rebuild.
 ///
 /// Tombstones keep their endpoints, so the keys of a removed edge are
 /// collected the same way; its neighborhood walks run over the
 /// post-eviction adjacency, where companion edges removed by the same delta
 /// are already gone — those contribute their own keys through their own
-/// `changed_edges` entries.
+/// changed pairs (and the closing-pair lookup above).
 pub(crate) fn collect_groups<G: TableView>(
     graph: &G,
     config: &TablesConfig,
     applied: &AppliedDelta,
 ) -> InvalidationGroups {
-    let mut blocks: Vec<(NodeId, NodeId)> = Vec::new();
+    // The changed pairs are exactly the first-edge blocks; sorted, they
+    // also answer the closing-pair lookup by binary search.
+    let mut blocks: Vec<(NodeId, NodeId)> = applied
+        .changed_edges()
+        .map(|e| graph.endpoints(e))
+        .collect();
+    blocks.sort_unstable();
+    blocks.dedup();
     let mut l2_extra: Vec<(NodeId, NodeId)> = Vec::new();
     let mut points: Vec<[NodeId; 3]> = Vec::new();
-    for e in applied.changed_edges() {
-        let (u, v) = graph.endpoints(e);
-        blocks.push((u, v));
-        if config.build_l3 || config.build_c2 {
+    for &(u, v) in &blocks {
+        if config.build_c2 {
             graph.for_each_in_source(u, &mut |a| {
                 if a != v && a != u {
                     points.push([a, u, v]);
                 }
             });
         }
+        if config.build_l3 {
+            for_each_cycle_vertex(graph, u, v, &mut |w| {
+                if !config.build_c2 {
+                    points.push([w, u, v]);
+                }
+                points.push([v, w, u]);
+            });
+            if !config.build_c2 {
+                // Middle points whose closing pair `(v, a)` changed too.
+                let from = blocks.partition_point(|&(x, _)| x < v);
+                for &(_, a) in blocks[from..].iter().take_while(|&&(x, _)| x == v) {
+                    if a != u && graph.has_pair(a, u) {
+                        points.push([a, u, v]);
+                    }
+                }
+            }
+        }
         if config.build_l2 && graph.has_pair(v, u) {
             l2_extra.push((v, u));
         }
-        if config.build_l3 {
-            graph.for_each_out(v, &mut |w, _| {
-                if w != u && w != v && graph.has_pair(w, u) {
-                    points.push([v, w, u]);
-                }
-                true
-            });
-        }
     }
-    blocks.sort_unstable();
-    blocks.dedup();
     l2_extra.sort_unstable();
     l2_extra.dedup();
     l2_extra.retain(|k| blocks.binary_search(k).is_err());
@@ -964,6 +992,34 @@ pub(crate) fn collect_groups<G: TableView>(
         blocks,
         l2_extra,
         points,
+    }
+}
+
+/// Calls `f(w)` for every third vertex of a 3-cycle through the edge
+/// `u → v`: `w ∈ out(v) ∩ in(u)`, `w ∉ {u, v}`, in any order. The same set
+/// names the edge's first-edge `L3` rows `[u, v, w]`, its middle-edge rows
+/// `[w, u, v]` and its closing rows `[v, w, u]`, so the eager build and
+/// [`PathTables::apply`] enumerate cycles through this one function.
+///
+/// Scans the smaller of `in(u)` and `out(v)` and probes the other side
+/// with one pair lookup per neighbor — the lower-degree rule of triangle
+/// listing (Chiba & Nishizeki, "Arboricity and subgraph listing
+/// algorithms", SIAM J. Comput. 1985) — so a hub endpoint costs nothing
+/// when the other side is small.
+fn for_each_cycle_vertex<G: TableView>(graph: &G, u: NodeId, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+    if graph.in_degree(u) <= graph.out_degree(v) {
+        graph.for_each_in_source(u, &mut |w| {
+            if w != u && w != v && graph.has_pair(v, w) {
+                f(w);
+            }
+        });
+    } else {
+        graph.for_each_out(v, &mut |w, _| {
+            if w != u && w != v && graph.has_pair(w, u) {
+                f(w);
+            }
+            true
+        });
     }
 }
 
@@ -1013,23 +1069,29 @@ pub(crate) fn recompute_groups<G: TableView>(
     }
     if config.build_l3 || config.build_c2 {
         for &[a, b, c] in &groups.points {
-            // Either hop can be the changed edge, and a changed edge can
-            // be a tombstone: a dead hop deletes the point's rows.
+            // Any of the three hops can be a changed edge, and a changed
+            // edge can be a tombstone: a dead hop deletes the point's rows.
             let Some(first) = graph.pair(a, b) else {
                 continue;
             };
             let Some(mid) = graph.pair(b, c) else {
                 continue;
             };
+            let close = if config.build_l3 {
+                graph.pair(c, a)
+            } else {
+                None
+            };
+            if close.is_none() && !config.build_c2 {
+                continue;
+            }
             let mid_flow = scratch.reduce_pair(first, mid);
             if config.build_c2 {
                 bufs[C2].push([a, b, c], 3, scratch.delivered(), mid_flow);
             }
-            if config.build_l3 {
-                if let Some(close) = graph.pair(c, a) {
-                    let flow = scratch.extend_through(close);
-                    bufs[L3].push([a, b, c], 3, scratch.extended_delivered(), flow);
-                }
+            if let Some(close) = close {
+                let flow = scratch.extend_through(close);
+                bufs[L3].push([a, b, c], 3, scratch.extended_delivered(), flow);
             }
         }
     }
@@ -1134,7 +1196,10 @@ impl ChunkOut {
 
 /// Emits every table row whose path starts with the single edge `u → v`:
 /// the `L2` cycle `[u, v]` (when the return edge exists) and, per closing
-/// vertex `w`, the shared-prefix `C2`/`L3` rows `[u, v, w]`.
+/// vertex `w`, the shared-prefix `C2`/`L3` rows `[u, v, w]`. With `C2`
+/// every out-neighbor of `v` is a row, so the pass scans `out(v)`;
+/// cycle-only tables visit just the cycle vertices `out(v) ∩ in(u)`
+/// through [`for_each_cycle_vertex`], `min(in(u), out(v))` pair probes.
 ///
 /// `emit(table, verts, len, delivered, flow)` returns `false` to stop early
 /// (row-cap pressure); the function then returns `false` too. Shared by the
@@ -1167,27 +1232,24 @@ where
             }
         }
     }
-    if config.build_l3 || config.build_c2 {
-        let mut keep_going = true;
+    let mut keep_going = true;
+    if config.build_c2 {
         graph.for_each_out(v, &mut |w, mid| {
             if w == u || w == v {
                 return true;
+            }
+            // One kernel pass for the shared `u → v → w` prefix; the C2
+            // row reuses it as-is, the L3 row extends it by one pass.
+            let mid_flow = scratch.reduce_pair(first, mid);
+            if !emit(C2, [u, v, w], 3, scratch.delivered(), mid_flow) {
+                keep_going = false;
+                return false;
             }
             let closing = if config.build_l3 {
                 graph.pair(w, u)
             } else {
                 None
             };
-            if closing.is_none() && !config.build_c2 {
-                return true;
-            }
-            // One kernel pass for the shared `u → v → w` prefix; the C2
-            // row reuses it as-is, the L3 row extends it by one pass.
-            let mid_flow = scratch.reduce_pair(first, mid);
-            if config.build_c2 && !emit(C2, [u, v, w], 3, scratch.delivered(), mid_flow) {
-                keep_going = false;
-                return false;
-            }
             if let Some(close) = closing {
                 let flow = scratch.extend_through(close);
                 if !emit(L3, [u, v, w], 3, scratch.extended_delivered(), flow) {
@@ -1197,11 +1259,20 @@ where
             }
             true
         });
-        if !keep_going {
-            return false;
-        }
+    } else if config.build_l3 {
+        // Without C2 only the 3-cycles through `u → v` hold rows.
+        for_each_cycle_vertex(graph, u, v, &mut |w| {
+            if !keep_going {
+                return;
+            }
+            let mid = graph.pair(v, w).expect("cycle vertex has a v → w edge");
+            let close = graph.pair(w, u).expect("cycle vertex has a w → u edge");
+            scratch.reduce_pair(first, mid);
+            let flow = scratch.extend_through(close);
+            keep_going = emit(L3, [u, v, w], 3, scratch.extended_delivered(), flow);
+        });
     }
-    true
+    keep_going
 }
 
 /// Builds every row anchored at `u` into `out`, using the chain kernel on

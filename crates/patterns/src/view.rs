@@ -52,6 +52,14 @@ pub trait TableView: Sync {
     /// Calls `f(src)` for the source of every live in-edge of `u`, in any
     /// order (at most once per source: edges are unique per pair).
     fn for_each_in_source(&self, u: NodeId, f: &mut dyn FnMut(NodeId));
+
+    /// Number of live out-edges of `u` — what [`TableView::for_each_out`]
+    /// visits.
+    fn out_degree(&self, u: NodeId) -> usize;
+
+    /// Number of live in-edges of `u` — what
+    /// [`TableView::for_each_in_source`] visits.
+    fn in_degree(&self, u: NodeId) -> usize;
 }
 
 impl TableView for TemporalGraph {
@@ -87,6 +95,14 @@ impl TableView for TemporalGraph {
             f(src);
         }
     }
+
+    fn out_degree(&self, u: NodeId) -> usize {
+        TemporalGraph::out_degree(self, u)
+    }
+
+    fn in_degree(&self, u: NodeId) -> usize {
+        TemporalGraph::in_degree(self, u)
+    }
 }
 
 impl TableView for ShardedGraph {
@@ -118,6 +134,14 @@ impl TableView for ShardedGraph {
         for src in self.in_sources(u) {
             f(src);
         }
+    }
+
+    fn out_degree(&self, u: NodeId) -> usize {
+        ShardedGraph::out_degree(self, u)
+    }
+
+    fn in_degree(&self, u: NodeId) -> usize {
+        ShardedGraph::in_degree(self, u)
     }
 }
 
@@ -186,6 +210,14 @@ mod tests {
                 srcs
             };
             assert_eq!(collect_in(&serial), collect_in(&sharded));
+            assert_eq!(
+                TableView::out_degree(&serial, u),
+                TableView::out_degree(&sharded, u)
+            );
+            assert_eq!(
+                TableView::in_degree(&serial, u),
+                TableView::in_degree(&sharded, u)
+            );
         }
     }
 }

@@ -218,3 +218,44 @@ fn incremental_kernel_work_is_delta_local() {
          full build ({full_build_calls} passes)"
     );
 }
+
+/// With cycle-only tables, appends on a hub's spoke do work independent of
+/// the hub's degree: no spoke closes a 3-cycle through the hub, so only the
+/// touched edge's own block and its 2-cycle are refreshed — not one middle
+/// row per in-neighbor of the hub.
+#[test]
+fn cycle_only_work_does_not_depend_on_hub_degree() {
+    let config = TablesConfig {
+        build_c2: false,
+        ..TablesConfig::default()
+    };
+    let mut b = GraphBuilder::new();
+    let hub = b.add_node("hub");
+    let bots: Vec<NodeId> = (0..200).map(|i| b.add_node(format!("bot{i}"))).collect();
+    for (i, &bot) in bots.iter().enumerate() {
+        let t = 2 * i as i64;
+        b.add_interaction(bot, hub, Interaction::new(t, 1.0))
+            .unwrap();
+        b.add_interaction(hub, bot, Interaction::new(t + 1, 1.0))
+            .unwrap();
+    }
+    let mut g = TemporalGraph::new();
+    g.apply(&b.drain_delta()).unwrap();
+    let mut tables = PathTables::build_serial(&g, &config);
+    let mut appended = GraphBuilder::for_graph(&g);
+    for (t, (src, dst)) in [(hub, bots[7]), (bots[7], hub)].into_iter().enumerate() {
+        appended
+            .add_interaction(src, dst, Interaction::new(1_000 + t as i64, 1.0))
+            .unwrap();
+        let applied = g.apply(&appended.drain_delta()).unwrap();
+        let update = tables.apply(&g, &applied);
+        assert!(!update.rebuilt);
+        assert!(
+            update.refreshed_groups <= 4 && update.kernel_calls <= 8,
+            "one spoke append refreshed {} groups with {} kernel passes",
+            update.refreshed_groups,
+            update.kernel_calls
+        );
+        assert_row_identical("hub spoke", &tables, &PathTables::build_serial(&g, &config));
+    }
+}

@@ -142,12 +142,16 @@ proptest! {
         step in 1usize..6,
         window in 0i64..45,
     ) {
-        let config = TablesConfig::default();
         let splits: Vec<usize> = (0..40).step_by(step).collect();
-        for shards in SHARD_COUNTS {
-            run_both(&records, &splits, Some(window), shards, &config, |g, t, sg, st| {
-                assert_identical("windowed", shards, g, t, sg, st);
-            });
+        for config in [
+            TablesConfig::default(),
+            TablesConfig { build_c2: false, ..TablesConfig::default() },
+        ] {
+            for shards in SHARD_COUNTS {
+                run_both(&records, &splits, Some(window), shards, &config, |g, t, sg, st| {
+                    assert_identical("windowed", shards, g, t, sg, st);
+                });
+            }
         }
     }
 

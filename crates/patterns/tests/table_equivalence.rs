@@ -45,7 +45,7 @@ fn build_graph(desc: &RandomGraph) -> TemporalGraph {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (u32::MAX as f64)
+        (state >> 33) as f64 / (1u64 << 31) as f64
     };
     let mut b = GraphBuilder::new();
     let ids: Vec<NodeId> = (0..desc.nodes)

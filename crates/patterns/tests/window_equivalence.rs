@@ -13,7 +13,7 @@
 //! compaction.
 
 use proptest::prelude::*;
-use tin_graph::{GraphBuilder, Interaction, TemporalGraph};
+use tin_graph::{GraphBuilder, GraphDelta, Interaction, TemporalGraph};
 use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
 
 /// A record log over a small vertex pool; destinations are generated as a
@@ -103,12 +103,16 @@ proptest! {
         step in 1usize..6,
         window in 0i64..45,
     ) {
-        let config = TablesConfig::default();
         let splits: Vec<usize> = (0..30).step_by(step).collect();
-        let mut tables = PathTables::build(&TemporalGraph::new(), &config);
-        run_windowed(&records, &splits, window, &mut tables, |g, t| {
-            assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
-        });
+        for config in [
+            TablesConfig::default(),
+            TablesConfig { build_c2: false, ..TablesConfig::default() },
+        ] {
+            let mut tables = PathTables::build(&TemporalGraph::new(), &config);
+            run_windowed(&records, &splits, window, &mut tables, |g, t| {
+                assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
+            });
+        }
     }
 
     /// The lazy cache, evicting invalidated anchors for removals the same
@@ -195,7 +199,7 @@ fn window_that_evicts_everything() {
     assert!(g.live_edge_count() == 1 && g.edge_count() > 1);
     // One final frontier beyond everything: tables drain to empty.
     let mut g = g;
-    let delta = tin_graph::GraphDelta::new(g.node_count(), vec![], vec![])
+    let delta = GraphDelta::new(g.node_count(), vec![], vec![])
         .unwrap()
         .expire_before(i64::MAX);
     let applied = g.apply(&delta).unwrap();
@@ -206,6 +210,42 @@ fn window_that_evicts_everything() {
     );
     assert!(tables.l2.is_empty() && tables.l3.is_empty() && tables.c2.is_empty());
     assert_row_identical("empty", &tables, &PathTables::build_serial(&g, &config));
+}
+
+/// A 3-cycle `a → u → v → a` whose middle and closing edges expire in one
+/// delta while its first edge survives: the rotation `[a, u, v]` lies in
+/// neither expired edge's post-delta neighborhood, so cycle-only
+/// maintenance must reach it through the closing pair's own change.
+#[test]
+fn cycle_losing_two_edges_in_one_delta_is_deleted() {
+    let config = TablesConfig {
+        build_c2: false,
+        ..TablesConfig::default()
+    };
+    let mut b = GraphBuilder::new();
+    let a = b.add_node("a");
+    let u = b.add_node("u");
+    let v = b.add_node("v");
+    b.add_interaction(a, u, Interaction::new(10, 1.0)).unwrap();
+    b.add_interaction(u, v, Interaction::new(1, 1.0)).unwrap();
+    b.add_interaction(v, a, Interaction::new(2, 1.0)).unwrap();
+    let mut g = TemporalGraph::new();
+    g.apply(&b.drain_delta()).unwrap();
+    let mut tables = PathTables::build_serial(&g, &config);
+    assert_eq!(tables.l3.len(), 3, "every rotation of the cycle is a row");
+    let delta = GraphDelta::new(g.node_count(), vec![], vec![])
+        .unwrap()
+        .expire_before(5);
+    let applied = g.apply(&delta).unwrap();
+    assert!(g.has_edge(a, u) && !g.has_edge(u, v) && !g.has_edge(v, a));
+    let update = tables.apply(&g, &applied);
+    assert!(!update.rebuilt);
+    assert!(tables.l3.is_empty(), "every rotation is gone");
+    assert_row_identical(
+        "two-edge expiry",
+        &tables,
+        &PathTables::build_serial(&g, &config),
+    );
 }
 
 /// A window larger than the log never evicts: windowed maintenance must
