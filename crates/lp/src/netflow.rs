@@ -2784,7 +2784,7 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
+            ((state >> 33) as f64) / ((1u64 << 31) as f64)
         };
         for step in 0..60 {
             let mut touched = Vec::new();

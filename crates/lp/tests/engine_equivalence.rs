@@ -39,7 +39,7 @@ fn build(desc: &RandomLp) -> LpProblem {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (u32::MAX as f64)
+        (state >> 33) as f64 / (1u64 << 31) as f64
     };
     let n = desc.num_vars;
     let mut p = LpProblem::new(n);
@@ -147,7 +147,7 @@ fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (u32::MAX as f64)
+        (state >> 33) as f64 / (1u64 << 31) as f64
     };
     let n = desc.nodes;
     let mut p = MinCostFlowProblem::new(n);

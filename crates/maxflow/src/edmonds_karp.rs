@@ -109,7 +109,7 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
+            ((state >> 33) as f64) / ((1u64 << 31) as f64)
         };
         for trial in 0..20 {
             let n = 6 + (trial % 5);

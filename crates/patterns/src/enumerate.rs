@@ -3,18 +3,20 @@
 
 use crate::browse::enumerate_gb;
 use crate::catalogue::{PatternCatalogue, PatternId};
-use crate::precomputed::{enumerate_pb, pb_match_flow};
+use crate::instance::Instance;
+use crate::pattern::Pattern;
+use crate::precomputed::fold_pb_matches;
 use crate::tables::PathTables;
 use std::time::{Duration, Instant};
 use tin_flow::FlowMethod;
-use tin_graph::TemporalGraph;
+use tin_graph::{NodeId, TemporalGraph};
 
 /// Result of enumerating one pattern over one graph — one cell group of
 /// Tables 9–11.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternSearchResult {
     /// Pattern name (P1–P6, RP1–RP3).
-    pub pattern: String,
+    pub pattern: &'static str,
     /// Number of instances found.
     pub instances: usize,
     /// Sum of the instances' maximum flows.
@@ -46,7 +48,7 @@ pub fn search_gb(graph: &TemporalGraph, id: PatternId, limit: usize) -> PatternS
     }
     let count = instances.len();
     PatternSearchResult {
-        pattern: id.name().to_string(),
+        pattern: id.name(),
         instances: count,
         total_flow,
         average_flow: if count == 0 {
@@ -59,8 +61,13 @@ pub fn search_gb(graph: &TemporalGraph, id: PatternId, limit: usize) -> PatternS
     }
 }
 
-/// Enumerates catalogue pattern `id` from the precomputed tables (PB),
-/// reusing precomputed flows where the pattern structure allows it.
+/// Answers catalogue pattern `id` from the precomputed tables (PB).
+///
+/// For P1–P5 the answer is a fold over borrowed table rows: a scan (P1–P3)
+/// or an anchor join (P4, P5) that counts the matches and sums their
+/// precomputed flows, in enumeration order, without allocating. Only P6,
+/// whose chords the tables do not cover, materializes each chord-checked
+/// match and runs the paper's complete solver (`PreSim`) on it.
 ///
 /// Returns `None` when the required tables are unavailable — the paper marks
 /// those cells as "not applicable".
@@ -71,15 +78,18 @@ pub fn search_pb(
     limit: usize,
 ) -> Option<PatternSearchResult> {
     let start = Instant::now();
-    let matches = enumerate_pb(graph, tables, id, limit)?;
-    let truncated = limit > 0 && matches.len() >= limit;
-    let mut total_flow = 0.0;
-    for m in &matches {
-        total_flow += pb_match_flow(graph, id, m).expect("PB instances are valid DAG mappings");
-    }
-    let count = matches.len();
+    // P6's catalogue pattern, built at its first match.
+    let mut pattern = None;
+    let (count, total_flow) =
+        fold_pb_matches(graph, tables, id, limit, 0.0, |total, vertices, flow| {
+            total
+                + match flow {
+                    Some(flow) => flow,
+                    None => solve_instance(graph, id, &mut pattern, vertices),
+                }
+        })?;
     Some(PatternSearchResult {
-        pattern: id.name().to_string(),
+        pattern: id.name(),
         instances: count,
         total_flow,
         average_flow: if count == 0 {
@@ -88,13 +98,28 @@ pub fn search_pb(
             total_flow / count as f64
         },
         elapsed: start.elapsed(),
-        truncated,
+        truncated: limit > 0 && count >= limit,
     })
+}
+
+/// The flow of a PB match the tables do not determine (P6): materializes
+/// the instance and runs `PreSim`, building `id`'s catalogue pattern once.
+fn solve_instance(
+    graph: &TemporalGraph,
+    id: PatternId,
+    pattern: &mut Option<Pattern>,
+    vertices: &[NodeId],
+) -> f64 {
+    let pattern = pattern.get_or_insert_with(|| PatternCatalogue::build(id));
+    Instance::new(vertices.to_vec())
+        .flow(graph, pattern, FlowMethod::PreSim)
+        .expect("PB instances are valid DAG mappings")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::precomputed::{enumerate_pb, pb_match_flow};
     use crate::tables::TablesConfig;
     use tin_graph::builder::from_records;
 
@@ -141,9 +166,31 @@ mod tests {
         let gb = search_gb(&g, PatternId::P2, 1);
         assert!(gb.truncated);
         assert_eq!(gb.instances, 1);
-        let pb = search_pb(&g, &tables, PatternId::P2, 1).unwrap();
-        assert!(pb.truncated);
-        assert_eq!(pb.instances, 1);
+        // Every limit from 1 to n + 1 on every pattern: the cut can fall
+        // mid-join (P4, P5) or among chord-rejected rows (P6), and the flow
+        // sum must be the in-order sum of exactly the kept matches.
+        let mut counts = Vec::new();
+        for id in PatternId::ALL {
+            let all = enumerate_pb(&g, &tables, id, 0).expect("all tables built");
+            let n = all.len();
+            counts.push(n);
+            for limit in 1..=n + 1 {
+                let pb = search_pb(&g, &tables, id, limit).expect("all tables built");
+                assert_eq!(pb.instances, limit.min(n), "{id} limit {limit}");
+                assert_eq!(pb.truncated, limit <= n, "{id} limit {limit}");
+                let mut want = 0.0;
+                for m in &all[..pb.instances] {
+                    want += pb_match_flow(&g, id, m).expect("valid PB match");
+                }
+                assert_eq!(
+                    pb.total_flow.to_bits(),
+                    want.to_bits(),
+                    "{id} limit {limit}: flow sum {} vs {want}",
+                    pb.total_flow
+                );
+            }
+        }
+        assert_eq!(counts, [13, 8, 9, 4, 5, 7]);
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! anchor joins between tables, and patterns whose edges are not covered by
 //! any table (P6) use the tables to drive the search and fall back to the
 //! graph for the remaining edge checks and to the flow solvers for the flow.
+//!
+//! One private fold walks the matches of every pattern, in one order, over
+//! borrowed table rows. [`crate::search_pb`] folds it into a count and a
+//! flow sum: for P1–P5 that is a scan or join that sums precomputed flows and
+//! allocates nothing, and only P6 materializes its (chord-checked) instances
+//! for a flow solver. [`enumerate_pb`] collects the same walk into
+//! [`PbMatch`]es for callers that want the instances themselves.
 
 use crate::catalogue::{PatternCatalogue, PatternId};
 use crate::instance::Instance;
-use crate::tables::PathTables;
-use tin_graph::{Quantity, TemporalGraph};
+use crate::tables::{PathTable, PathTables};
+use tin_graph::{NodeId, Quantity, TemporalGraph};
 
 /// A PB match: the instance plus its flow when the tables already determine
 /// it (chain-shaped and branch-sum patterns); `None` means the caller must
@@ -27,68 +34,89 @@ pub struct PbMatch {
 /// tables. Returns `None` when a required table is missing or truncated —
 /// the situation the paper marks as "PB not applicable".
 ///
-/// `limit` bounds the number of matches (0 = unlimited).
+/// `limit` bounds the number of matches (0 = unlimited). This collects the
+/// same match walk that [`crate::search_pb`] folds without materializing
+/// anything, so both see the same matches in the same order.
 pub fn enumerate_pb(
     graph: &TemporalGraph,
     tables: &PathTables,
     id: PatternId,
     limit: usize,
 ) -> Option<Vec<PbMatch>> {
+    let (_, matches) = fold_pb_matches(
+        graph,
+        tables,
+        id,
+        limit,
+        Vec::new(),
+        |mut matches, vertices, flow| {
+            matches.push(PbMatch {
+                instance: Instance::new(vertices.to_vec()),
+                flow,
+            });
+            matches
+        },
+    )?;
+    Some(matches)
+}
+
+/// Folds `f(acc, vertices, flow)` over the PB matches of pattern `id`, in
+/// enumeration order, on borrowed rows: `vertices` is the instance mapping
+/// and `flow` the precomputed flow (`None` for P6, whose flow the tables do
+/// not determine). Folds at most `limit` matches (0 = unlimited) and
+/// returns how many it folded with the final accumulator, or `None` when a
+/// required table is missing or truncated (PB not applicable).
+///
+/// This is the only copy of the P1–P6 match logic: [`enumerate_pb`]
+/// collects it and [`crate::search_pb`] sums it. The accumulator travels
+/// by value, so a flow sum stays in a register instead of being written
+/// back through a captured reference at every row.
+pub(crate) fn fold_pb_matches<A>(
+    graph: &TemporalGraph,
+    tables: &PathTables,
+    id: PatternId,
+    limit: usize,
+    init: A,
+    mut f: impl FnMut(A, &[NodeId], Option<Quantity>) -> A,
+) -> Option<(usize, A)> {
     if tables.truncated {
         return None;
     }
-    // An empty table is legitimate when the graph simply has no matching
-    // cycles; it only means "not built" when such cycles exist. Every
-    // pattern that reads a table must refuse to run on an untrustworthy one
-    // (the paper's "PB not applicable").
-    let l2_ok = || !tables.l2.is_empty() || !has_any_two_cycle(graph);
-    let l3_ok = || !tables.l3.is_empty() || !has_any_three_cycle(graph);
-    let capped = |v: &mut Vec<PbMatch>| limit > 0 && v.len() >= limit;
-    let mut out = Vec::new();
-    match id {
+    // Every pattern that reads a table must refuse to run on an
+    // untrustworthy one (the paper's "PB not applicable").
+    let l2_ok = || table_is_complete(&tables.l2, graph, has_any_two_cycle);
+    let l3_ok = || table_is_complete(&tables.l3, graph, has_any_three_cycle);
+    let cap = if limit == 0 { usize::MAX } else { limit };
+    let folded = match id {
         PatternId::P1 => {
-            if tables.c2.is_empty() && has_any_two_chain(graph) {
+            if !table_is_complete(&tables.c2, graph, has_any_two_chain) {
                 return None;
             }
-            for row in &tables.c2 {
-                if capped(&mut out) {
-                    break;
-                }
-                out.push(PbMatch {
-                    instance: Instance::new(row.vertices().to_vec()),
-                    flow: Some(row.flow),
-                });
-            }
+            let matches = tables.c2.iter().map(|row| {
+                let v = row.vertices();
+                ([v[0], v[1], v[2]], Some(row.flow))
+            });
+            fold_first(matches, cap, init, &mut f)
         }
         PatternId::P2 => {
             if !l2_ok() {
                 return None;
             }
-            for row in &tables.l2 {
-                if capped(&mut out) {
-                    break;
-                }
+            let matches = tables.l2.iter().map(|row| {
                 let v = row.vertices();
-                out.push(PbMatch {
-                    instance: Instance::new(vec![v[0], v[1], v[0]]),
-                    flow: Some(row.flow),
-                });
-            }
+                ([v[0], v[1], v[0]], Some(row.flow))
+            });
+            fold_first(matches, cap, init, &mut f)
         }
         PatternId::P3 => {
             if !l3_ok() {
                 return None;
             }
-            for row in &tables.l3 {
-                if capped(&mut out) {
-                    break;
-                }
+            let matches = tables.l3.iter().map(|row| {
                 let v = row.vertices();
-                out.push(PbMatch {
-                    instance: Instance::new(vec![v[0], v[1], v[2], v[0]]),
-                    flow: Some(row.flow),
-                });
-            }
+                ([v[0], v[1], v[2], v[0]], Some(row.flow))
+            });
+            fold_first(matches, cap, init, &mut f)
         }
         PatternId::P4 => {
             // L2 ⋈ L3 on the anchor: a 2-hop branch and a 3-hop branch with
@@ -103,48 +131,31 @@ pub fn enumerate_pb(
             if !usable {
                 return None;
             }
-            'outer_p4: for l2_row in &tables.l2 {
-                let anchor = l2_row.anchor();
-                let b = l2_row.vertices()[1];
-                for l3_row in tables.l3.rows_for(anchor) {
+            let matches = tables.l2.iter().flat_map(|l2_row| {
+                let (anchor, b) = (l2_row.anchor(), l2_row.vertices()[1]);
+                tables.l3.rows_for(anchor).iter().filter_map(move |l3_row| {
                     let (c, e) = (l3_row.vertices()[1], l3_row.vertices()[2]);
-                    if b == c || b == e {
-                        continue;
-                    }
-                    if capped(&mut out) {
-                        break 'outer_p4;
-                    }
-                    out.push(PbMatch {
-                        instance: Instance::new(vec![anchor, b, c, e, anchor]),
-                        flow: Some(l2_row.flow + l3_row.flow),
-                    });
-                }
-            }
+                    let flow = l2_row.flow + l3_row.flow;
+                    (b != c && b != e).then_some(([anchor, b, c, e, anchor], Some(flow)))
+                })
+            });
+            fold_first(matches, cap, init, &mut f)
         }
         PatternId::P5 => {
             if !l2_ok() {
                 return None;
             }
             // L2 self-join on the anchor with b < c (symmetry breaking).
-            'outer_p5: for anchor in tables.l2.anchors() {
+            let matches = tables.l2.anchors().flat_map(|anchor| {
                 let rows = tables.l2.rows_for(anchor);
-                for i in 0..rows.len() {
-                    for j in (i + 1)..rows.len() {
-                        if capped(&mut out) {
-                            break 'outer_p5;
-                        }
-                        out.push(PbMatch {
-                            instance: Instance::new(vec![
-                                anchor,
-                                rows[i].vertices()[1],
-                                rows[j].vertices()[1],
-                                anchor,
-                            ]),
-                            flow: Some(rows[i].flow + rows[j].flow),
-                        });
-                    }
-                }
-            }
+                rows.iter().enumerate().flat_map(move |(i, first)| {
+                    rows[i + 1..].iter().map(move |second| {
+                        let (b, c) = (first.vertices()[1], second.vertices()[1]);
+                        ([anchor, b, c, anchor], Some(first.flow + second.flow))
+                    })
+                })
+            });
+            fold_first(matches, cap, init, &mut f)
         }
         PatternId::P6 => {
             if !l3_ok() {
@@ -153,22 +164,42 @@ pub fn enumerate_pb(
             // L3 scan + graph verification of the two chords; the
             // precomputed chain flow cannot be reused (the chords interleave
             // with the cycle), so the flow is left to the caller.
-            for row in &tables.l3 {
-                if capped(&mut out) {
-                    break;
-                }
+            let matches = tables.l3.iter().filter_map(|row| {
                 let v = row.vertices();
                 let (a, b, c) = (v[0], v[1], v[2]);
-                if graph.has_edge(a, c) && graph.has_edge(b, a) {
-                    out.push(PbMatch {
-                        instance: Instance::new(vec![a, b, c, a]),
-                        flow: None,
-                    });
-                }
-            }
+                (graph.has_edge(a, c) && graph.has_edge(b, a)).then_some(([a, b, c, a], None))
+            });
+            fold_first(matches, cap, init, &mut f)
         }
-    }
-    Some(out)
+    };
+    Some(folded)
+}
+
+/// Folds the first `cap` of `matches` with `f`, counting them.
+fn fold_first<const N: usize, A>(
+    matches: impl Iterator<Item = ([NodeId; N], Option<Quantity>)>,
+    cap: usize,
+    init: A,
+    f: &mut impl FnMut(A, &[NodeId], Option<Quantity>) -> A,
+) -> (usize, A) {
+    matches
+        .take(cap)
+        .fold((0, init), |(count, acc), (vertices, flow)| {
+            (count + 1, f(acc, &vertices, flow))
+        })
+}
+
+/// The PB matcher's one availability rule: an empty table is legitimate
+/// when the graph simply has no paths of its shape (`has_any` is false) —
+/// it is then verifiably complete — but an empty table on a graph that has
+/// such paths was never built, and answering from it would silently claim
+/// "no instances".
+pub(crate) fn table_is_complete(
+    table: &PathTable,
+    graph: &TemporalGraph,
+    has_any: fn(&TemporalGraph) -> bool,
+) -> bool {
+    !table.is_empty() || !has_any(graph)
 }
 
 /// Whether the graph contains any 2-hop cycle `u → v → u`. These existence

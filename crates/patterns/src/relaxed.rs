@@ -25,6 +25,9 @@
 
 use crate::catalogue::{PatternCatalogue, PatternId};
 use crate::enumerate::PatternSearchResult;
+use crate::precomputed::{
+    has_any_three_cycle, has_any_two_chain, has_any_two_cycle, table_is_complete,
+};
 use crate::tables::{PathTable, PathTables};
 use crate::{browse::enumerate_gb, instance::Instance};
 use std::collections::BTreeMap;
@@ -81,7 +84,7 @@ impl std::fmt::Display for RelaxedPattern {
 type GroupKey = (NodeId, Option<NodeId>);
 
 fn group_and_summarize(
-    name: &str,
+    name: &'static str,
     branches: impl Iterator<Item = (GroupKey, Quantity)>,
     min_branches: usize,
     elapsed_from: Instant,
@@ -99,7 +102,7 @@ fn group_and_summarize(
     let instances = qualifying.len();
     let total_flow: f64 = qualifying.iter().map(|(_, f)| *f).sum();
     PatternSearchResult {
-        pattern: name.to_string(),
+        pattern: name,
         instances,
         total_flow,
         average_flow: if instances == 0 {
@@ -127,26 +130,14 @@ pub fn relaxed_search_pb(
         return None;
     }
     let start = Instant::now();
-    let table: &PathTable = match pattern {
-        RelaxedPattern::ParallelTwoHopChains { .. } => {
-            if tables.c2.is_empty() && crate::precomputed::has_any_two_chain(graph) {
-                return None;
-            }
-            &tables.c2
-        }
-        RelaxedPattern::ParallelTwoHopCycles { .. } => {
-            if tables.l2.is_empty() && crate::precomputed::has_any_two_cycle(graph) {
-                return None;
-            }
-            &tables.l2
-        }
-        RelaxedPattern::ParallelThreeHopCycles { .. } => {
-            if tables.l3.is_empty() && crate::precomputed::has_any_three_cycle(graph) {
-                return None;
-            }
-            &tables.l3
-        }
+    let (table, has_any): (&PathTable, fn(&TemporalGraph) -> bool) = match pattern {
+        RelaxedPattern::ParallelTwoHopChains { .. } => (&tables.c2, has_any_two_chain),
+        RelaxedPattern::ParallelTwoHopCycles { .. } => (&tables.l2, has_any_two_cycle),
+        RelaxedPattern::ParallelThreeHopCycles { .. } => (&tables.l3, has_any_three_cycle),
     };
+    if !table_is_complete(table, graph, has_any) {
+        return None;
+    }
     let branches = table.iter().map(|row| {
         let key: GroupKey = match pattern {
             RelaxedPattern::ParallelTwoHopChains { .. } => {

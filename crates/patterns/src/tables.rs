@@ -237,48 +237,27 @@ impl PathTable {
             .map(|(i, _)| NodeId::from_index(self.first_anchor + i))
     }
 
-    /// The row range of `anchor` as indices into [`PathTable::rows`] — an
-    /// empty `start..start` range at the sorted insertion point when the
-    /// anchor has no rows. O(1) inside the populated anchor span, one binary
-    /// search outside it.
-    fn anchor_range(&self, anchor: NodeId) -> std::ops::Range<usize> {
-        let a = anchor.index();
-        if a >= self.first_anchor && a - self.first_anchor + 1 < self.offsets.len() {
-            let i = a - self.first_anchor;
-            return self.offsets[i] as usize..self.offsets[i + 1] as usize;
-        }
-        let at = self.rows.partition_point(|r| r.anchor() < anchor);
-        debug_assert!(self.rows.get(at).is_none_or(|r| r.anchor() > anchor));
-        at..at
-    }
-
-    /// The row range matching `key` (rows whose vertex sequence starts with
-    /// the key's prefix) — an empty range at the sorted insertion point when
-    /// no row matches. One binary search within the key's anchor range.
-    fn key_range(&self, key: &PatchKey) -> std::ops::Range<usize> {
-        let anchor = self.anchor_range(key.verts[0]);
-        let prefix = &key.verts[..key.len as usize];
-        let rows = &self.rows[anchor.clone()];
-        let start = rows.partition_point(|r| {
-            let n = prefix.len().min(r.vertices().len());
-            &r.vertices()[..n] < prefix
-        });
-        let end = start
-            + rows[start..].partition_point(|r| {
-                let n = prefix.len().min(r.vertices().len());
-                &r.vertices()[..n] <= prefix
-            });
-        anchor.start + start..anchor.start + end
-    }
-
     /// Replaces the row groups named by `keys` (ascending, deduplicated,
     /// non-overlapping) with the matching rows of `repl_rows` (sorted by
     /// vertex sequence; every row must match exactly one key), appending
-    /// `repl_arena` to this table's arena. Stale profiles become garbage,
-    /// tracked in [`PathTable::dead`] and compacted away once they exceed
-    /// the live data — so long-running streams do amortized O(1) arena work
-    /// per replaced row instead of an O(table) rebuild per batch.
+    /// `repl_arena` to this table's arena.
+    ///
+    /// Keys, replacement rows and the table's rows are all sorted, so one
+    /// forward merge splices them: a cursor walks the old rows once and, per
+    /// key, copies the rows below it, skips the rows it names and pushes its
+    /// replacements, then copies the tail — no per-key search. The rows stay
+    /// one flat sorted vector, written into a fresh allocation per call so
+    /// no row buffer outlives the patch.
+    ///
+    /// Stale profiles become garbage, tracked in [`PathTable::dead`] and
+    /// compacted away once they exceed the live data — so long-running
+    /// streams do amortized O(1) arena work per replaced row instead of an
+    /// O(table) rebuild per batch.
     fn patch_keys(&mut self, keys: &[PatchKey], repl_rows: &[PathRow], repl_arena: &[Interaction]) {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "patch keys must be ascending and deduplicated"
+        );
         // The shifted replacement offsets must stay within u32; compact
         // eagerly if garbage alone would push them over.
         if self.arena.len() + repl_arena.len() > u32::MAX as usize {
@@ -286,23 +265,21 @@ impl PathTable {
         }
         let base = u32::try_from(self.arena.len()).expect("patched arena exceeds u32 offsets");
         self.arena.extend_from_slice(repl_arena);
-        let mut out = Vec::with_capacity(self.rows.len() + repl_rows.len());
-        let mut prev = 0usize;
+        let old = &self.rows;
+        let mut out = Vec::with_capacity(old.len() + repl_rows.len());
+        let mut at = 0usize;
         let mut next_repl = 0usize;
         for key in keys {
-            let range = self.key_range(key);
-            debug_assert!(range.start >= prev, "patch keys must be ascending");
-            out.extend_from_slice(&self.rows[prev..range.start]);
-            self.dead += self.rows[range.clone()]
-                .iter()
-                .map(|r| r.delivered_len as usize)
-                .sum::<usize>();
-            let prefix = &key.verts[..key.len as usize];
-            while let Some(r) = repl_rows.get(next_repl) {
-                let n = prefix.len().min(r.vertices().len());
-                if &r.vertices()[..n] != prefix {
-                    break;
-                }
+            let below = at;
+            while old.get(at).is_some_and(|r| key.locate(r).is_lt()) {
+                at += 1;
+            }
+            out.extend_from_slice(&old[below..at]);
+            while let Some(r) = old.get(at).filter(|r| key.locate(r).is_eq()) {
+                self.dead += r.delivered_len as usize;
+                at += 1;
+            }
+            while let Some(r) = repl_rows.get(next_repl).filter(|r| key.locate(r).is_eq()) {
                 let mut r = *r;
                 r.delivered_start = base
                     .checked_add(r.delivered_start)
@@ -310,9 +287,8 @@ impl PathTable {
                 out.push(r);
                 next_repl += 1;
             }
-            prev = range.end;
         }
-        out.extend_from_slice(&self.rows[prev..]);
+        out.extend_from_slice(&old[at..]);
         debug_assert_eq!(
             next_repl,
             repl_rows.len(),
@@ -570,6 +546,15 @@ struct PatchKey {
 }
 
 impl PatchKey {
+    /// Where `row` sorts relative to the group this key names: `Less` below
+    /// it, `Equal` inside it (the row's vertex sequence starts with the
+    /// key), `Greater` above it.
+    #[inline]
+    fn locate(&self, row: &PathRow) -> std::cmp::Ordering {
+        let n = (self.len as usize).min(row.vertices().len());
+        row.vertices()[..n].cmp(&self.verts[..n])
+    }
+
     fn pair(a: NodeId, b: NodeId) -> Self {
         PatchKey {
             verts: [a, b, NodeId::from_index(0)],
@@ -741,10 +726,15 @@ impl PathTables {
     /// proptests pin this down — but the *kernel* only revisits the row
     /// groups the delta can invalidate (see the [module docs](self)), so
     /// flow recomputation scales with the changed edges' endpoint degrees,
-    /// not with the graph. (Splicing the fresh rows in still rewrites each
-    /// table's row vector and offset index — a linear memcpy over compact
-    /// 32-byte rows with no kernel work, which the `experiments stream`
-    /// measurements show is dwarfed by the avoided rebuild.)
+    /// not with the graph.
+    ///
+    /// The fresh rows are spliced in by one forward merge per table: keys,
+    /// fresh rows and table rows are all sorted, so a single cursor copies
+    /// the unchanged runs, drops the stale groups and inserts their
+    /// replacements without searching for any key.
+    /// The merge still writes every row of a patched table into a new
+    /// vector and rebuilds its offset index: no kernel work, but memory
+    /// traffic proportional to the table, not to the delta.
     ///
     /// Removals are handled symmetrically: a sliding-window delta's
     /// evictions ([`AppliedDelta::shrunk_edges`] /
