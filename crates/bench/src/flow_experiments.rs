@@ -54,12 +54,36 @@ pub struct FlowTable {
     pub class_sizes: (usize, usize, usize),
 }
 
-fn time_method(sub: &SeedSubgraph, method: FlowMethod) -> Duration {
+/// Runs `method` on `sub`, returning its runtime and the flow it computed.
+fn time_method(sub: &SeedSubgraph, method: FlowMethod) -> (Duration, f64) {
     let start = Instant::now();
     let result = compute_flow(&sub.graph, sub.source, sub.sink, method)
         .expect("extracted subgraphs are valid flow DAGs");
-    std::hint::black_box(result.flow);
-    start.elapsed()
+    let flow = std::hint::black_box(result.flow);
+    (start.elapsed(), flow)
+}
+
+/// Checks the values the timed runs of [`TABLE_METHODS`] computed on
+/// `sub`: the exact methods agree within 1e-6 relative, and greedy does not
+/// exceed their maximum.
+fn check_flows(dataset: &str, sub: &SeedSubgraph, flows: &[f64]) {
+    let flow_of = |method| flows[TABLE_METHODS.iter().position(|&m| m == method).unwrap()];
+    let max = flow_of(FlowMethod::Lp);
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()));
+    for method in [FlowMethod::Pre, FlowMethod::PreSim] {
+        let flow = flow_of(method);
+        assert!(
+            close(flow, max),
+            "{dataset} subgraph of seed {}: {method} gives {flow} but LP gives {max}",
+            sub.seed
+        );
+    }
+    let greedy = flow_of(FlowMethod::Greedy);
+    assert!(
+        greedy <= max || close(greedy, max),
+        "{dataset} subgraph of seed {}: greedy flow {greedy} exceeds the maximum {max}",
+        sub.seed
+    );
 }
 
 fn summarize(method: FlowMethod, durations: &[Duration]) -> MethodTiming {
@@ -78,7 +102,10 @@ fn summarize(method: FlowMethod, durations: &[Duration]) -> MethodTiming {
 }
 
 /// Classifies every subgraph (via the `PreSim` pipeline) and measures each
-/// method on it, producing one of the paper's Tables 6–8.
+/// method on it, producing one of the paper's Tables 6–8. Off the clock,
+/// every subgraph's values are checked: `LP`, `Pre` and `PreSim` agree
+/// within 1e-6 relative and greedy does not exceed them (a disagreement
+/// panics).
 ///
 /// Subgraphs are evaluated in parallel on a std-thread worker pool; each
 /// subgraph's classification and all of its method timings happen on one
@@ -89,10 +116,11 @@ pub fn flow_method_experiment(workload: &Workload) -> FlowTable {
             .expect("valid subgraph")
             .class
             .unwrap_or(DifficultyClass::C);
-        let durations: Vec<Duration> = TABLE_METHODS
+        let (durations, flows): (Vec<Duration>, Vec<f64>) = TABLE_METHODS
             .iter()
             .map(|&method| time_method(sub, method))
-            .collect();
+            .unzip();
+        check_flows(workload.kind.name(), sub, &flows);
         (class, durations)
     });
 
@@ -172,7 +200,7 @@ pub fn bucket_experiment(workload: &Workload) -> Vec<BucketRow> {
                 .iter()
                 .map(|&method| {
                     let durations: Vec<Duration> =
-                        subs.iter().map(|s| time_method(s, method)).collect();
+                        subs.iter().map(|s| time_method(s, method).0).collect();
                     summarize(method, &durations)
                 })
                 .collect();

@@ -34,7 +34,7 @@
 //! per run once warmed up. [`greedy_flow`] remains the convenient one-shot
 //! entry point and simply runs on a fresh scratch.
 
-use tin_graph::{EdgeId, Events, NodeId, Quantity, TemporalGraph, Time};
+use tin_graph::{EdgeId, EventRef, Events, NodeId, Quantity, TemporalGraph, Time};
 
 /// A single transfer performed by the greedy scan — one row of the paper's
 /// Table 2.
@@ -125,31 +125,34 @@ impl GreedyScratch {
     }
 }
 
-fn run(
-    graph: &TemporalGraph,
-    source: NodeId,
-    sink: NodeId,
-    record_trace: bool,
+/// The greedy scan itself: replays `events` — chronologically sorted, ties
+/// in a fixed order — with `source` as the infinite buffer, calls
+/// `on_step` with every event and the quantity it moved, and returns the
+/// quantity buffered at `sink`. Vertex indices must be below `nodes`.
+///
+/// Every greedy computation in the crate runs through here: the scan of a
+/// whole [`TemporalGraph`], the greedy flow of the reduced flow DAG and
+/// the greedy replay of a contracted chain.
+pub(crate) fn scan(
+    events: &[EventRef],
+    nodes: usize,
+    source: usize,
+    sink: usize,
     scratch: &mut GreedyScratch,
-) -> (Quantity, Vec<TransferStep>) {
-    assert!(source.index() < graph.node_count(), "source out of range");
-    assert!(sink.index() < graph.node_count(), "sink out of range");
-    let events = Events::collect(graph);
-    let evs = events.as_slice();
-    scratch.reset(graph.node_count());
-    scratch.buffers[source.index()] = Quantity::INFINITY;
-    scratch.touch_buffer(source.index());
-
-    let mut trace = Vec::with_capacity(if record_trace { evs.len() } else { 0 });
+    mut on_step: impl FnMut(&EventRef, Quantity),
+) -> Quantity {
+    scratch.reset(nodes);
+    scratch.buffers[source] = Quantity::INFINITY;
+    scratch.touch_buffer(source);
 
     let mut i = 0;
-    while i < evs.len() {
-        let t = evs[i].time;
+    while i < events.len() {
+        let t = events[i].time;
         let mut j = i;
-        while j < evs.len() && evs[j].time == t {
+        while j < events.len() && events[j].time == t {
             j += 1;
         }
-        for ev in &evs[i..j] {
+        for ev in &events[i..j] {
             let s = ev.src.index();
             if !scratch.available_loaded[s] {
                 scratch.available[s] = scratch.buffers[s];
@@ -169,16 +172,7 @@ fn run(
                 }
                 scratch.arrivals[d] += moved;
             }
-            if record_trace {
-                trace.push(TransferStep {
-                    edge: ev.edge,
-                    src: ev.src,
-                    dst: ev.dst,
-                    time: ev.time,
-                    requested: ev.quantity,
-                    transferred: moved,
-                });
-            }
+            on_step(ev, moved);
         }
         // Commit the group: outgoing quantity leaves the senders' buffers,
         // arrivals become available only to strictly later interactions.
@@ -198,7 +192,41 @@ fn run(
         }
         i = j;
     }
-    (scratch.buffers[sink.index()], trace)
+    scratch.buffers[sink]
+}
+
+fn run(
+    graph: &TemporalGraph,
+    source: NodeId,
+    sink: NodeId,
+    record_trace: bool,
+    scratch: &mut GreedyScratch,
+) -> (Quantity, Vec<TransferStep>) {
+    assert!(source.index() < graph.node_count(), "source out of range");
+    assert!(sink.index() < graph.node_count(), "sink out of range");
+    let events = Events::collect(graph);
+    let evs = events.as_slice();
+    let mut trace = Vec::with_capacity(if record_trace { evs.len() } else { 0 });
+    let flow = scan(
+        evs,
+        graph.node_count(),
+        source.index(),
+        sink.index(),
+        scratch,
+        |ev, moved| {
+            if record_trace {
+                trace.push(TransferStep {
+                    edge: ev.edge,
+                    src: ev.src,
+                    dst: ev.dst,
+                    time: ev.time,
+                    requested: ev.quantity,
+                    transferred: moved,
+                });
+            }
+        },
+    );
+    (flow, trace)
 }
 
 /// Computes the greedy flow from `source` to `sink` (Definition 5) using a

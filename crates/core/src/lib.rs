@@ -58,10 +58,10 @@ pub mod greedy;
 pub mod lp_formulation;
 pub mod parallel;
 pub mod preprocess;
+mod reduce;
 pub mod simplify;
 pub mod solubility;
 pub mod solver;
-pub mod workgraph;
 
 pub use chain::{chain_propagate, ChainScratch};
 pub use error::FlowError;

@@ -36,7 +36,7 @@
 
 use crate::error::FlowError;
 use std::cmp::Ordering;
-use tin_graph::{AppliedDelta, EdgeId, Events, NodeId, Quantity, TemporalGraph, Time};
+use tin_graph::{AppliedDelta, EdgeId, Events, Interaction, NodeId, Quantity, TemporalGraph, Time};
 use tin_lp::{LpProblem, LpSolution, LpStatus, McfSolution, MinCostFlowProblem, SimplexEngine};
 
 /// A constructed LP instance together with the bookkeeping needed to
@@ -342,7 +342,7 @@ pub struct McfPatch {
 /// one arc per interaction from the latest copy of its source *strictly
 /// before* its timestamp (the paper's strict precedence rule).
 pub fn build_mcf(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> McfFormulation {
-    build_mcf_inner(graph, source, sink, false)
+    build_graph_mcf(graph, source, sink, false)
 }
 
 /// Like [`build_mcf`], but records the bookkeeping
@@ -352,23 +352,50 @@ pub fn build_mcf(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> McfForm
 /// stand-in, which a growing stream would outrun) — safe because every
 /// source→sink path crosses a finite interaction arc.
 pub fn build_mcf_session(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> McfFormulation {
-    build_mcf_inner(graph, source, sink, true)
+    build_graph_mcf(graph, source, sink, true)
 }
 
-fn build_mcf_inner(
+/// Emits every edge slot of `graph` in edge-id order — tombstones
+/// included, so a session's mirrors stay indexed by edge id.
+fn build_graph_mcf(
     graph: &TemporalGraph,
     source: NodeId,
     sink: NodeId,
+    session: bool,
+) -> McfFormulation {
+    let edges = graph
+        .edges()
+        .iter()
+        .map(|e| (e.src.index(), e.dst.index(), e.interactions.as_slice()));
+    build_mcf_inner(
+        graph.node_count(),
+        edges,
+        source.index(),
+        sink.index(),
+        session,
+    )
+}
+
+/// Emits the time-expanded circulation of the edge list `edges` — `(src,
+/// dst, interactions)` triples over vertices `0..nodes`, interactions
+/// chronologically sorted. Arcs follow the list's order, which is what
+/// makes two lists of the same edges in the same order emit the identical
+/// problem — the reduced flow DAG relies on it to match [`build_mcf`] of
+/// the graph it would build.
+pub(crate) fn build_mcf_inner<'a>(
+    nodes: usize,
+    edges: impl Iterator<Item = (usize, usize, &'a [Interaction])> + Clone,
+    source: usize,
+    sink: usize,
     session: bool,
 ) -> McfFormulation {
     // Finite stand-in for "unbounded": no s-t flow can exceed the total
     // finite quantity, so the value never constrains an optimal solution
     // and keeps the circulation bounded (no infinite-capacity negative
     // cycle can exist).
-    let finite_total: f64 = graph
-        .edges()
-        .iter()
-        .flat_map(|e| e.interactions.iter())
+    let finite_total: f64 = edges
+        .clone()
+        .flat_map(|(_, _, ints)| ints.iter())
         .map(|i| {
             if i.quantity.is_finite() {
                 i.quantity
@@ -380,15 +407,12 @@ fn build_mcf_inner(
     let unbounded = finite_total + 1.0;
 
     // Arrival times per vertex (excluding the flow endpoints).
-    let n = graph.node_count();
-    let mut arrivals: Vec<Vec<Time>> = vec![Vec::new(); n];
-    for edge in graph.edges() {
-        if edge.dst == source || edge.dst == sink {
+    let mut arrivals: Vec<Vec<Time>> = vec![Vec::new(); nodes];
+    for (_, dst, ints) in edges.clone() {
+        if dst == source || dst == sink {
             continue;
         }
-        for i in &edge.interactions {
-            arrivals[edge.dst.index()].push(i.time);
-        }
+        arrivals[dst].extend(ints.iter().map(|i| i.time));
     }
     for list in arrivals.iter_mut() {
         list.sort_unstable();
@@ -396,9 +420,7 @@ fn build_mcf_inner(
     }
 
     // Node ids: 0 = source, 1 = sink, then the per-arrival vertex copies.
-    let src_node = 0usize;
-    let sink_node = 1usize;
-    let mut first_copy: Vec<usize> = vec![usize::MAX; n];
+    let mut first_copy: Vec<usize> = vec![usize::MAX; nodes];
     let mut next_node = 2usize;
     for (v, list) in arrivals.iter().enumerate() {
         if !list.is_empty() {
@@ -411,7 +433,7 @@ fn build_mcf_inner(
         .iter()
         .map(|list| list.len().saturating_sub(1))
         .sum();
-    let interactions: usize = graph.edges().iter().map(|e| e.interactions.len()).sum();
+    let interactions: usize = edges.clone().map(|(_, _, ints)| ints.len()).sum();
     problem.reserve_arcs(holdovers + interactions + 1);
 
     // Session builds chain copies with truly infinite capacity: the finite
@@ -429,29 +451,34 @@ fn build_mcf_inner(
     // Interaction arcs.
     let mut skipped = 0usize;
     let mut mirrors = if session {
-        vec![EdgeMirror::default(); graph.edge_count()]
+        vec![EdgeMirror::default(); edges.clone().count()]
     } else {
         Vec::new()
     };
     let mut big_arcs: Vec<u32> = Vec::new();
-    for (eidx, edge) in graph.edges().iter().enumerate() {
-        if edge.src == sink || edge.dst == source {
-            skipped += edge.interactions.len();
+    let mut lp_variables = 0usize;
+    for (eidx, (src, dst, ints)) in edges.enumerate() {
+        // Same counting rule as `build_lp`: interactions leaving the flow
+        // endpoints are constants there, not variables.
+        if src != source && src != sink {
+            lp_variables += ints.len();
+        }
+        if src == sink || dst == source {
+            skipped += ints.len();
             continue;
         }
-        for inter in &edge.interactions {
+        for inter in ints {
             let cap = if inter.quantity.is_finite() {
                 inter.quantity
             } else {
                 unbounded
             };
-            let tail = if edge.src == source {
-                Some(src_node)
+            let tail = if src == source {
+                Some(SRC_NODE)
             } else {
-                let list = &arrivals[edge.src.index()];
-                match list.partition_point(|&at| at < inter.time) {
+                match arrivals[src].partition_point(|&at| at < inter.time) {
                     0 => None, // nothing can have arrived yet
-                    k => Some(first_copy[edge.src.index()] + (k - 1)),
+                    k => Some(first_copy[src] + (k - 1)),
                 }
             };
             let arc = match tail {
@@ -460,13 +487,13 @@ fn build_mcf_inner(
                     SKIP_ARC
                 }
                 Some(tail) => {
-                    let head = if edge.dst == sink {
-                        sink_node
+                    let head = if dst == sink {
+                        SINK_NODE
                     } else {
-                        let list = &arrivals[edge.dst.index()];
+                        let list = &arrivals[dst];
                         let k = list.partition_point(|&at| at < inter.time);
                         debug_assert!(k < list.len() && list[k] == inter.time);
-                        first_copy[edge.dst.index()] + k
+                        first_copy[dst] + k
                     };
                     let arc = problem.add_arc(tail, head, 0.0, cap) as u32;
                     if session && !inter.quantity.is_finite() {
@@ -485,19 +512,11 @@ fn build_mcf_inner(
 
     // The return arc closes the circulation; rewarding its flow at cost −1
     // makes "minimize cost" mean "maximize the s-t flow".
-    let return_arc = problem.add_arc(sink_node, src_node, -1.0, relay_cap);
-    // Same counting rule as `build_lp`: interactions leaving the flow
-    // endpoints are constants there, not variables.
-    let lp_variables = graph
-        .edges()
-        .iter()
-        .filter(|e| e.src != source && e.src != sink)
-        .map(|e| e.interactions.len())
-        .sum();
+    let return_arc = problem.add_arc(SINK_NODE, SRC_NODE, -1.0, relay_cap);
     let tracking = session.then(|| {
         Box::new(Tracking {
-            source,
-            sink,
+            source: NodeId::from_index(source),
+            sink: NodeId::from_index(sink),
             arrivals: arrivals
                 .iter()
                 .enumerate()

@@ -7,14 +7,23 @@
 //! vertices from the source side (no incoming edges) or the sink side (no
 //! outgoing edges), which triggers further removals — downstream removals are
 //! handled when the affected vertex is reached in topological order, upstream
-//! removals are cascaded immediately.
+//! removals cascade through predecessors that lose their last outgoing
+//! edge. The cascade stops at both flow endpoints: the source keeps its
+//! unbounded supply, and the sink absorbs whatever arrives, so losing its
+//! own out-edges never makes it useless.
+//!
+//! The algorithm runs on the crate's flat flow DAG (`reduce.rs`), which
+//! skips the tombstoned edge slots of a windowed graph and trims an edge by
+//! re-slicing the interactions it borrows from the input. A cascade only
+//! ever reaches vertices already visited, so the DAG runs it as one
+//! backward pass in reverse topological order after the forward pass.
 //!
 //! The procedure is linear in the number of interactions and can shrink the
 //! LP dramatically; it can even solve the instance outright (flow 0 when the
 //! source or sink gets disconnected, or a Lemma 2 graph emerges).
 
-use crate::workgraph::WorkGraph;
-use tin_graph::{GraphError, NodeId, TemporalGraph};
+use crate::reduce::FlatDag;
+use tin_graph::{topological_order, GraphError, NodeId, TemporalGraph};
 
 /// Counters describing what preprocessing removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,10 +49,11 @@ pub struct PreprocessReport {
 pub struct PreprocessOutcome {
     /// The reduced graph (vertices renumbered densely).
     pub graph: TemporalGraph,
-    /// The source vertex in the reduced graph (`None` when it was removed,
-    /// in which case the maximum flow is 0).
+    /// The source vertex in the reduced graph. Algorithm 1 never removes
+    /// the flow endpoints, so this is always `Some`.
     pub source: Option<NodeId>,
-    /// The sink vertex in the reduced graph (`None` when it was removed).
+    /// The sink vertex in the reduced graph (always `Some`, like the
+    /// source).
     pub sink: Option<NodeId>,
     /// Removal statistics.
     pub report: PreprocessReport,
@@ -69,101 +79,22 @@ pub fn preprocess(
     source: NodeId,
     sink: NodeId,
 ) -> Result<PreprocessOutcome, GraphError> {
-    let mut w = WorkGraph::from_graph(graph, source, sink);
-    let order = w.topological_order().ok_or(GraphError::NotADag)?;
-
-    let before_interactions = w.live_interaction_count();
-    let before_edges = w.live_edge_count();
-    let before_nodes = w.live_node_count();
-    let mut report = PreprocessReport::default();
-
-    let src = source.index();
-    let snk = sink.index();
-
-    for &v in &order {
-        if v == src || v == snk || !w.is_alive(v) {
-            continue;
-        }
-        if w.in_degree(v) == 0 {
-            // Nothing can ever reach v: remove it together with its outgoing
-            // edges. The consequences for its successors are handled when
-            // they are examined (they follow v in topological order).
-            report.edges_removed += w.out_degree(v);
-            w.remove_node(v);
-            report.nodes_removed += 1;
-            continue;
-        }
-        let mintime = w
-            .min_incoming_time(v)
-            .expect("vertex with incoming edges has a minimum incoming time");
-        // Trim interactions that precede any possible arrival.
-        let successors: Vec<usize> = w.successors(v).collect();
-        for u in successors {
-            let ints = w.interactions_mut(v, u).expect("successor edge exists");
-            let keep_from = ints.partition_point(|i| i.time < mintime);
-            if keep_from > 0 {
-                report.interactions_removed += keep_from;
-                ints.drain(..keep_from);
-            }
-            if ints.is_empty() {
-                w.remove_edge(v, u);
-                report.edges_removed += 1;
-            }
-        }
-        if w.out_degree(v) == 0 {
-            // No flow can leave v: remove it and cascade upstream through
-            // predecessors that lose their last outgoing edge.
-            cascade_remove_upstream(&mut w, v, src, &mut report);
-        }
-    }
-
-    report.interactions_remaining = w.live_interaction_count();
-    report.edges_remaining = w.live_edge_count();
-    report.nodes_remaining = w.live_node_count();
-    debug_assert!(report.interactions_remaining <= before_interactions);
-    debug_assert!(report.edges_remaining <= before_edges);
-    debug_assert!(report.nodes_remaining <= before_nodes);
-
-    let (reduced, new_source, new_sink) = w.into_graph();
+    let order = topological_order(graph).map_err(|_| GraphError::NotADag)?;
+    let mut dag = FlatDag::new(graph, source, sink);
+    let report = dag.preprocess(&order);
+    let (graph, source, sink) = dag.into_graph();
     Ok(PreprocessOutcome {
-        graph: reduced,
-        source: new_source,
-        sink: new_sink,
+        graph,
+        source: Some(source),
+        sink: Some(sink),
         report,
     })
-}
-
-/// Removes `v` (which has no outgoing edges) and recursively removes any
-/// predecessor that loses its last outgoing edge, stopping at the source.
-fn cascade_remove_upstream(
-    w: &mut WorkGraph,
-    v: usize,
-    source: usize,
-    report: &mut PreprocessReport,
-) {
-    let mut stack = vec![v];
-    while let Some(x) = stack.pop() {
-        if !w.is_alive(x) || x == source {
-            continue;
-        }
-        if w.out_degree(x) > 0 {
-            continue;
-        }
-        let predecessors: Vec<usize> = w.predecessors(x).collect();
-        report.edges_removed += predecessors.len();
-        w.remove_node(x);
-        report.nodes_removed += 1;
-        for p in predecessors {
-            if p != source && w.out_degree(p) == 0 {
-                stack.push(p);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{compute_flow, FlowMethod};
     use tin_graph::GraphBuilder;
 
     /// The DAG G1 of Figure 6(a).
@@ -350,6 +281,38 @@ mod tests {
         let out = preprocess(&g, s, t).unwrap();
         let after = time_expanded_max_flow(&out.graph, out.source.unwrap(), out.sink.unwrap());
         assert!((before - after).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sink_survives_losing_its_out_edges() {
+        // t's only out-edge leads to a dead end, which the upstream cascade
+        // removes; the cascade must stop at the sink instead of deleting it
+        // and reporting a zero flow.
+        let mut b = GraphBuilder::new();
+        let s = b.add_node("s");
+        let t = b.add_node("t");
+        let v = b.add_node("v");
+        b.add_pairs(s, t, &[(1, 5.0)]).unwrap();
+        b.add_pairs(t, v, &[(2, 1.0)]).unwrap();
+        let g = b.build();
+        let out = preprocess(&g, s, t).unwrap();
+        assert!(!out.is_zero_flow());
+        assert_eq!(out.graph.node(out.sink.unwrap()).name, "t");
+        assert!(out.graph.node_by_name("v").is_none());
+        assert_eq!(out.report.nodes_removed, 1);
+        assert_eq!(out.report.edges_removed, 1);
+        for method in [
+            FlowMethod::Lp,
+            FlowMethod::Pre,
+            FlowMethod::PreSim,
+            FlowMethod::TimeExpanded,
+        ] {
+            assert_eq!(
+                compute_flow(&g, s, t, method).unwrap().flow,
+                5.0,
+                "{method}"
+            );
+        }
     }
 
     #[test]

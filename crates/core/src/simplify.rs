@@ -13,10 +13,16 @@
 //! iterates until no source-rooted chain remains. Each contraction removes at
 //! least one vertex, so the loop terminates after at most `V` iterations and
 //! the total work is linear in the number of interactions removed.
+//!
+//! The contraction runs on the crate's flat flow DAG (`reduce.rs`): it
+//! kills the chain's edges and intermediate vertices, replays the greedy
+//! scan on the chain's interaction slices, sorts the transfers into the
+//! terminal chronologically and merges them into `(s, v_k)`. Chains are
+//! contracted smallest start vertex first.
 
-use crate::greedy::greedy_flow_traced;
-use crate::workgraph::WorkGraph;
-use tin_graph::{GraphBuilder, Interaction, NodeId, TemporalGraph};
+use crate::greedy::GreedyScratch;
+use crate::reduce::FlatDag;
+use tin_graph::{NodeId, TemporalGraph};
 
 /// Counters describing the effect of graph simplification.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,108 +60,15 @@ pub struct SimplifyOutcome {
 /// [`crate::preprocess::preprocess`]); source-rooted cycles are simply never
 /// contracted. The source and sink always survive simplification.
 pub fn simplify(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> SimplifyOutcome {
-    let mut w = WorkGraph::from_graph(graph, source, sink);
-    let mut report = SimplifyReport {
-        interactions_before: graph.interaction_count(),
-        edges_before: graph.edge_count(),
-        ..SimplifyReport::default()
-    };
-    let src = source.index();
-    let snk = sink.index();
-
-    while let Some(chain) = find_source_chain(&w, src, snk) {
-        // Greedy replay over the chain to derive the interactions that reach
-        // the chain's terminal vertex.
-        let terminal = *chain.last().expect("chain has a terminal vertex");
-        let new_interactions = contract_chain_interactions(&w, &chain);
-        // Remove the intermediate vertices (this drops every chain edge).
-        for &v in &chain[1..chain.len() - 1] {
-            w.remove_node(v);
-            report.nodes_removed += 1;
-        }
-        // The first edge (s, v1) survives node removal only when the chain
-        // has no intermediates — impossible by construction — so nothing else
-        // to clean up. Attach the contracted edge.
-        w.add_or_merge_edge(src, terminal, new_interactions);
-        report.chains_contracted += 1;
-    }
-
-    report.interactions_after = w.live_interaction_count();
-    report.edges_after = w.live_edge_count();
-    let (graph, new_source, new_sink) = w.into_graph();
-    let source = new_source.expect("the source always survives simplification");
-    let sink = new_sink.expect("the sink always survives simplification");
+    let mut dag = FlatDag::new(graph, source, sink);
+    let report = dag.simplify(&mut GreedyScratch::new());
+    let (graph, source, sink) = dag.into_graph();
     SimplifyOutcome {
         graph,
         source,
         sink,
         report,
     }
-}
-
-/// Finds a maximal chain `s → v₁ → … → v_k` where every `vᵢ, i < k` has in-
-/// and out-degree 1, containing at least one intermediate vertex. Returns the
-/// vertex sequence including the source and the terminal vertex.
-fn find_source_chain(w: &WorkGraph, source: usize, sink: usize) -> Option<Vec<usize>> {
-    for v1 in w.successors(source) {
-        if v1 == sink || v1 == source || w.in_degree(v1) != 1 || w.out_degree(v1) != 1 {
-            continue;
-        }
-        let mut chain = vec![source, v1];
-        let mut current = v1;
-        loop {
-            let next = w
-                .successors(current)
-                .next()
-                .expect("chain vertex has exactly one successor");
-            chain.push(next);
-            if next == sink
-                || next == source
-                || w.in_degree(next) != 1
-                || w.out_degree(next) != 1
-                || chain[1..chain.len() - 1].contains(&next)
-            {
-                break;
-            }
-            current = next;
-        }
-        let terminal = *chain.last().expect("non-empty chain");
-        if terminal == source {
-            // A cycle back to the source (not a DAG); skip this branch.
-            continue;
-        }
-        return Some(chain);
-    }
-    None
-}
-
-/// Runs the greedy scan on the chain (and only the chain) and returns the
-/// interaction set that reaches its terminal vertex: one interaction
-/// `(t, transferred)` per positive greedy transfer on the chain's last edge.
-fn contract_chain_interactions(w: &WorkGraph, chain: &[usize]) -> Vec<Interaction> {
-    // Materialize the chain as a tiny temporal graph and reuse the greedy
-    // implementation (including its strict tie-breaking semantics).
-    let mut b = GraphBuilder::with_capacity(chain.len(), chain.len() - 1);
-    let ids: Vec<NodeId> = (0..chain.len())
-        .map(|i| b.add_node(format!("c{i}")))
-        .collect();
-    for (i, pair) in chain.windows(2).enumerate() {
-        let ints = w
-            .interactions(pair[0], pair[1])
-            .expect("chain edge exists")
-            .to_vec();
-        b.add_edge(ids[i], ids[i + 1], ints).unwrap();
-    }
-    let chain_graph = b.build();
-    let chain_source = ids[0];
-    let chain_sink = ids[chain.len() - 1];
-    let result = greedy_flow_traced(&chain_graph, chain_source, chain_sink);
-    result
-        .trace
-        .iter()
-        .filter(|step| step.dst == chain_sink && step.transferred > 0.0)
-        .map(|step| Interaction::new(step.time, step.transferred))
-        .collect()
 }
 
 #[cfg(test)]

@@ -18,9 +18,10 @@
 
 use crate::error::FlowError;
 use crate::greedy::{greedy_flow, greedy_flow_with, GreedyScratch};
-use crate::lp_formulation::max_flow_with_engine;
-use crate::preprocess::{preprocess, PreprocessReport};
-use crate::simplify::{simplify, SimplifyReport};
+use crate::lp_formulation::{build_lp, max_flow_with_engine};
+use crate::preprocess::PreprocessReport;
+use crate::reduce::FlatDag;
+use crate::simplify::SimplifyReport;
 use crate::solubility::is_greedy_soluble;
 use serde::{Deserialize, Serialize};
 use tin_graph::{topological_order, NodeId, Quantity, TemporalGraph};
@@ -176,7 +177,8 @@ impl SolveStats {
     }
 }
 
-fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<(), FlowError> {
+/// Checks the endpoints and returns a topological order of `graph`.
+fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<Vec<NodeId>, FlowError> {
     if source.index() >= graph.node_count() {
         return Err(FlowError::NodeOutOfRange(source));
     }
@@ -186,8 +188,7 @@ fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<(), F
     if source == sink {
         return Err(FlowError::SourceEqualsSink(source));
     }
-    topological_order(graph).map_err(|_| FlowError::Graph(tin_graph::GraphError::NotADag))?;
-    Ok(())
+    topological_order(graph).map_err(|_| FlowError::Graph(tin_graph::GraphError::NotADag))
 }
 
 /// Computes the flow from `source` to `sink` in `graph` with the requested
@@ -219,7 +220,7 @@ pub fn compute_flow_with_engine(
     method: FlowMethod,
     engine: SimplexEngine,
 ) -> Result<FlowResult, FlowError> {
-    validate(graph, source, sink)?;
+    let order = validate(graph, source, sink)?;
     let mut stats = SolveStats {
         interactions_input: graph.interaction_count(),
         ..SolveStats::default()
@@ -250,8 +251,12 @@ pub fn compute_flow_with_engine(
                 stats,
             })
         }
-        FlowMethod::Pre => solve_with_preprocessing(graph, source, sink, false, engine, stats),
-        FlowMethod::PreSim => solve_with_preprocessing(graph, source, sink, true, engine, stats),
+        FlowMethod::Pre => {
+            solve_with_preprocessing(graph, source, sink, &order, false, engine, stats)
+        }
+        FlowMethod::PreSim => {
+            solve_with_preprocessing(graph, source, sink, &order, true, engine, stats)
+        }
     }
 }
 
@@ -265,10 +270,16 @@ pub fn maximum_flow(
     compute_flow(graph, source, sink, FlowMethod::PreSim)
 }
 
+/// The `Pre`/`PreSim` pipeline. After the class A test everything runs on
+/// one flat DAG: preprocessing, the Lemma 2 test, simplification, the Lemma
+/// 2 test again, and the exact leg, which the network simplex solves from
+/// the circulation emitted straight off the DAG. Only the oracle engines
+/// build a graph of the reduced DAG, for [`build_lp`].
 fn solve_with_preprocessing(
     graph: &TemporalGraph,
     source: NodeId,
     sink: NodeId,
+    order: &[NodeId],
     with_simplify: bool,
     engine: SimplexEngine,
     mut stats: SolveStats,
@@ -278,75 +289,61 @@ fn solve_with_preprocessing(
     } else {
         FlowMethod::Pre
     };
-    // One scratch serves every greedy scan in this pipeline (the graphs
-    // shrink as preprocessing/simplification run, so it never regrows).
+    // One scratch serves every greedy scan in this pipeline.
     let mut scratch = GreedyScratch::new();
+    let solved_by_greedy = |flow, class, mut stats: SolveStats| {
+        stats.solved_by_greedy = true;
+        Ok(FlowResult {
+            flow,
+            method,
+            class: Some(class),
+            stats,
+        })
+    };
 
     // Step 1: class A — greedy already solves the maximum flow problem.
     if is_greedy_soluble(graph, source, sink) {
-        stats.solved_by_greedy = true;
-        return Ok(FlowResult {
-            flow: greedy_flow_with(graph, source, sink, &mut scratch),
-            method,
-            class: Some(DifficultyClass::A),
-            stats,
-        });
+        let flow = greedy_flow_with(graph, source, sink, &mut scratch);
+        return solved_by_greedy(flow, DifficultyClass::A, stats);
     }
 
     // Step 2: preprocessing (Algorithm 1).
-    let pre = preprocess(graph, source, sink)?;
-    stats.interactions_after_preprocess = Some(pre.graph.interaction_count());
-    stats.preprocess = Some(pre.report);
-    if pre.is_zero_flow() {
-        stats.solved_by_greedy = true;
-        return Ok(FlowResult {
-            flow: 0.0,
-            method,
-            class: Some(DifficultyClass::B),
-            stats,
-        });
+    let mut dag = FlatDag::new(graph, source, sink);
+    let report = dag.preprocess(order);
+    stats.interactions_after_preprocess = Some(report.interactions_remaining);
+    stats.preprocess = Some(report);
+    if dag.is_zero_flow() {
+        return solved_by_greedy(0.0, DifficultyClass::B, stats);
     }
-    let (pre_graph, pre_source, pre_sink) = (
-        pre.graph,
-        pre.source.expect("non-zero-flow outcome keeps the source"),
-        pre.sink.expect("non-zero-flow outcome keeps the sink"),
-    );
 
     // Step 3: class B — preprocessing exposed a Lemma 2 graph.
-    if is_greedy_soluble(&pre_graph, pre_source, pre_sink) {
-        stats.solved_by_greedy = true;
-        return Ok(FlowResult {
-            flow: greedy_flow_with(&pre_graph, pre_source, pre_sink, &mut scratch),
-            method,
-            class: Some(DifficultyClass::B),
-            stats,
-        });
+    if dag.is_greedy_soluble() {
+        let flow = dag.greedy_flow(&mut scratch);
+        return solved_by_greedy(flow, DifficultyClass::B, stats);
     }
 
-    // Step 4 (PreSim only): simplification (Algorithm 2).
-    let (final_graph, final_source, final_sink) = if with_simplify {
-        let sim = simplify(&pre_graph, pre_source, pre_sink);
-        stats.interactions_after_simplify = Some(sim.graph.interaction_count());
-        stats.simplify = Some(sim.report);
-        (sim.graph, sim.source, sim.sink)
-    } else {
-        (pre_graph, pre_source, pre_sink)
+    // Step 4 (PreSim only): simplification (Algorithm 2), which may produce
+    // a Lemma 2 graph.
+    if with_simplify {
+        let report = dag.simplify(&mut scratch);
+        stats.interactions_after_simplify = Some(report.interactions_after);
+        stats.simplify = Some(report);
+        if dag.is_greedy_soluble() {
+            let flow = dag.greedy_flow(&mut scratch);
+            return solved_by_greedy(flow, DifficultyClass::C, stats);
+        }
+    }
+
+    // Step 5: class C — exact solve on the reduced DAG.
+    let outcome = match engine {
+        SimplexEngine::NetworkSimplex => dag.build_mcf().solve().map(|(o, _)| o)?,
+        oracle => {
+            let (graph, source, sink) = dag.into_graph();
+            build_lp(&graph, source, sink)
+                .solve_with(oracle)
+                .map(|(o, _)| o)?
+        }
     };
-
-    // Simplification may have produced a Lemma 2 graph; exploit it.
-    if with_simplify && is_greedy_soluble(&final_graph, final_source, final_sink) {
-        stats.solved_by_greedy = true;
-        return Ok(FlowResult {
-            flow: greedy_flow_with(&final_graph, final_source, final_sink, &mut scratch),
-            method,
-            class: Some(DifficultyClass::C),
-            stats,
-        });
-    }
-
-    // Step 5: class C — exact solve on the reduced graph (network simplex
-    // under the default engine; general LP under the oracle engines).
-    let outcome = max_flow_with_engine(&final_graph, final_source, final_sink, engine)?;
     stats.record_lp(&outcome);
     Ok(FlowResult {
         flow: outcome.flow,
@@ -545,6 +542,37 @@ mod tests {
             0.0,
         );
         assert_close(compute_flow(&g, s, t, FlowMethod::Lp).unwrap().flow, 0.0);
+    }
+
+    #[test]
+    fn windowed_graph_with_an_expired_source_edge() {
+        // Expiry tombstones s→v, v's only in-edge; the reductions must skip
+        // the tombstoned slot rather than treat it as an empty edge.
+        let mut b = GraphBuilder::new();
+        let s = b.add_node("s");
+        let a = b.add_node("a");
+        let bb = b.add_node("b");
+        let v = b.add_node("v");
+        let t = b.add_node("t");
+        b.add_pairs(s, a, &[(5, 1.0)]).unwrap();
+        b.add_pairs(a, t, &[(6, 1.0)]).unwrap();
+        b.add_pairs(a, bb, &[(7, 1.0)]).unwrap();
+        b.add_pairs(bb, t, &[(8, 1.0)]).unwrap();
+        b.add_pairs(s, v, &[(1, 1.0)]).unwrap();
+        b.add_pairs(v, t, &[(9, 1.0)]).unwrap();
+        let mut g = b.build();
+        let window = tin_graph::GraphDelta::new(g.node_count(), vec![], vec![])
+            .unwrap()
+            .expire_before(2);
+        g.apply(&window).unwrap();
+        assert!(g.is_tombstone(
+            g.edge_ids()
+                .find(|&e| g.edge(e).src == s && g.edge(e).dst == v)
+                .unwrap()
+        ));
+        for method in FlowMethod::ALL.into_iter().filter(|m| m.is_exact()) {
+            assert_close(compute_flow(&g, s, t, method).unwrap().flow, 1.0);
+        }
     }
 
     #[test]

@@ -9,12 +9,22 @@ use tin_graph::NodeId;
 
 /// A randomly generated temporal DAG description: edges only go from lower
 /// to higher vertex indices, which guarantees acyclicity by construction.
+/// The flow endpoints are any pair `source < sink`, so the source can have
+/// in-edges and the sink out-edges, and about half the graphs are windowed:
+/// every interaction before `expire_before` is evicted, which tombstones the
+/// edges it empties.
 #[derive(Debug, Clone)]
 struct RandomDag {
     nodes: usize,
     /// (src, dst, time, quantity) with src < dst.
     interactions: Vec<(usize, usize, i64, f64)>,
+    source: usize,
+    sink: usize,
+    expire_before: Option<i64>,
 }
+
+/// Timestamps are drawn from `0..TIMES`.
+const TIMES: i64 = 24;
 
 fn random_dag(
     max_nodes: usize,
@@ -27,29 +37,34 @@ fn random_dag(
             .collect();
         let per_edge =
             proptest::collection::vec((0..=max_interactions_per_edge, any::<u64>()), pairs.len());
-        per_edge.prop_map(move |specs| {
-            let mut interactions = Vec::new();
-            for ((a, b), (count, seed)) in pairs.iter().zip(specs) {
-                // Derive deterministic pseudo-random times/quantities from
-                // the seed so shrinking stays meaningful.
-                let mut state = seed | 1;
-                for _ in 0..count {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let time = (state >> 33) as i64 % 24;
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let quantity = (((state >> 33) % 9) + 1) as f64;
-                    interactions.push((*a, *b, time, quantity));
+        (per_edge, 0..nodes - 1, 0..nodes - 1, 0..2 * TIMES).prop_map(
+            move |(specs, x, y, window)| {
+                let mut interactions = Vec::new();
+                for ((a, b), (count, seed)) in pairs.iter().zip(specs) {
+                    // Derive deterministic pseudo-random times/quantities
+                    // from the seed.
+                    let mut state = seed | 1;
+                    for _ in 0..count {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let time = (state >> 33) as i64 % TIMES;
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let quantity = (((state >> 33) % 9) + 1) as f64;
+                        interactions.push((*a, *b, time, quantity));
+                    }
                 }
-            }
-            RandomDag {
-                nodes,
-                interactions,
-            }
-        })
+                RandomDag {
+                    nodes,
+                    interactions,
+                    source: x.min(y),
+                    sink: x.max(y) + 1,
+                    expire_before: (window < TIMES).then_some(window),
+                }
+            },
+        )
     })
 }
 
@@ -62,7 +77,14 @@ fn build(dag: &RandomDag) -> (tin_graph::TemporalGraph, NodeId, NodeId) {
         b.add_interaction(ids[a], ids[c], Interaction::new(t, q))
             .unwrap();
     }
-    (b.build(), ids[0], ids[dag.nodes - 1])
+    let mut g = b.build();
+    if let Some(frontier) = dag.expire_before {
+        let window = tin_graph::GraphDelta::new(g.node_count(), vec![], vec![])
+            .unwrap()
+            .expire_before(frontier);
+        g.apply(&window).unwrap();
+    }
+    (g, ids[dag.source], ids[dag.sink])
 }
 
 fn close(a: f64, b: f64) -> bool {
