@@ -7,7 +7,6 @@
 //!
 //! section: all | table4 | table5 | tables678 | fig11 | lpsolvers | patterns
 //!          | tables91011 | ingest | stream | window | warmflow | durability
-//!          | parallel
 //! --quick:  run at the CI scale instead of the standard scale
 //! --engine: which exact engines the lpsolvers section measures
 //!           (default: all, cross-checked against each other)
@@ -23,13 +22,12 @@
 //! replays each log through a sliding time window (retraction deltas), so
 //! every batch both appends and evicts, and reports eviction throughput,
 //! steady-state memory and the incremental-vs-snapshot-rebuild gap;
+//! `warmflow` replays the same window through a resident flow session and
+//! compares each batch against a cold rebuild and solve of the same graph;
 //! `durability` runs the streaming loop through the write-ahead journal
 //! (fsync per batch) and reports the overhead next to the plain loop, then
 //! recovers the directory twice — snapshot + ≤1% journal tail vs full
-//! replay — verifying both row-identical to the uninterrupted run;
-//! `parallel` sweeps the chunk-parallel CSV loader and the shard-parallel
-//! graph/tables pipeline over a worker-thread × shard-count grid, asserting
-//! every configuration identical to the serial single-shard pipeline.
+//! replay — verifying both row-identical to the uninterrupted run.
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! stand-in datasets, from-scratch LP solver); the comparative shapes —
@@ -43,7 +41,7 @@ use tin_bench::{
 use tin_datasets::{dataset_stats, subgraph_stats};
 use tin_lp::SimplexEngine;
 
-const SECTIONS: [&str; 14] = [
+const SECTIONS: [&str; 13] = [
     "all",
     "table4",
     "table5",
@@ -57,7 +55,6 @@ const SECTIONS: [&str; 14] = [
     "window",
     "warmflow",
     "durability",
-    "parallel",
 ];
 
 /// A counting wrapper around the system allocator: tracks live and peak
@@ -206,100 +203,6 @@ fn main() {
     if matches!(section, "all" | "durability") {
         durability(&workloads);
     }
-    if matches!(section, "all" | "parallel") {
-        parallel(&workloads, quick);
-    }
-}
-
-fn parallel(workloads: &[Workload], quick: bool) {
-    const THREADS: [usize; 3] = [1, 2, 4];
-    const SHARDS: [usize; 3] = [1, 2, 4];
-
-    let mut ingest_rows = Vec::new();
-    let mut four_thread_speedups = Vec::new();
-    for w in workloads {
-        let ms = tin_bench::parallel_ingest_experiment(w, &THREADS);
-        let serial_rps = ms[0].records_per_sec();
-        for m in &ms {
-            ingest_rows.push(vec![
-                w.kind.name().to_string(),
-                m.threads.to_string(),
-                m.chunks.to_string(),
-                m.records.to_string(),
-                format!("{:.2}M rec/s", m.records_per_sec() / 1e6),
-                format!("{:.2}x", m.records_per_sec() / serial_rps),
-            ]);
-        }
-        four_thread_speedups.push((
-            w.kind.name(),
-            ms.last().expect("three thread counts").records_per_sec() / serial_rps,
-        ));
-    }
-    print_table(
-        "Parallel ingest: chunked CSV parse on the worker pool (vs the serial loader)",
-        &[
-            "dataset", "threads", "chunks", "records", "rows/s", "speedup",
-        ],
-        &ingest_rows,
-    );
-    println!(
-        "(every row is checked in-run: the chunk-loaded graph serializes byte-identical \
-         to the serial loader's, with the same ingest report)"
-    );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if quick || cores < 4 {
-        println!(
-            "speedup gate SKIPPED: needs the standard scale and >=4 cores \
-             (this run: {} scale, {cores} core(s))",
-            if quick { "quick" } else { "standard" }
-        );
-    } else {
-        for (name, speedup) in &four_thread_speedups {
-            assert!(
-                *speedup >= 2.0,
-                "{name}: 4-thread chunked ingest was only {speedup:.2}x the serial loader \
-                 (the acceptance bar is >=2x at the standard scale)"
-            );
-        }
-        println!("speedup gate PASSED: 4-thread chunked ingest >=2x serial on every dataset");
-    }
-
-    // 1% batches: the streaming acceptance bar's delta size.
-    let mut table_rows = Vec::new();
-    for w in workloads {
-        for threads in THREADS {
-            for shards in SHARDS {
-                let m = tin_bench::parallel_tables_experiment(w, threads, shards, 0.01);
-                table_rows.push(vec![
-                    w.kind.name().to_string(),
-                    m.threads.to_string(),
-                    m.shards.to_string(),
-                    format!("{} x {}", m.batches, m.batch_records),
-                    format_duration(m.graph_time / (m.batches.max(1) as u32)),
-                    format_duration(m.tables_per_batch()),
-                    m.rebuild_fallbacks.to_string(),
-                ]);
-            }
-        }
-    }
-    print_table(
-        "Parallel tables: sharded graph merge + shard-local table maintenance (1% batches)",
-        &[
-            "dataset",
-            "threads",
-            "shards",
-            "batches",
-            "graph/batch",
-            "tables/batch",
-            "fallbacks",
-        ],
-        &table_rows,
-    );
-    println!(
-        "(each cell streams the full log through a vertex-partitioned graph with \
-         per-shard path tables; a serial single-shard pipeline consumes the same \
-         deltas off the clock and the run asserts no graph or table divergence)"
-    );
 }
 
 fn durability(workloads: &[Workload]) {
@@ -675,9 +578,6 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
     for &e in &engines {
         header.push(short(e).to_string());
         header.push(format!("{} piv (deg)", short(e)));
-        if e == SimplexEngine::NetworkSimplex {
-            header.push("pivots (warm)".to_string());
-        }
     }
     if with_speedup {
         header.push("netflow speedup".to_string());
@@ -701,9 +601,6 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
                             "{:.1} ({:.1})",
                             stat.pivots, stat.degenerate_pivots
                         ));
-                        if stat.engine == SimplexEngine::NetworkSimplex {
-                            cells.push(format!("{:.1}", stat.warm_pivots));
-                        }
                     }
                     if with_speedup {
                         cells.push(format!(
@@ -733,10 +630,8 @@ fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
         println!(
             "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
              assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
-             pivots and, in parentheses, zero-step pivots per subgraph; pivots (warm) = avg \
-             pivots when netflow re-solves seeded from its own optimal basis — the floor a \
-             flow session restarts from; every subgraph's optimal values are asserted to \
-             agree across engines)"
+             pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
+             optimal values are asserted to agree across engines)"
         );
     }
 }

@@ -4,16 +4,17 @@
 //!
 //! The per-subgraph evaluations are independent, so
 //! [`flow_method_experiment`] and [`lp_engine_experiment`] fan the subgraphs
-//! out over the workspace worker pool ([`tin_flow::parallel_map`] — the same
-//! pool the parallel path-table builder uses): workers pull indices from an
-//! atomic counter and results land in per-index slots, so the output is
-//! deterministic in everything but the timings themselves.
+//! out over the workspace worker pool ([`tin_parallel::parallel_map`] — the
+//! same pool the parallel path-table builder uses): workers pull indices
+//! from an atomic counter and results land in per-index slots, so the output
+//! is deterministic in everything but the timings themselves.
 
 use crate::workloads::Workload;
 use std::time::{Duration, Instant};
 use tin_datasets::SeedSubgraph;
-use tin_flow::{build_lp, build_mcf, compute_flow, parallel_map, DifficultyClass, FlowMethod};
+use tin_flow::{build_lp, build_mcf, compute_flow, DifficultyClass, FlowMethod};
 use tin_lp::SimplexEngine;
+use tin_parallel::parallel_map;
 
 /// Methods compared in the paper's runtime tables.
 pub const TABLE_METHODS: [FlowMethod; 4] = [
@@ -268,10 +269,6 @@ pub struct EngineStat {
     pub pivots: f64,
     /// Average zero-step (degenerate) pivots per subgraph.
     pub degenerate_pivots: f64,
-    /// Average pivots when re-solving seeded from the just-captured optimal
-    /// basis (the network simplex only — the session reuse floor; 0.0 for
-    /// the LP engines, which have no persistent basis to seed).
-    pub warm_pivots: f64,
 }
 
 /// Engine timings over one difficulty class (or over all subgraphs).
@@ -332,7 +329,6 @@ pub fn lp_engine_experiment(
         value: f64,
         pivots: usize,
         degenerate: usize,
-        warm_pivots: usize,
         density: f64,
     }
     struct Sample {
@@ -349,22 +345,15 @@ pub fn lp_engine_experiment(
             if engine == SimplexEngine::NetworkSimplex {
                 let start = Instant::now();
                 let f = build_mcf(&sub.graph, sub.source, sub.sink);
-                let solution = f.problem.solve_with_basis();
+                let solution = f.problem.solve();
                 assert!(solution.is_optimal(), "flow circulation must be solvable");
                 let value = solution.flows[f.return_arc];
                 std::hint::black_box(value);
-                let time = start.elapsed();
-                // Off the clock: re-solve seeded from the optimal basis to
-                // report the warm-start floor next to the cold pivot count.
-                let basis = solution.basis.as_ref().expect("basis was captured");
-                let warm = f.problem.reoptimize(basis);
-                assert!(warm.is_optimal() && warm.basis_reused);
                 Measurement {
-                    time,
+                    time: start.elapsed(),
                     value,
                     pivots: solution.pivots,
                     degenerate: solution.degenerate_pivots,
-                    warm_pivots: warm.pivots,
                     density: 0.0,
                 }
             } else {
@@ -378,7 +367,6 @@ pub fn lp_engine_experiment(
                     value: solution.objective,
                     pivots: solution.pivots,
                     degenerate: solution.degenerate_pivots,
-                    warm_pivots: 0,
                     density: solution.matrix_density,
                 }
             }
@@ -434,7 +422,6 @@ pub fn lp_engine_experiment(
                     },
                     pivots: avg_f64(&|m| m.pivots as f64),
                     degenerate_pivots: avg_f64(&|m| m.degenerate as f64),
-                    warm_pivots: avg_f64(&|m| m.warm_pivots as f64),
                 }
             })
             .collect();

@@ -15,7 +15,6 @@
 pub mod durability_experiments;
 pub mod flow_experiments;
 pub mod ingest_experiments;
-pub mod parallel_experiments;
 pub mod pattern_experiments;
 pub mod report;
 pub mod stream_experiments;
@@ -29,10 +28,6 @@ pub use flow_experiments::{
     EngineSelection, EngineStat, FlowTable, MethodTiming,
 };
 pub use ingest_experiments::{assert_ingest_equivalent, ingest_csv, to_csv, IngestMeasurement};
-pub use parallel_experiments::{
-    parallel_ingest_experiment, parallel_tables_experiment, ParallelIngestMeasurement,
-    ParallelTablesMeasurement,
-};
 pub use pattern_experiments::{pattern_experiment, PatternTableRow};
 pub use report::{format_duration, print_table};
 pub use stream_experiments::{stream_experiment, StreamMeasurement};

@@ -12,14 +12,11 @@
 //!    ([`McfFormulation::apply_delta`] — stable arc ids, tombstones become
 //!    zero-capacity arcs), and
 //! 2. keeps the network simplex itself *resident* between solves
-//!    ([`NetflowSession`]): the previous optimal
-//!    basis stays live in the engine, expired capacity is repaired by dual
-//!    pivots, new arcs are priced in by warm primal pivots, and an
-//!    unusable state (disconnected tree, dual stall) transparently
-//!    restarts from scratch. The capture/restore form of the same idea —
-//!    [`MinCostFlowProblem::reoptimize`](tin_lp::MinCostFlowProblem::reoptimize)
-//!    over an exported [`Basis`](tin_lp::Basis) — remains available for
-//!    callers that must serialize a session.
+//!    ([`NetflowSession`]): the previous optimal basis stays live in the
+//!    engine, expired capacity is repaired by worst-first dual pivots, new
+//!    arcs are priced in by warm primal pivots, and a state the patch
+//!    cannot reuse (a shrunk problem, a dual stall, the pivot limit)
+//!    transparently restarts from scratch.
 //!
 //! The solved value is exact on every batch — equal to what a cold
 //! [`netflow_max_flow`](crate::netflow_max_flow) on the current graph
@@ -58,7 +55,7 @@ use crate::error::FlowError;
 use crate::lp_formulation::{build_mcf_session, McfFormulation, McfPatch};
 use crate::solver::FlowMethod;
 
-/// Counters describing how much work the persistent basis saved across the
+/// Counters describing how much work the resident engine saved across the
 /// session's lifetime. All pivot counts are cumulative.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
@@ -68,12 +65,16 @@ pub struct SessionStats {
     pub solves: usize,
     /// Solves that successfully re-optimized from the previous basis.
     pub basis_hits: usize,
-    /// Solves that had a basis but had to fall back to a cold solve
-    /// (disconnected tree, changed supplies, unusable seed).
+    /// Solves that found the engine resident but restarted it from scratch
+    /// (the problem shrank, the dual repair stalled, or the warm pivots hit
+    /// the pivot limit).
     pub fallback_cold: usize,
-    /// Solves routed through the dual (shrink-only) re-optimizer.
+    /// Resident solves after expiry-only batches: every patch since the
+    /// previous solve only removed capacity ([`McfPatch::shrink_only`]), so
+    /// the dual repair does all the work.
     pub dual_reoptimizations: usize,
-    /// Solves routed through warm primal pivots.
+    /// Resident solves after batches that also added or moved arcs, which
+    /// the final primal pricing brings into the tree.
     pub primal_reoptimizations: usize,
     /// Pivots spent in solves that reused a basis.
     pub warm_pivots: usize,
@@ -100,7 +101,7 @@ pub struct SessionSolve {
     pub flow: f64,
     /// Whether this solve re-optimized from the previous basis.
     pub basis_reused: bool,
-    /// Whether a seeded attempt was abandoned for a cold solve.
+    /// Whether the engine was resident but restarted from scratch.
     pub fallback_cold: bool,
     /// Simplex pivots this solve performed.
     pub pivots: usize,

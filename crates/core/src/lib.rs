@@ -21,9 +21,7 @@
 //!   plus a time-expanded max-flow oracle, with per-run statistics and the
 //!   class A/B/C difficulty classification used in the paper's tables;
 //! * [`chain`] — the allocation-free chain-propagation kernel backing the
-//!   PB path-table precomputation (Section 5.2);
-//! * [`parallel`] — the std-thread worker pool shared by the experiment
-//!   harness and the parallel table builder.
+//!   PB path-table precomputation (Section 5.2).
 //!
 //! ## Example
 //!
@@ -56,7 +54,6 @@ pub mod error;
 pub mod flow_session;
 pub mod greedy;
 pub mod lp_formulation;
-pub mod parallel;
 pub mod preprocess;
 mod reduce;
 pub mod simplify;
@@ -73,7 +70,6 @@ pub use lp_formulation::{
     build_lp, build_mcf, build_mcf_session, lp_max_flow, max_flow_with_engine, netflow_max_flow,
     LpFormulation, LpOutcome, McfFormulation, McfPatch,
 };
-pub use parallel::parallel_map;
 pub use preprocess::{preprocess, PreprocessOutcome, PreprocessReport};
 pub use simplify::{simplify, SimplifyOutcome, SimplifyReport};
 pub use solubility::is_greedy_soluble;

@@ -315,8 +315,8 @@ fn chrono_cmp(t1: Time, q1: Quantity, t2: Time, q2: Quantity) -> Ordering {
 #[derive(Debug, Clone, Default)]
 pub struct McfPatch {
     /// The delta only removed capacity (expired interactions, tombstoned
-    /// edges): the previous optimal basis stays dual-feasible, so
-    /// [`MinCostFlowProblem::reoptimize_shrunk`] is the right re-entry.
+    /// edges): the resident tree of a [`tin_lp::NetflowSession`] stays
+    /// dual-feasible, so its dual repair alone restores the optimum.
     pub shrink_only: bool,
     /// Arcs tombstoned to zero capacity.
     pub tombstoned: usize,
@@ -555,11 +555,13 @@ impl McfFormulation {
     /// appending vertex copies and splicing holdover chains where new
     /// arrival times appear; arcs whose strict-precedence tail moved onto a
     /// spliced copy are retargeted. Arc and node ids are stable throughout,
-    /// which is what lets a captured simplex [`tin_lp::Basis`] survive the
-    /// patch.
+    /// which is what lets the tree a resident [`tin_lp::NetflowSession`]
+    /// keeps survive the patch: [`McfPatch::touched_arcs`] lists the arcs
+    /// it must re-sync.
     ///
     /// Returns a [`McfPatch`] summary; [`McfPatch::shrink_only`] tells the
-    /// caller whether the dual re-optimization path applies.
+    /// caller whether the patch only removed capacity, which the session's
+    /// dual repair absorbs without primal pivots.
     ///
     /// # Panics
     /// Panics if this formulation was not built by [`build_mcf_session`].

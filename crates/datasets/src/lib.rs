@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod bitcoin;
-pub mod chunk;
 pub mod config;
 pub mod ctu13;
 pub mod extract;
@@ -43,7 +42,6 @@ pub(crate) mod sampling;
 pub mod stats;
 
 pub use bitcoin::generate_bitcoin;
-pub use chunk::{load_bytes_chunked, load_path_parallel, load_reader_parallel, load_str_parallel};
 pub use config::{
     BitcoinConfig, ColumnMap, Ctu13Config, DatasetKind, Delimiter, HeaderMode, LoaderConfig,
     ProsperConfig,

@@ -74,27 +74,6 @@ pub struct IngestReport {
     pub had_header: bool,
 }
 
-impl IngestReport {
-    /// Folds the accounting of a later chunk of the same source into this
-    /// report: the row/byte/line counters add up, while the format decisions
-    /// (delimiter, header) stay with the earliest chunk — the one that made
-    /// them — unless it never saw a content line to decide from.
-    ///
-    /// This is the reduction step of the chunk-parallel loader
-    /// ([`crate::chunk`]): per-chunk reports merged in input order equal the
-    /// report of a serial pass over the concatenated input.
-    pub fn merge(&mut self, later: &IngestReport) {
-        self.rows += later.rows;
-        self.skipped += later.skipped;
-        self.bytes += later.bytes;
-        self.lines += later.lines;
-        if self.delimiter == Delimiter::Auto {
-            self.delimiter = later.delimiter;
-        }
-        self.had_header |= later.had_header;
-    }
-}
-
 impl fmt::Display for IngestReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -120,20 +99,15 @@ pub struct LoadedDataset {
 }
 
 /// The per-file row geometry, resolved once from the first content line.
-///
-/// Crate-visible (and `Clone`) so the chunk-parallel loader
-/// ([`crate::chunk`]) can hand the shape locked by its serial first chunk to
-/// the workers parsing the rest.
-#[derive(Clone)]
-pub(crate) struct RowShape {
-    pub(crate) delimiter: Delimiter,
+struct RowShape {
+    delimiter: Delimiter,
     /// Expected number of fields per row (every row must match exactly; a
     /// mismatch usually means mixed delimiters or a truncated line).
-    pub(crate) fields: usize,
+    fields: usize,
     /// 0-based indices of (sender, recipient, timestamp, amount).
-    pub(crate) columns: [usize; 4],
+    columns: [usize; 4],
     /// The same columns 1-based, as reported in errors.
-    pub(crate) error_columns: [usize; 4],
+    error_columns: [usize; 4],
 }
 
 /// The incremental CSV/delimited-log tokenizer: reads a source line by line
@@ -285,13 +259,6 @@ impl<R: Read> DeltaStream<R> {
                 .map_or(self.config.delimiter, |s| s.delimiter),
             had_header: self.had_header,
         }
-    }
-
-    /// Crate-internal: the row shape locked so far, if any. The
-    /// chunk-parallel loader clones it for its workers once the serial first
-    /// chunk has proven it on an accepted record.
-    pub(crate) fn shape(&self) -> Option<RowShape> {
-        self.shape.clone()
     }
 
     /// Tokenizes and ingests one raw input line of `n` bytes (terminator
@@ -657,32 +624,6 @@ fn parse_scaled_timestamp(field: &str, scale: f64) -> Result<i64, String> {
         ));
     }
     Ok(scaled.round() as i64)
-}
-
-/// Handles one raw input line (terminator included) once the row shape is
-/// locked: blank/comment skipping plus [`ingest_row`]. This is the per-line
-/// step the chunk-parallel workers ([`crate::chunk`]) share with the serial
-/// stream's post-lock path, so the two tokenize identically by construction.
-///
-/// The lenient re-sync branch of [`DeltaStream::process_line`] is
-/// deliberately absent: it only fires while *zero* records have been
-/// accepted, and workers only run after the serial first chunk has accepted
-/// at least one.
-pub(crate) fn process_locked_line(
-    raw: &str,
-    shape: &RowShape,
-    config: &LoaderConfig,
-    parser: &mut StreamingParser,
-    ranges: &mut Vec<(usize, usize)>,
-) -> Result<(), GraphError> {
-    let line = raw.trim_end_matches(['\n', '\r']).trim();
-    if line.is_empty() || line.starts_with('#') {
-        parser.advance_line(raw.len());
-        return Ok(());
-    }
-    ingest_row(line, shape, config, parser, ranges)?;
-    parser.advance_line(raw.len());
-    Ok(())
 }
 
 /// Tokenizes and validates one data row, pushing it into the parser.
@@ -1058,6 +999,36 @@ d,e,300,4.0
         let loaded = load_str(csv, &lenient()).unwrap();
         assert_eq!(loaded.report.rows, 1);
         assert_eq!(loaded.report.skipped, 2);
+    }
+
+    #[test]
+    fn quoted_line_break_after_the_shape_is_locked_fails_loudly() {
+        // The loader is line-oriented, so a line break inside a quoted
+        // field cuts the record in two. Once an accepted record has locked
+        // the row shape, both halves are short rows: strict mode reports
+        // the first, lenient mode skips both, and neither half is merged or
+        // mis-split into a record.
+        let csv = "src,dst,time,quantity\na,b,1,2\n\"s1\nx\",r1,2,3\nc,d,3,4\n";
+        match load_str(csv, &strict()) {
+            Err(GraphError::Ingest {
+                line,
+                byte_offset,
+                message,
+                ..
+            }) => {
+                assert_eq!((line, byte_offset), (3, 30));
+                assert!(
+                    message.starts_with("expected 4 field(s)") && message.contains("got 1"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected Ingest, got {other:?}"),
+        }
+        let loaded = load_str(csv, &lenient()).unwrap();
+        let report = &loaded.report;
+        assert_eq!((report.rows, report.skipped, report.lines), (2, 2, 5));
+        assert!(report.to_string().starts_with("2 rows (+2 skipped)"));
+        assert_eq!(loaded.graph.interaction_count(), 2);
     }
 
     #[test]

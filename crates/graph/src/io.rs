@@ -220,19 +220,6 @@ impl StreamingParser {
         }
     }
 
-    /// Creates a parser whose position tracking starts at `line` (1-based)
-    /// and `byte_offset` instead of the top of the source. Used by chunked
-    /// parallel ingestion: a worker parsing a mid-file chunk seeds the
-    /// chunk's absolute position so every error and report it produces
-    /// points into the original input, not into the chunk.
-    pub fn with_position(mode: ParseMode, line: usize, byte_offset: u64) -> Self {
-        StreamingParser {
-            line,
-            byte_offset,
-            ..StreamingParser::new(mode)
-        }
-    }
-
     /// Number of records accepted so far.
     pub fn records(&self) -> u64 {
         self.records

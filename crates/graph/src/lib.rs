@@ -8,12 +8,14 @@
 //! This crate is the substrate shared by every other crate in the workspace:
 //!
 //! * [`TemporalGraph`] — the query-friendly network representation
-//!   (node/edge tables plus in/out adjacency); append-only growth via
-//!   [`TemporalGraph::apply`];
+//!   (node/edge tables plus in/out adjacency), and the one graph every
+//!   consumer reads; it grows, and evicts behind a sliding-window frontier,
+//!   through [`TemporalGraph::apply`];
 //! * [`GraphBuilder`] — incremental construction, merging parallel edges and
 //!   keeping interaction sequences sorted;
-//! * [`delta`] — validated append batches ([`GraphDelta`]) and their
-//!   application, the streaming seam shared by full builds and live appends;
+//! * [`delta`] — validated batches ([`GraphDelta`]: appends plus an optional
+//!   expiry frontier) and their application, the streaming seam shared by
+//!   full builds and live feeds;
 //! * [`events`] — a global, time-ordered view of all interactions (the order
 //!   in which the greedy flow algorithm replays them);
 //! * [`topo`] — topological ordering and DAG validation;
@@ -58,7 +60,6 @@ pub mod graph;
 pub mod ids;
 pub mod interaction;
 pub mod io;
-pub mod shard;
 pub mod topo;
 pub mod view;
 
@@ -71,7 +72,6 @@ pub use graph::{Edge, Node, TemporalGraph};
 pub use ids::{EdgeId, NodeId, Quantity, Time};
 pub use interaction::{Interaction, INFINITE_QUANTITY_TOKEN};
 pub use io::{ParseMode, StreamingParser};
-pub use shard::ShardedGraph;
 pub use topo::{is_dag, topological_order, TopoError};
 pub use view::{edge_induced_subgraph, induced_subgraph, SubgraphSpec};
 

@@ -13,7 +13,9 @@
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
 //!   and pricing scans a candidate-list block. This is what the class C
-//!   flow hot path runs on;
+//!   flow hot path runs on, and [`NetflowSession`] keeps one such engine
+//!   resident across the batches of a live flow session, repairing its
+//!   tree after each patch instead of solving again from scratch;
 //! * [`simplex`] — the general-LP default, a **sparse revised simplex**:
 //!   the constraint matrix lives in a compressed-sparse-column store
 //!   ([`sparse::CscMatrix`]), the basis inverse in a product-form eta file
@@ -60,6 +62,6 @@ pub mod simplex;
 pub mod solution;
 pub mod sparse;
 
-pub use netflow::{Basis, McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
+pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
 pub use problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
 pub use solution::{LpSolution, LpStatus};

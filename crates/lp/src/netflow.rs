@@ -16,6 +16,9 @@
 //!   block pricing, and the *strongly feasible tree* leaving-arc rule
 //!   (last blocking arc from the apex) that prevents cycling under
 //!   degeneracy;
+//! * [`NetflowSession`] — the same engine kept resident across a stream of
+//!   solves of one evolving circulation, syncing only the patched arcs and
+//!   repairing the kept tree with worst-first dual pivots;
 //! * [`MinCostFlowProblem::to_lp`] / [`MinCostFlowProblem::from_lp`] —
 //!   lossless bridges to the general [`LpProblem`] form, used by the
 //!   three-way engine-equivalence proptests and by
@@ -85,19 +88,14 @@ pub struct McfSolution {
     pub pivots: usize,
     /// Pivots whose step length was (numerically) zero.
     pub degenerate_pivots: usize,
-    /// The spanning-tree basis at the optimum, captured by the
-    /// basis-carrying entry points ([`MinCostFlowProblem::solve_with_basis`],
-    /// [`MinCostFlowProblem::reoptimize`],
-    /// [`MinCostFlowProblem::reoptimize_shrunk`]) so the next solve of a
-    /// patched problem can be seeded from it. `None` from plain
-    /// [`MinCostFlowProblem::solve`] and on non-optimal exits.
-    pub basis: Option<Basis>,
-    /// Whether this run was warm-started from a previous basis (and the
-    /// seed survived — a seeded run that fell back cold reports `false`).
+    /// Whether a [`NetflowSession`] answered this solve from its resident
+    /// tree. `false` for [`MinCostFlowProblem::solve`], for a session's
+    /// first solve, and for a session solve that restarted from scratch.
     pub basis_reused: bool,
-    /// Whether a seeded run abandoned the supplied basis and re-solved from
-    /// scratch (unusable tree, changed supplies, or a pivot-limit stall in
-    /// the warm phases).
+    /// Whether a [`NetflowSession`] had resident state but could not reuse
+    /// it and restarted from scratch: the problem shrank, the dual repair
+    /// stalled, or the warm pivots hit the pivot limit or an unbounded
+    /// verdict (which the restart then renders authoritatively).
     pub fallback_cold: bool,
 }
 
@@ -109,7 +107,6 @@ impl McfSolution {
             flows: Vec::new(),
             pivots,
             degenerate_pivots,
-            basis: None,
             basis_reused: false,
             fallback_cold: false,
         }
@@ -118,43 +115,6 @@ impl McfSolution {
     /// Whether the solver proved optimality.
     pub fn is_optimal(&self) -> bool {
         self.status == LpStatus::Optimal
-    }
-}
-
-/// A spanning-tree basis captured at a network-simplex optimum: the
-/// per-arc rest state (tree / lower / upper) and flow, plus the supplies
-/// it was proved against. Feeding it back through
-/// [`MinCostFlowProblem::reoptimize`] (primal repair, the general case)
-/// or [`MinCostFlowProblem::reoptimize_shrunk`] (dual repair for
-/// capacity-decrease/expiry deltas) re-optimizes a *patched* problem from
-/// here instead of rebuilding the tree from scratch — arcs may have been
-/// appended, capacities and costs changed, and nodes added since the
-/// capture; supplies must be unchanged (new nodes must have supply 0) or
-/// the seed falls back to a cold solve.
-#[derive(Debug, Clone)]
-pub struct Basis {
-    num_nodes: usize,
-    supplies: Vec<f64>,
-    states: Vec<ArcState>,
-    /// Shifted flows (`x − lower`), aligned with `states`.
-    flows: Vec<f64>,
-}
-
-impl Basis {
-    /// Number of nodes of the problem this basis was captured from.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of arcs covered by this basis (arcs appended after the
-    /// capture seed as nonbasic-at-lower).
-    pub fn num_arcs(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of arcs resting in the spanning tree.
-    pub fn tree_arcs(&self) -> usize {
-        self.states.iter().filter(|&&s| s == ArcState::Tree).count()
     }
 }
 
@@ -385,62 +345,6 @@ impl MinCostFlowProblem {
         Some(mcf)
     }
 
-    /// Solves the problem with the network simplex (from scratch, no basis
-    /// capture — the zero-overhead one-shot path).
-    pub fn solve(&self) -> McfSolution {
-        self.solve_cold(false)
-    }
-
-    /// Like [`MinCostFlowProblem::solve`], but captures the optimal basis
-    /// into [`McfSolution::basis`] so a later solve of a patched problem
-    /// can be seeded from it.
-    pub fn solve_with_basis(&self) -> McfSolution {
-        self.solve_cold(true)
-    }
-
-    /// Re-optimizes from a previous basis after arbitrary in-place patches
-    /// (arc additions, capacity increases or decreases, cost changes,
-    /// retargeted endpoints, appended nodes): the stored flows are clamped
-    /// into the current bounds, any resulting node imbalance is put on the
-    /// artificial arcs and drained by primal phase-1 pivots from the seeded
-    /// tree, and phase 2 then re-proves optimality under the current costs.
-    /// Falls back to a cold solve — reported via
-    /// [`McfSolution::fallback_cold`] — when the basis is unusable (changed
-    /// supplies, fewer arcs than the basis covers, non-finite stored flows)
-    /// or a warm phase hits the pivot limit.
-    pub fn reoptimize(&self, basis: &Basis) -> McfSolution {
-        match self.try_seeded(basis, false) {
-            Some(solution) => solution,
-            None => {
-                let mut s = self.solve_cold(true);
-                s.fallback_cold = true;
-                s
-            }
-        }
-    }
-
-    /// Re-optimizes from a previous basis through the *dual* network
-    /// simplex — the natural repair for capacity-decrease/arc-removal
-    /// (expiry) deltas, where the old tree stays dual-feasible and only a
-    /// few tree arcs are pushed outside their (shrunk) bounds. Basic flows
-    /// are recomputed from the nonbasic rest states by tree elimination,
-    /// each primal infeasibility is repaired by one dual pivot (leaving arc
-    /// = the violated tree arc, entering arc = the minimum-reduced-cost
-    /// nonbasic arc crossing its tree cut), and a final primal phase
-    /// certifies optimality. Falls back to a cold solve on the same
-    /// conditions as [`MinCostFlowProblem::reoptimize`], plus a dual stall
-    /// (no crossing arc can absorb a violation).
-    pub fn reoptimize_shrunk(&self, basis: &Basis) -> McfSolution {
-        match self.try_seeded(basis, true) {
-            Some(solution) => solution,
-            None => {
-                let mut s = self.solve_cold(true);
-                s.fallback_cold = true;
-                s
-            }
-        }
-    }
-
     /// The pivot budget for one solve: the explicit cap when set, else a
     /// generous size-proportional default.
     fn pivot_limit(&self) -> usize {
@@ -451,7 +355,8 @@ impl MinCostFlowProblem {
         }
     }
 
-    fn solve_cold(&self, capture: bool) -> McfSolution {
+    /// Solves the problem with the network simplex from scratch.
+    pub fn solve(&self) -> McfSolution {
         let n = self.supplies.len();
         let m = self.arcs.len();
         if n == 0 {
@@ -515,12 +420,12 @@ impl MinCostFlowProblem {
         if let Err(status) = s.run(limit, false) {
             return McfSolution::with_status(status, s.pivots, s.degenerate);
         }
-        self.extract(&s, capture, false)
+        self.extract(&s, false)
     }
 
-    /// Builds the optimal [`McfSolution`] from a finished simplex run,
-    /// optionally capturing the basis for reuse.
-    fn extract(&self, s: &NetSimplex, capture: bool, reused: bool) -> McfSolution {
+    /// Builds the optimal [`McfSolution`] from a finished simplex run;
+    /// `reused` says whether a resident session's tree answered it.
+    fn extract(&self, s: &NetSimplex, reused: bool) -> McfSolution {
         let flows: Vec<f64> = self
             .arcs
             .iter()
@@ -528,98 +433,12 @@ impl MinCostFlowProblem {
             .map(|(a, rec)| (a.lower + rec.flow).clamp(a.lower, a.upper))
             .collect();
         let objective = self.flow_cost(&flows);
-        let basis = capture.then(|| Basis {
-            num_nodes: s.n,
-            supplies: self.supplies.clone(),
-            states: s.arcs[..s.m].iter().map(|a| a.state).collect(),
-            flows: s.arcs[..s.m].iter().map(|a| a.flow).collect(),
-        });
         McfSolution {
             objective,
             flows,
-            basis,
             basis_reused: reused,
             ..McfSolution::with_status(LpStatus::Optimal, s.pivots, s.degenerate)
         }
-    }
-
-    /// Seeded re-optimization shared by [`MinCostFlowProblem::reoptimize`]
-    /// and [`MinCostFlowProblem::reoptimize_shrunk`]. Returns `None` when
-    /// the caller should fall back to a cold solve; `Some` results
-    /// (including `Infeasible`/`Unbounded`) are authoritative — the warm
-    /// phases prove those verdicts exactly as the cold path would.
-    fn try_seeded(&self, basis: &Basis, dual: bool) -> Option<McfSolution> {
-        let n = self.supplies.len();
-        let m = self.arcs.len();
-        if n == 0 || basis.num_nodes > n || basis.states.len() > m {
-            return None;
-        }
-        // The seed promises nothing about supplies: bail out unless they are
-        // exactly the ones the basis was proved against (appended nodes must
-        // be supply-free). Anything else is a different flow problem, not a
-        // patched one.
-        for (v, &s) in self.supplies.iter().enumerate() {
-            let want = if v < basis.num_nodes {
-                basis.supplies[v]
-            } else {
-                0.0
-            };
-            if s != want {
-                return None;
-            }
-        }
-        if basis.flows.iter().any(|f| !f.is_finite()) {
-            return None;
-        }
-        // Mirror the cold path's aggregate-balance rejection. The cold check
-        // sums the per-node excesses; the lower-bound shifts cancel pairwise
-        // (−l at the tail, +l at the head), so the sum is just Σ supplies.
-        if self.supplies.iter().sum::<f64>().abs() > FEAS_EPS {
-            return Some(McfSolution::with_status(LpStatus::Infeasible, 0, 0));
-        }
-        let limit = self.pivot_limit();
-        let mut s = NetSimplex::seeded(self, basis, dual);
-        if dual {
-            let mut worklist = s.tree_arcs();
-            if s.dual_repair(limit, &mut worklist).is_err() {
-                return None;
-            }
-        } else {
-            // Primal repair: the seeded constructor has already clamped the
-            // stored flows and parked every node imbalance on the artificial
-            // arcs with phase-1 costs; a zero imbalance makes this a no-op.
-            if s.infeasibility > EPS {
-                match s.run(limit, true) {
-                    Ok(()) => {}
-                    Err(LpStatus::Unbounded) => {
-                        return Some(McfSolution::with_status(
-                            LpStatus::Infeasible,
-                            s.pivots,
-                            s.degenerate,
-                        ));
-                    }
-                    Err(LpStatus::IterationLimit) => return None,
-                    Err(status) => {
-                        return Some(McfSolution::with_status(status, s.pivots, s.degenerate))
-                    }
-                }
-                let art_flow: f64 = s.arcs[m..].iter().map(|a| a.flow).sum();
-                if art_flow > FEAS_EPS {
-                    return Some(McfSolution::with_status(
-                        LpStatus::Infeasible,
-                        s.pivots,
-                        s.degenerate,
-                    ));
-                }
-            }
-            s.enter_phase2(&self.arcs);
-        }
-        match s.run(limit, false) {
-            Ok(()) => {}
-            Err(LpStatus::IterationLimit) => return None,
-            Err(status) => return Some(McfSolution::with_status(status, s.pivots, s.degenerate)),
-        }
-        Some(self.extract(&s, true, true))
     }
 }
 
@@ -875,188 +694,12 @@ impl NetSimplex {
         s
     }
 
-    /// Builds the solver state from a previously captured [`Basis`] against
-    /// the *current* (patched) problem. Rest states come from the basis
-    /// (arcs appended since the capture start nonbasic-at-lower), the
-    /// spanning tree is re-derived from the `Tree` states — demoting any
-    /// arc that would close a cycle and anchoring each connected piece to
-    /// the root through an artificial arc — and flows are restored in the
-    /// mode the caller asked for:
-    ///
-    /// * **primal** (`dual == false`): stored tree flows are clamped into
-    ///   the current bounds, the resulting per-node imbalance is parked on
-    ///   the artificial arcs under phase-1 costs, and `infeasibility` ends
-    ///   up as the total imbalance (0 ⇒ the caller skips phase 1);
-    /// * **dual** (`dual == true`): nonbasic arcs snap exactly to their
-    ///   bounds, basic flows are *recomputed* by tree elimination (children
-    ///   before parents), and real costs are installed — the tree is
-    ///   dual-feasible by construction and any out-of-bounds tree flow is
-    ///   left for [`NetSimplex::dual_repair`].
-    fn seeded(p: &MinCostFlowProblem, basis: &Basis, dual: bool) -> Self {
-        let n = p.supplies.len();
-        let m = p.arcs.len();
-        let root = n;
-        let total = m + n;
-        assert!(total < NIL as usize, "network too large for u32 indexing");
-        let mut sc = SCRATCH.with(|slot| slot.take());
-        sc.arcs.clear();
-        sc.arcs.reserve(total);
-        sc.nodes.clear();
-        sc.nodes.resize(n + 1, NODE_INIT);
-        sc.marks.clear();
-        sc.marks.resize(n + 1, false);
-        let mut s = NetSimplex {
-            n,
-            m,
-            arcs: sc.arcs,
-            nodes: sc.nodes,
-            cursor: 0,
-            block: (total / 8).clamp(16, 1_024),
-            pivots: 0,
-            degenerate: 0,
-            infeasibility: 0.0,
-            path_from: sc.path_from,
-            path_to: sc.path_to,
-            chain: sc.chain,
-            chain_arcs: sc.chain_arcs,
-            stack: sc.stack,
-            start: sc.start,
-            incoming: sc.incoming,
-            marks: sc.marks,
-            adj: sc.adj,
-            adj_start: sc.adj_start,
-            adj_valid: false,
-            adj_enabled: false,
-        };
-        for (i, a) in p.arcs.iter().enumerate() {
-            let (state, flow) = if i < basis.states.len() {
-                (basis.states[i], basis.flows[i])
-            } else {
-                (ArcState::Lower, 0.0)
-            };
-            s.arcs.push(ArcRec {
-                tail: a.tail as u32,
-                head: a.head as u32,
-                state,
-                cap: a.upper - a.lower,
-                cost: 0.0, // installed below once the phase is known
-                flow,
-            });
-        }
-        for v in 0..n {
-            s.arcs.push(ArcRec {
-                tail: v as u32,
-                head: root as u32,
-                state: ArcState::Lower,
-                cap: 0.0,
-                cost: 0.0,
-                flow: 0.0,
-            });
-        }
-        // Normalize rest states against the *patched* bounds: an arc held
-        // at `Upper` whose capacity became infinite or (numerically) zero
-        // no longer has a bound to rest at — demote to lower.
-        for rec in &mut s.arcs[..m] {
-            match rec.state {
-                ArcState::Upper if !rec.cap.is_finite() || rec.cap <= EPS => {
-                    rec.state = ArcState::Lower;
-                    rec.flow = 0.0;
-                }
-                ArcState::Upper => rec.flow = rec.cap,
-                ArcState::Lower => rec.flow = 0.0,
-                ArcState::Tree => {
-                    rec.flow = if dual {
-                        0.0 // recomputed by elimination below
-                    } else {
-                        rec.flow.clamp(0.0, rec.cap)
-                    };
-                }
-            }
-        }
-        s.seed_tree();
-
-        if dual {
-            // Real costs immediately; artificial arcs stay cost 0, cap 0.
-            for (rec, a) in s.arcs.iter_mut().zip(&p.arcs) {
-                rec.cost = a.cost;
-            }
-            // Tree elimination: each node's residual excess (supply minus
-            // the lower-bound shifts and nonbasic flows) must leave through
-            // its pred arc; processing children before parents solves the
-            // triangular system in one sweep.
-            let mut e: Vec<f64> = p.supplies.clone();
-            e.push(0.0); // root
-            for (a, rec) in p.arcs.iter().zip(&s.arcs) {
-                let x = a.lower
-                    + if rec.state == ArcState::Tree {
-                        0.0
-                    } else {
-                        rec.flow
-                    };
-                e[a.tail] -= x;
-                e[a.head] += x;
-            }
-            s.eliminate_tree_flows(&mut e);
-        } else {
-            // Park every node imbalance on the artificial arcs, exactly as
-            // the cold constructor does — except here most excesses are 0,
-            // because the clamped flows still balance wherever the patch
-            // didn't bite.
-            let mut excess: Vec<f64> = p.supplies.clone();
-            for (a, rec) in p.arcs.iter().zip(&s.arcs) {
-                let x = a.lower + rec.flow;
-                excess[a.tail] -= x;
-                excess[a.head] += x;
-            }
-            let phase1 = excess.iter().any(|&e| e.abs() > EPS);
-            for (v, &e) in excess.iter().enumerate() {
-                if e.abs() <= EPS {
-                    continue;
-                }
-                let rec = &mut s.arcs[m + v];
-                let (tail, head) = if e >= 0.0 { (v, root) } else { (root, v) };
-                rec.tail = tail as u32;
-                rec.head = head as u32;
-                rec.flow = e.abs();
-                if rec.state == ArcState::Tree {
-                    rec.cap = f64::INFINITY; // the anchor carries the imbalance
-                } else {
-                    rec.cap = e.abs();
-                    rec.state = ArcState::Upper;
-                }
-                s.infeasibility += e.abs();
-            }
-            if phase1 {
-                // Phase-1 cost layout: real arcs 0 (already), artificials 1;
-                // anchors get unbounded capacity like the cold phase 1 so
-                // transient pivots are never blocked at the root.
-                for rec in &mut s.arcs[m..] {
-                    rec.cost = 1.0;
-                    if rec.state == ArcState::Tree {
-                        rec.cap = f64::INFINITY;
-                    }
-                }
-            }
-            // No imbalance: leave all costs 0 — the caller goes straight to
-            // `enter_phase2`, which installs the real costs and refreshes
-            // the potentials.
-        }
-
-        let root = s.n;
-        s.nodes[root].pot = 0.0;
-        let mut c = s.nodes[root].first_child;
-        while c != NIL {
-            s.refresh_subtree(c as usize);
-            c = s.nodes[c as usize].next_sib;
-        }
-        s
-    }
-
     /// Rebuilds the parent/pred/child-sibling tree from the arc `Tree`
-    /// states restored out of a [`Basis`]. Tree arcs are treated as
-    /// undirected edges; any arc that would close a cycle (possible after
-    /// retargeting) is demoted to nonbasic-at-lower, and every connected
-    /// piece — including nodes appended after the capture — is anchored to
+    /// states a resident session kept, after a re-cost of a tree arc
+    /// invalidated its potentials. Tree arcs are treated as undirected
+    /// edges; any arc that would close a cycle (possible after retargeting)
+    /// is demoted to nonbasic-at-lower, and every connected piece —
+    /// including nodes appended since the previous solve — is anchored to
     /// the artificial root through its lowest-numbered node's artificial
     /// arc. Depths and potentials are left for the caller to refresh.
     fn seed_tree(&mut self) {
@@ -1790,7 +1433,7 @@ impl NetSimplex {
     }
 }
 
-/// Why a dual warm start gave up (the caller falls back to a cold solve).
+/// Why the dual repair gave up (the session restarts from scratch).
 enum DualOutcome {
     /// A primal infeasibility has no nonbasic crossing arc to absorb it.
     Stall,
@@ -1801,12 +1444,11 @@ enum DualOutcome {
 /// A network-simplex engine that stays *resident* across a stream of solves
 /// of one evolving min-cost-flow problem.
 ///
-/// [`MinCostFlowProblem::reoptimize`] reuses the previous optimal *basis*,
-/// but still rebuilds the full solver state — arc records, spanning tree,
-/// potentials — from that basis on every call: an `O(n + m)` reconstruction
-/// that costs as much as half a cold solve at the streaming workloads'
-/// small-batch cadence. A `NetflowSession` keeps the simplex state alive
-/// between solves and syncs only what changed:
+/// Rebuilding the solver state — arc records, spanning tree, potentials —
+/// on every call is an `O(n + m)` reconstruction that costs as much as
+/// half a cold solve at the streaming workloads' small-batch cadence. A
+/// `NetflowSession` keeps the simplex state alive between solves and syncs
+/// only what changed:
 ///
 /// * appended arcs are spliced in nonbasic-at-lower (the artificial block
 ///   shifts up in place) and appended nodes hang off the root as fresh
@@ -1912,7 +1554,7 @@ impl NetflowSession {
         if let Err(status) = s.run(problem.pivot_limit(), false) {
             return McfSolution::with_status(status, s.pivots, s.degenerate);
         }
-        let solution = problem.extract(&s, false, false);
+        let solution = problem.extract(&s, false);
         self.engine = Some(s);
         solution
     }
@@ -2219,7 +1861,7 @@ impl NetflowSession {
             // render the authoritative verdict.
             return None;
         }
-        let solution = problem.extract(&s, false, true);
+        let solution = problem.extract(&s, true);
         self.engine = Some(s);
         Some(solution)
     }
@@ -2539,131 +2181,6 @@ mod tests {
             );
             assert!(p.is_feasible(&warm.flows, 1e-6), "warm flow infeasible");
         }
-    }
-
-    #[test]
-    fn solve_with_basis_captures_reusable_basis() {
-        let p = circulation();
-        let s = p.solve_with_basis();
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert!(!s.basis_reused && !s.fallback_cold);
-        let basis = s.basis.expect("basis captured");
-        assert_eq!(basis.num_nodes(), 4);
-        assert_eq!(basis.num_arcs(), 5);
-        assert!(basis.tree_arcs() <= 4);
-        // Plain solve stays zero-overhead: no capture.
-        assert!(p.solve().basis.is_none());
-    }
-
-    #[test]
-    fn reoptimize_after_capacity_raise_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        p.set_capacity(0, 5.0);
-        p.set_capacity(1, 5.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-7.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-        assert!(warm.basis.is_some(), "reoptimize re-captures the basis");
-    }
-
-    #[test]
-    fn reoptimize_shrunk_after_capacity_cut_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Cut below the current flow: the old basis is primal-infeasible.
-        p.set_capacity(0, 1.0);
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-3.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_shrunk_handles_tombstoned_arcs() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Tombstone one whole path (expiry): capacity pinned to the lower
-        // bound, arc ids stable.
-        p.set_capacity(0, 0.0);
-        p.set_capacity(1, 0.0);
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused);
-        assert!((warm.objective - (-2.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_after_arc_and_node_additions_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Grow the network: a new relay node on a third path.
-        let relay = p.add_node();
-        p.add_arc(0, relay, 0.0, 4.0);
-        p.add_arc(relay, 3, 0.0, 4.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-9.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn reoptimize_after_retarget_matches_cold() {
-        let mut p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Splice a node into the middle of arc 1 (the streaming emitter's
-        // "new vertex copy" patch): 1→3 becomes 1→relay→3.
-        let relay = p.add_node();
-        p.retarget(1, 1, relay);
-        p.add_arc(relay, 3, 0.0, 3.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-5.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&p, &warm);
-    }
-
-    #[test]
-    fn changed_supplies_force_cold_fallback() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 2.0, 5.0);
-        let basis = p.solve_with_basis().basis.unwrap();
-        p.set_supply(0, 4.0);
-        p.set_supply(1, -4.0);
-        let warm = p.reoptimize(&basis);
-        assert!(warm.fallback_cold && !warm.basis_reused);
-        assert_eq!(warm.status, LpStatus::Optimal);
-        assert!((warm.objective - 8.0).abs() < 1e-9);
-        // The fallback still captures a fresh basis for the next batch.
-        assert!(warm.basis.is_some());
-    }
-
-    #[test]
-    fn warm_infeasible_verdict_matches_cold() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 1.0, 5.0);
-        let basis = p.solve_with_basis().basis.unwrap();
-        // Shrink below the committed supply: now truly infeasible.
-        p.set_capacity(0, 2.0);
-        assert_eq!(p.reoptimize(&basis).status, LpStatus::Infeasible);
-        assert_eq!(p.reoptimize_shrunk(&basis).status, LpStatus::Infeasible);
-        assert_eq!(p.solve().status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn warm_solve_of_unchanged_problem_is_pivot_free() {
-        let p = circulation();
-        let basis = p.solve_with_basis().basis.unwrap();
-        let warm = p.reoptimize(&basis);
-        assert!(warm.basis_reused);
-        assert_eq!(warm.pivots, 0, "unchanged problem should need no pivots");
-        let warm = p.reoptimize_shrunk(&basis);
-        assert!(warm.basis_reused);
-        assert_eq!(warm.pivots, 0);
     }
 
     #[test]

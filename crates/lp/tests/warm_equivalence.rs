@@ -9,19 +9,17 @@
 //!
 //! * the cold network simplex on the patched instance;
 //! * the warm path — a resident [`NetflowSession`] fed the in-place
-//!   touched-arc ids, and the captured-[`Basis`] re-optimizers
-//!   ([`MinCostFlowProblem::reoptimize`] /
-//!   [`MinCostFlowProblem::reoptimize_shrunk`]);
+//!   touched-arc ids;
 //! * the sparse revised simplex on the instance's
 //!   [`MinCostFlowProblem::to_lp`] image (minding the constant objective
 //!   offset lower bounds introduce).
 //!
-//! The supply-churn family forces the seeded paths through their fallback
-//! branches (a basis is only valid for the supplies it was proved
-//! against), so the equivalence holds on the fallback road too.
+//! The supply-churn family mostly leaves the circulation shape the session
+//! keeps state for; outside it the session solves from scratch, and must
+//! still agree, on infeasible steps included.
 
 use proptest::prelude::*;
-use tin_lp::{Basis, LpStatus, MinCostFlowProblem, NetflowSession, SimplexEngine};
+use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession, SimplexEngine};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
@@ -84,16 +82,13 @@ fn seed_problem(rng: &mut Lcg, nodes: usize, arcs: usize, circulation: bool) -> 
 }
 
 /// Applies one random delta to `p`, recording in-place mutations in
-/// `touched` (the contract [`NetflowSession::solve`] relies on). Returns
-/// `(shrink_only, churned)`: whether the delta only tightened capacities
-/// (the `reoptimize_shrunk` precondition) and whether supplies changed
-/// (which must force the seeded paths cold).
+/// `touched` (the contract [`NetflowSession::solve`] relies on).
 fn apply_random_delta(
     p: &mut MinCostFlowProblem,
     rng: &mut Lcg,
     touched: &mut Vec<u32>,
     allow_churn: bool,
-) -> (bool, bool) {
+) {
     let n = p.num_nodes();
     let m = p.num_arcs();
     let kind = rng.below(if allow_churn { 7 } else { 6 });
@@ -104,7 +99,6 @@ fn apply_random_delta(
             let head = (tail + 1 + rng.below(n.max(2) - 1)) % n;
             let cost = (rng.next() * 7.0).floor() - 3.0;
             p.add_arc(tail, head, cost, (rng.next() * 6.0).floor());
-            (false, false)
         }
         1 if m > 0 => {
             // Raise a capacity.
@@ -112,7 +106,6 @@ fn apply_random_delta(
             let up = p.arcs()[a].upper + 1.0 + (rng.next() * 3.0).floor();
             p.set_capacity(a, up);
             touched.push(a as u32);
-            (false, false)
         }
         2 if m > 0 => {
             // Cut a capacity — often all the way to 0 (arc removal).
@@ -124,7 +117,6 @@ fn apply_random_delta(
             };
             p.set_capacity(a, p.arcs()[a].lower + cut);
             touched.push(a as u32);
-            (true, false)
         }
         3 if m > 0 => {
             // Retarget an arc to fresh endpoints.
@@ -133,7 +125,6 @@ fn apply_random_delta(
             let head = (tail + 1 + rng.below(n.max(2) - 1)) % n;
             p.retarget(a, tail, head);
             touched.push(a as u32);
-            (false, false)
         }
         4 => {
             // Grow the node set and wire the newcomer in.
@@ -141,7 +132,6 @@ fn apply_random_delta(
             let other = rng.below(n);
             p.add_arc(other, v, (rng.next() * 5.0).floor() - 2.0, 2.0);
             p.add_arc(v, other, 0.0, 2.0);
-            (false, false)
         }
         5 if m > 0 => {
             // Re-cost an arc. There is no in-place cost setter, so rebuild
@@ -159,22 +149,20 @@ fn apply_random_delta(
             }
             *p = q;
             touched.push(a as u32);
-            (false, false)
         }
         6 => {
             // Supply-preserving churn: move a unit of supply between two
-            // nodes (total stays balanced, but the basis' supplies lie).
+            // nodes (the total stays balanced).
             let u = rng.below(n);
             let v = rng.below(n);
             if u == v {
-                return (false, false);
+                return;
             }
             let q = 1.0 + (rng.next() * 2.0).floor();
             p.set_supply(u, p.supply(u) + q);
             p.set_supply(v, p.supply(v) - q);
-            (false, true)
         }
-        _ => (false, false),
+        _ => {}
     }
 }
 
@@ -217,11 +205,11 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// Circulation churn (the flow-session shape): the resident engine and
-    /// the basis re-optimizers track a stream of adds, cap changes,
-    /// removals and retargets, agreeing with cold + LP oracle every step.
+    /// Circulation churn (the flow-session shape): the resident engine
+    /// tracks a stream of adds, cap changes, removals, retargets and
+    /// re-costs, agreeing with cold + LP oracle every step.
     #[test]
-    fn warm_paths_track_random_circulation_churn(
+    fn session_tracks_random_circulation_churn(
         seed in any::<u64>(),
         nodes in 2usize..6,
         arcs in 1usize..10,
@@ -230,34 +218,24 @@ proptest! {
         let mut rng = Lcg::new(seed);
         let mut p = seed_problem(&mut rng, nodes, arcs, true);
         let mut session = NetflowSession::new();
-        let mut basis: Option<Basis> = None;
         let mut touched: Vec<u32> = Vec::new();
         for step in 0..steps {
-            let (shrink_only, _) = if step == 0 {
-                (false, false) // solve the seed instance as-is first
-            } else {
-                apply_random_delta(&mut p, &mut rng, &mut touched, false)
-            };
-            let context = format!("step {step}");
+            // Solve the seed instance as-is first.
+            if step > 0 {
+                apply_random_delta(&mut p, &mut rng, &mut touched, false);
+            }
             let warm = session.solve(&p, &touched);
             touched.clear();
-            assert_three_way(&p, &warm, &context);
-            let seeded = match basis.take() {
-                None => p.solve_with_basis(),
-                Some(b) if shrink_only => p.reoptimize_shrunk(&b),
-                Some(b) => p.reoptimize(&b),
-            };
-            assert_three_way(&p, &seeded, &format!("{context} (basis)"));
-            basis = seeded.basis;
+            assert_three_way(&p, &warm, &format!("step {step}"));
         }
     }
 
-    /// Supply-carrying instances with churn: supply changes invalidate any
-    /// captured basis, so the seeded paths are forced through their cold
-    /// fallback — and must still agree with the cold solve and the LP
-    /// oracle, on infeasible steps included.
+    /// Supply-carrying instances with churn: outside the circulation shape
+    /// the session keeps no state and solves each step from scratch, and
+    /// must still agree with the cold solve and the LP oracle, on
+    /// infeasible steps included.
     #[test]
-    fn warm_paths_survive_supply_churn_via_fallback(
+    fn session_tracks_supply_churn(
         seed in any::<u64>(),
         nodes in 2usize..6,
         arcs in 1usize..10,
@@ -266,33 +244,14 @@ proptest! {
         let mut rng = Lcg::new(seed);
         let mut p = seed_problem(&mut rng, nodes, arcs, false);
         let mut session = NetflowSession::new();
-        let mut basis: Option<Basis> = None;
         let mut touched: Vec<u32> = Vec::new();
         for step in 0..steps {
-            let (shrink_only, churned) = if step == 0 {
-                (false, false)
-            } else {
-                apply_random_delta(&mut p, &mut rng, &mut touched, true)
-            };
-            let context = format!("step {step}");
+            if step > 0 {
+                apply_random_delta(&mut p, &mut rng, &mut touched, true);
+            }
             let warm = session.solve(&p, &touched);
             touched.clear();
-            assert_three_way(&p, &warm, &context);
-            let had_basis = basis.is_some();
-            let seeded = match basis.take() {
-                None => p.solve_with_basis(),
-                Some(b) if shrink_only => p.reoptimize_shrunk(&b),
-                Some(b) => p.reoptimize(&b),
-            };
-            if churned && had_basis {
-                prop_assert!(
-                    seeded.fallback_cold,
-                    "{}: a supply change must force the seeded solve cold",
-                    context
-                );
-            }
-            assert_three_way(&p, &seeded, &format!("{context} (basis)"));
-            basis = seeded.basis;
+            assert_three_way(&p, &warm, &format!("step {step}"));
         }
     }
 }

@@ -1,7 +1,6 @@
 //! A minimal std-thread worker pool used by every embarrassingly parallel
-//! stage in the workspace (subgraph evaluation in the experiment harness,
-//! per-anchor path-table construction, chunked CSV parsing, shard-parallel
-//! graph maintenance).
+//! stage in the workspace (subgraph evaluation in the experiment harness and
+//! the benchmark, per-anchor path-table construction).
 //!
 //! No external crates: workers claim indices from a shared atomic cursor
 //! (cheap dynamic load balancing — item cost can vary by orders of
@@ -102,52 +101,6 @@ where
         .collect()
 }
 
-/// Like [`parallel_map`], but each item is visited through an exclusive
-/// `&mut` borrow — for stages that mutate a set of disjoint structures in
-/// place (e.g. applying per-shard deltas). `f` also receives the item's
-/// index. Result order matches input order.
-///
-/// Exclusivity without `unsafe`: each worker claims an index from the
-/// cursor exactly once and `take`s the `&mut` out of that index's cell, so
-/// no two workers can ever hold the same item.
-pub fn parallel_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let threads = effective_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let work: Vec<Mutex<Option<&mut T>>> = items.iter_mut().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..work.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = work.get(i) else { break };
-                let item = cell
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("each index is claimed exactly once");
-                let result = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker completed every claimed index")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,19 +121,6 @@ mod tests {
         let a = parallel_map(&items, |&i| i.wrapping_mul(0x9e3779b97f4a7c15));
         let b = parallel_map(&items, |&i| i.wrapping_mul(0x9e3779b97f4a7c15));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn map_mut_mutates_every_item_in_place() {
-        let mut items: Vec<Vec<u32>> = (0..64).map(|i| vec![i]).collect();
-        let sums = parallel_map_mut(&mut items, |i, v| {
-            v.push(i as u32 + 1);
-            v.iter().sum::<u32>()
-        });
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(v, &vec![i as u32, i as u32 + 1]);
-        }
-        assert_eq!(sums, (0..64).map(|i| 2 * i + 1).collect::<Vec<u32>>());
     }
 
     #[test]

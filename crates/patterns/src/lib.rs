@@ -33,9 +33,7 @@ pub mod pattern;
 pub mod precomputed;
 pub mod reference;
 pub mod relaxed;
-pub mod sharded;
 pub mod tables;
-pub mod view;
 
 pub use browse::enumerate_gb;
 pub use catalogue::{PatternCatalogue, PatternId};
@@ -44,9 +42,7 @@ pub use instance::{instance_flow, Instance};
 pub use pattern::{Pattern, PatternError};
 pub use precomputed::enumerate_pb;
 pub use relaxed::{relaxed_search_gb, relaxed_search_pb, RelaxedPattern};
-pub use sharded::ShardedTables;
 pub use tables::{
     invalidated_anchors, LazyPathTables, PathRow, PathTable, PathTableBuilder, PathTables,
     TablesConfig, TablesUpdate,
 };
-pub use view::TableView;

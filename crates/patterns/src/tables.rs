@@ -73,11 +73,10 @@
 //! [`invalidated_anchors`] (`{u, v} ∪ in(u)` per touched edge) and lets the
 //! next query rebuild them.
 
-use crate::view::TableView;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tin_flow::ChainScratch;
-use tin_graph::{AppliedDelta, Interaction, NodeId, Quantity};
+use tin_graph::{AppliedDelta, Interaction, NodeId, Quantity, TemporalGraph};
 use tin_parallel::{effective_threads, parallel_map};
 
 /// Which tables to build and how large they may grow.
@@ -568,24 +567,22 @@ impl PatchKey {
 }
 
 impl PathTables {
-    /// Builds the tables for `graph` (any [`TableView`]: the serial
-    /// [`tin_graph::TemporalGraph`] or the sharded
-    /// [`tin_graph::ShardedGraph`]), fanning the anchors out over the
+    /// Builds the tables for `graph`, fanning the anchors out over the
     /// worker pool when the graph is large enough to amortize it.
-    pub fn build<G: TableView>(graph: &G, config: &TablesConfig) -> Self {
+    pub fn build(graph: &TemporalGraph, config: &TablesConfig) -> Self {
         let anchors: Vec<NodeId> = all_anchors(graph);
         build_for_anchor_list(graph, config, &anchors, auto_parallel(graph))
     }
 
     /// Builds the tables on the calling thread only (benchmark baseline and
     /// deterministic small-graph path).
-    pub fn build_serial<G: TableView>(graph: &G, config: &TablesConfig) -> Self {
+    pub fn build_serial(graph: &TemporalGraph, config: &TablesConfig) -> Self {
         let anchors: Vec<NodeId> = all_anchors(graph);
         build_for_anchor_list(graph, config, &anchors, false)
     }
 
     /// Builds the tables on the worker pool unconditionally.
-    pub fn build_parallel<G: TableView>(graph: &G, config: &TablesConfig) -> Self {
+    pub fn build_parallel(graph: &TemporalGraph, config: &TablesConfig) -> Self {
         let anchors: Vec<NodeId> = all_anchors(graph);
         build_for_anchor_list(graph, config, &anchors, true)
     }
@@ -597,7 +594,7 @@ impl PathTables {
     /// The result is a regular [`PathTables`] whose tables simply contain no
     /// rows for other anchors, so every downstream consumer (joins, relaxed
     /// searches) works unchanged on the subset.
-    pub fn for_anchors<G: TableView>(graph: &G, config: &TablesConfig, anchors: &[NodeId]) -> Self {
+    pub fn for_anchors(graph: &TemporalGraph, config: &TablesConfig, anchors: &[NodeId]) -> Self {
         let mut picked: Vec<NodeId> = anchors
             .iter()
             .copied()
@@ -757,7 +754,7 @@ impl PathTables {
     /// anchor subset cannot be patched meaningfully (the patch would mix
     /// subset and full coverage) — use [`LazyPathTables`] for incrementally
     /// maintained partial coverage.
-    pub fn apply<G: TableView>(&mut self, graph: &G, applied: &AppliedDelta) -> TablesUpdate {
+    pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> TablesUpdate {
         assert!(
             !self.partial,
             "PathTables::apply on a for_anchors subset would silently mix subset and \
@@ -767,9 +764,6 @@ impl PathTables {
         if self.truncated {
             return self.rebuild(graph, &config, 0);
         }
-        // Collect → recompute → splice; the three phases are split out so
-        // the shard-parallel maintainer ([`crate::sharded::ShardedTables`])
-        // can collect once globally and run the latter two per shard.
         let groups = collect_groups(graph, &config, applied);
         let refreshed_groups = groups.len();
         let mut scratch = ChainScratch::new();
@@ -790,7 +784,7 @@ impl PathTables {
 
     /// Splices freshly recomputed rows ([`recompute_groups`]) over the stale
     /// row groups ([`collect_groups`]), table by table.
-    pub(crate) fn splice_groups(&mut self, groups: &InvalidationGroups, bufs: &[TableBuf; 3]) {
+    fn splice_groups(&mut self, groups: &InvalidationGroups, bufs: &[TableBuf; 3]) {
         let config = self.config;
         let pair_key = |&(a, b): &(NodeId, NodeId)| PatchKey::pair(a, b);
         if config.build_l2 {
@@ -813,21 +807,15 @@ impl PathTables {
     }
 
     /// Whether any built table exceeds `cap` rows.
-    pub(crate) fn over_cap(&self, cap: usize) -> bool {
+    fn over_cap(&self, cap: usize) -> bool {
         [&self.l2, &self.l3, &self.c2].iter().any(|t| t.len() > cap)
-    }
-
-    /// Folds externally performed kernel passes into the counter (the
-    /// sharded maintainer recomputes on its own scratches).
-    pub(crate) fn add_kernel_calls(&mut self, calls: u64) {
-        self.kernel_calls += calls;
     }
 
     /// Full-rebuild fallback of [`PathTables::apply`]; `wasted` kernel
     /// passes were already spent on an abandoned incremental attempt.
-    fn rebuild<G: TableView>(
+    fn rebuild(
         &mut self,
-        graph: &G,
+        graph: &TemporalGraph,
         config: &TablesConfig,
         wasted: u64,
     ) -> TablesUpdate {
@@ -856,13 +844,13 @@ impl PathTables {
 /// (Tombstones keep their endpoints, which is what makes the removed edges
 /// addressable here; an in-neighbor edge removed by the same delta is
 /// itself a changed edge and contributes its own anchors.)
-pub fn invalidated_anchors<G: TableView>(graph: &G, applied: &AppliedDelta) -> Vec<NodeId> {
+pub fn invalidated_anchors(graph: &TemporalGraph, applied: &AppliedDelta) -> Vec<NodeId> {
     let mut anchors = Vec::new();
     for e in applied.changed_edges() {
-        let (src, dst) = graph.endpoints(e);
-        anchors.push(src);
-        anchors.push(dst);
-        graph.for_each_in_source(src, &mut |a| anchors.push(a));
+        let edge = graph.edge(e);
+        anchors.push(edge.src);
+        anchors.push(edge.dst);
+        anchors.extend(graph.in_neighbors(edge.src));
     }
     anchors.sort_unstable();
     anchors.dedup();
@@ -870,13 +858,13 @@ pub fn invalidated_anchors<G: TableView>(graph: &G, applied: &AppliedDelta) -> V
 }
 
 /// Every vertex id of `graph`, as the ascending anchor list of a full build.
-fn all_anchors<G: TableView>(graph: &G) -> Vec<NodeId> {
+fn all_anchors(graph: &TemporalGraph) -> Vec<NodeId> {
     (0..graph.node_count()).map(NodeId::from_index).collect()
 }
 
 /// Eager builds go parallel only when the graph plausibly amortizes the
 /// thread-pool round trip.
-fn auto_parallel<G: TableView>(graph: &G) -> bool {
+fn auto_parallel(graph: &TemporalGraph) -> bool {
     graph.node_count() >= 512 && effective_threads() > 1
 }
 
@@ -887,21 +875,16 @@ fn auto_parallel<G: TableView>(graph: &G) -> bool {
 /// ascending, deduplicated and non-overlapping, which is what
 /// [`PathTables::splice_groups`] requires of its patch keys.
 #[derive(Debug, Default)]
-pub(crate) struct InvalidationGroups {
-    pub(crate) blocks: Vec<(NodeId, NodeId)>,
-    pub(crate) l2_extra: Vec<(NodeId, NodeId)>,
-    pub(crate) points: Vec<[NodeId; 3]>,
+struct InvalidationGroups {
+    blocks: Vec<(NodeId, NodeId)>,
+    l2_extra: Vec<(NodeId, NodeId)>,
+    points: Vec<[NodeId; 3]>,
 }
 
 impl InvalidationGroups {
     /// Total number of row groups across the three kinds.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.blocks.len() + self.l2_extra.len() + self.points.len()
-    }
-
-    /// Whether the delta invalidated nothing.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -928,8 +911,8 @@ impl InvalidationGroups {
 /// post-eviction adjacency, where companion edges removed by the same delta
 /// are already gone — those contribute their own keys through their own
 /// changed pairs (and the closing-pair lookup above).
-pub(crate) fn collect_groups<G: TableView>(
-    graph: &G,
+fn collect_groups(
+    graph: &TemporalGraph,
     config: &TablesConfig,
     applied: &AppliedDelta,
 ) -> InvalidationGroups {
@@ -937,7 +920,10 @@ pub(crate) fn collect_groups<G: TableView>(
     // also answer the closing-pair lookup by binary search.
     let mut blocks: Vec<(NodeId, NodeId)> = applied
         .changed_edges()
-        .map(|e| graph.endpoints(e))
+        .map(|e| {
+            let edge = graph.edge(e);
+            (edge.src, edge.dst)
+        })
         .collect();
     blocks.sort_unstable();
     blocks.dedup();
@@ -945,11 +931,11 @@ pub(crate) fn collect_groups<G: TableView>(
     let mut points: Vec<[NodeId; 3]> = Vec::new();
     for &(u, v) in &blocks {
         if config.build_c2 {
-            graph.for_each_in_source(u, &mut |a| {
+            for a in graph.in_neighbors(u) {
                 if a != v && a != u {
                     points.push([a, u, v]);
                 }
-            });
+            }
         }
         if config.build_l3 {
             for_each_cycle_vertex(graph, u, v, &mut |w| {
@@ -962,13 +948,13 @@ pub(crate) fn collect_groups<G: TableView>(
                 // Middle points whose closing pair `(v, a)` changed too.
                 let from = blocks.partition_point(|&(x, _)| x < v);
                 for &(_, a) in blocks[from..].iter().take_while(|&&(x, _)| x == v) {
-                    if a != u && graph.has_pair(a, u) {
+                    if a != u && graph.has_edge(a, u) {
                         points.push([a, u, v]);
                     }
                 }
             }
         }
-        if config.build_l2 && graph.has_pair(v, u) {
+        if config.build_l2 && graph.has_edge(v, u) {
             l2_extra.push((v, u));
         }
     }
@@ -996,28 +982,35 @@ pub(crate) fn collect_groups<G: TableView>(
 /// listing (Chiba & Nishizeki, "Arboricity and subgraph listing
 /// algorithms", SIAM J. Comput. 1985) — so a hub endpoint costs nothing
 /// when the other side is small.
-fn for_each_cycle_vertex<G: TableView>(graph: &G, u: NodeId, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+fn for_each_cycle_vertex(graph: &TemporalGraph, u: NodeId, v: NodeId, f: &mut dyn FnMut(NodeId)) {
     if graph.in_degree(u) <= graph.out_degree(v) {
-        graph.for_each_in_source(u, &mut |w| {
-            if w != u && w != v && graph.has_pair(v, w) {
+        for w in graph.in_neighbors(u) {
+            if w != u && w != v && graph.has_edge(v, w) {
                 f(w);
             }
-        });
+        }
     } else {
-        graph.for_each_out(v, &mut |w, _| {
-            if w != u && w != v && graph.has_pair(w, u) {
+        for w in graph.out_neighbors(v) {
+            if w != u && w != v && graph.has_edge(w, u) {
                 f(w);
             }
-            true
-        });
+        }
     }
+}
+
+/// The chronologically sorted interactions of the live edge `src → dst`,
+/// or `None` when no such edge exists.
+fn pair(graph: &TemporalGraph, src: NodeId, dst: NodeId) -> Option<&[Interaction]> {
+    graph
+        .find_edge(src, dst)
+        .map(|e| graph.edge(e).interactions.as_slice())
 }
 
 /// Re-runs the chain kernel for exactly the groups in `groups`, returning
 /// per-table replacement buffers with rows sorted by vertex sequence —
 /// ready for [`PathTables::splice_groups`].
-pub(crate) fn recompute_groups<G: TableView>(
-    graph: &G,
+fn recompute_groups(
+    graph: &TemporalGraph,
     config: &TablesConfig,
     groups: &InvalidationGroups,
     scratch: &mut ChainScratch,
@@ -1028,7 +1021,7 @@ pub(crate) fn recompute_groups<G: TableView>(
         // every interaction immediately expired): the block keeps its key
         // but contributes no replacement rows, so the patch deletes the
         // group — removal is just "recompute to empty".
-        let Some(first) = graph.pair(u, v) else {
+        let Some(first) = pair(graph, u, v) else {
             continue;
         };
         enumerate_first_edge(
@@ -1049,8 +1042,8 @@ pub(crate) fn recompute_groups<G: TableView>(
             // `(a, b)` was seen live when the key was collected; the
             // changed edge `(b, a)` may have been evicted, in which case
             // the cycle row `[a, b]` is deleted by the empty recompute.
-            let first = graph.pair(a, b).expect("checked at collection");
-            let Some(back) = graph.pair(b, a) else {
+            let first = pair(graph, a, b).expect("checked at collection");
+            let Some(back) = pair(graph, b, a) else {
                 continue;
             };
             let flow = scratch.reduce_pair(first, back);
@@ -1061,14 +1054,14 @@ pub(crate) fn recompute_groups<G: TableView>(
         for &[a, b, c] in &groups.points {
             // Any of the three hops can be a changed edge, and a changed
             // edge can be a tombstone: a dead hop deletes the point's rows.
-            let Some(first) = graph.pair(a, b) else {
+            let Some(first) = pair(graph, a, b) else {
                 continue;
             };
-            let Some(mid) = graph.pair(b, c) else {
+            let Some(mid) = pair(graph, b, c) else {
                 continue;
             };
             let close = if config.build_l3 {
-                graph.pair(c, a)
+                pair(graph, c, a)
             } else {
                 None
             };
@@ -1101,7 +1094,7 @@ const C2: usize = 2;
 
 /// Rows plus arena for one table, as produced by one worker chunk.
 #[derive(Default)]
-pub(crate) struct TableBuf {
+struct TableBuf {
     rows: Vec<PathRow>,
     arena: Vec<Interaction>,
 }
@@ -1195,8 +1188,8 @@ impl ChunkOut {
 /// (row-cap pressure); the function then returns `false` too. Shared by the
 /// eager per-anchor build and the incremental [`PathTables::apply`], so the
 /// two paths cannot drift apart.
-fn enumerate_first_edge<G, F>(
-    graph: &G,
+fn enumerate_first_edge<F>(
+    graph: &TemporalGraph,
     config: &TablesConfig,
     u: NodeId,
     v: NodeId,
@@ -1205,7 +1198,6 @@ fn enumerate_first_edge<G, F>(
     emit: &mut F,
 ) -> bool
 where
-    G: TableView,
     F: FnMut(usize, [NodeId; 3], u8, &[Interaction], Quantity) -> bool,
 {
     if v == u {
@@ -1215,7 +1207,7 @@ where
     // into `v` is the edge's interaction list itself (`first`) — the shared
     // prefix of every path through `u → v` costs nothing to "compute".
     if config.build_l2 {
-        if let Some(back) = graph.pair(v, u) {
+        if let Some(back) = pair(graph, v, u) {
             let flow = scratch.reduce_pair(first, back);
             if !emit(L2, [u, v, u], 2, scratch.delivered(), flow) {
                 return false;
@@ -1224,39 +1216,38 @@ where
     }
     let mut keep_going = true;
     if config.build_c2 {
-        graph.for_each_out(v, &mut |w, mid| {
+        for &e in graph.out_edges(v) {
+            let edge = graph.edge(e);
+            let w = edge.dst;
             if w == u || w == v {
-                return true;
+                continue;
             }
             // One kernel pass for the shared `u → v → w` prefix; the C2
             // row reuses it as-is, the L3 row extends it by one pass.
-            let mid_flow = scratch.reduce_pair(first, mid);
+            let mid_flow = scratch.reduce_pair(first, &edge.interactions);
             if !emit(C2, [u, v, w], 3, scratch.delivered(), mid_flow) {
-                keep_going = false;
                 return false;
             }
             let closing = if config.build_l3 {
-                graph.pair(w, u)
+                pair(graph, w, u)
             } else {
                 None
             };
             if let Some(close) = closing {
                 let flow = scratch.extend_through(close);
                 if !emit(L3, [u, v, w], 3, scratch.extended_delivered(), flow) {
-                    keep_going = false;
                     return false;
                 }
             }
-            true
-        });
+        }
     } else if config.build_l3 {
         // Without C2 only the 3-cycles through `u → v` hold rows.
         for_each_cycle_vertex(graph, u, v, &mut |w| {
             if !keep_going {
                 return;
             }
-            let mid = graph.pair(v, w).expect("cycle vertex has a v → w edge");
-            let close = graph.pair(w, u).expect("cycle vertex has a w → u edge");
+            let mid = pair(graph, v, w).expect("cycle vertex has a v → w edge");
+            let close = pair(graph, w, u).expect("cycle vertex has a w → u edge");
             scratch.reduce_pair(first, mid);
             let flow = scratch.extend_through(close);
             keep_going = emit(L3, [u, v, w], 3, scratch.extended_delivered(), flow);
@@ -1267,8 +1258,8 @@ where
 
 /// Builds every row anchored at `u` into `out`, using the chain kernel on
 /// the graph's interaction slices directly.
-fn build_anchor<G: TableView>(
-    graph: &G,
+fn build_anchor(
+    graph: &TemporalGraph,
     config: &TablesConfig,
     u: NodeId,
     scratch: &mut ChainScratch,
@@ -1280,23 +1271,25 @@ fn build_anchor<G: TableView>(
         out.tables[L3].rows.len(),
         out.tables[C2].rows.len(),
     ];
-    graph.for_each_out(u, &mut |v, first| {
-        if out.hit_cap {
-            return false;
+    for &e in graph.out_edges(u) {
+        let edge = graph.edge(e);
+        if out.hit_cap
+            || !enumerate_first_edge(
+                graph,
+                config,
+                u,
+                edge.dst,
+                &edge.interactions,
+                scratch,
+                &mut |table, verts, len, delivered, flow| {
+                    out.try_push(caps, table, verts, len, delivered, flow);
+                    !out.hit_cap
+                },
+            )
+        {
+            break;
         }
-        enumerate_first_edge(
-            graph,
-            config,
-            u,
-            v,
-            first,
-            scratch,
-            &mut |table, verts, len, delivered, flow| {
-                out.try_push(caps, table, verts, len, delivered, flow);
-                !out.hit_cap
-            },
-        )
-    });
+    }
     // Adjacency order is arbitrary; sort this anchor's slice of each table
     // so concatenated chunks come out globally sorted by vertex sequence.
     for (t, &start) in starts.iter().enumerate() {
@@ -1307,8 +1300,8 @@ fn build_anchor<G: TableView>(
 
 /// Builds the tables for an ascending, deduplicated anchor list, optionally
 /// fanning chunks of anchors out over the worker pool.
-pub(crate) fn build_for_anchor_list<G: TableView>(
-    graph: &G,
+fn build_for_anchor_list(
+    graph: &TemporalGraph,
     config: &TablesConfig,
     anchors: &[NodeId],
     parallel: bool,
@@ -1424,7 +1417,7 @@ impl LazyPathTables {
 
     /// The tables restricted to `anchor`, built over `graph` on first
     /// request and memoized. Out-of-range anchors yield empty tables.
-    pub fn tables_for<G: TableView>(&mut self, graph: &G, anchor: NodeId) -> &PathTables {
+    pub fn tables_for(&mut self, graph: &TemporalGraph, anchor: NodeId) -> &PathTables {
         if !self.cache.contains_key(&anchor) {
             let built = PathTables::for_anchors(graph, &self.config, &[anchor]);
             self.kernel_calls += built.kernel_calls();
@@ -1438,7 +1431,7 @@ impl LazyPathTables {
     /// invalidated (see [`invalidated_anchors`]) and returns how many
     /// cached entries that dropped. Subsequent queries rebuild the evicted
     /// anchors against the changed graph; untouched entries stay warm.
-    pub fn apply<G: TableView>(&mut self, graph: &G, applied: &AppliedDelta) -> usize {
+    pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> usize {
         let mut evicted = 0;
         for anchor in invalidated_anchors(graph, applied) {
             evicted += usize::from(self.cache.remove(&anchor).is_some());

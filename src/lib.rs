@@ -7,8 +7,10 @@
 //! them under stable names and offers a small [`prelude`]:
 //!
 //! * [`graph`] ([`tin_graph`]) — the temporal interaction network data model;
-//! * [`lp`] ([`tin_lp`]) — the LP solver substrate (sparse revised simplex
-//!   with a dense-tableau cross-check engine);
+//! * [`lp`] ([`tin_lp`]) — the exact solvers: the network simplex that
+//!   solves the flow circulations (kept resident across batches by
+//!   [`lp::NetflowSession`]), the sparse revised simplex for general LPs,
+//!   and a dense-tableau cross-check engine;
 //! * [`maxflow`] ([`tin_maxflow`]) — static max-flow algorithms and the
 //!   time-expanded reduction;
 //! * [`flow`] ([`tin_flow`]) — greedy and maximum flow computation,
