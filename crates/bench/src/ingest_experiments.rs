@@ -75,13 +75,37 @@ pub fn ingest_csv(csv: &[u8]) -> IngestMeasurement {
 }
 
 /// Asserts that a loaded graph is structurally identical to the graph its
-/// CSV log was written from: same vertex/edge/interaction counts and the
-/// same per-edge interaction sequences under the original vertex names.
+/// CSV log was written from: the same vertices with at least one
+/// interaction, the same edge and interaction counts, and the same per-edge
+/// interaction sequences under the original vertex names.
+///
+/// A CSV log has no row for a vertex without interactions, so such a vertex
+/// may be missing from the loaded graph; any other missing vertex fails.
 ///
 /// # Panics
 /// Panics with a description of the first divergence.
 pub fn assert_ingest_equivalent(original: &TemporalGraph, loaded: &TemporalGraph) {
-    assert_eq!(original.node_count(), loaded.node_count(), "node counts");
+    let mut with_records = vec![false; original.node_count()];
+    for edge in original
+        .edges()
+        .iter()
+        .filter(|e| !e.interactions.is_empty())
+    {
+        with_records[edge.src.index()] = true;
+        with_records[edge.dst.index()] = true;
+    }
+    for (node, &has_records) in original.nodes().iter().zip(&with_records) {
+        assert!(
+            !has_records || loaded.node_by_name(&node.name).is_some(),
+            "vertex {} has interactions but is missing from the loaded graph",
+            node.name
+        );
+    }
+    assert_eq!(
+        with_records.iter().filter(|&&has| has).count(),
+        loaded.node_count(),
+        "counts of vertices with at least one interaction"
+    );
     assert_eq!(original.edge_count(), loaded.edge_count(), "edge counts");
     assert_eq!(
         original.interaction_count(),
@@ -121,6 +145,7 @@ mod tests {
     use super::*;
     use crate::workloads::{generate_dataset, ExperimentScale};
     use tin_datasets::DatasetKind;
+    use tin_graph::GraphBuilder;
 
     #[test]
     fn csv_roundtrip_is_lossless_for_all_generators() {
@@ -135,6 +160,32 @@ mod tests {
             assert!(m.loaded.report.had_header, "{kind}");
             assert_ingest_equivalent(&graph, &m.loaded.graph);
         }
+    }
+
+    #[test]
+    fn a_vertex_without_interactions_may_be_missing() {
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x"), b.add_node("y"));
+        b.add_node("isolated");
+        b.add_pairs(x, y, &[(1, 2.0), (3, 4.0)]).unwrap();
+        let original = b.build();
+        let m = ingest_csv(&to_csv(&original));
+        assert_eq!(m.loaded.graph.node_count(), 2);
+        assert_ingest_equivalent(&original, &m.loaded.graph);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex z has interactions but is missing")]
+    fn a_vertex_with_interactions_must_survive() {
+        let mut b = GraphBuilder::new();
+        let (x, y, z) = (b.add_node("x"), b.add_node("y"), b.add_node("z"));
+        b.add_pairs(x, y, &[(1, 2.0)]).unwrap();
+        b.add_pairs(y, z, &[(2, 1.0)]).unwrap();
+        let original = b.build();
+        let mut b = GraphBuilder::new();
+        let (x, y) = (b.add_node("x"), b.add_node("y"));
+        b.add_pairs(x, y, &[(1, 2.0)]).unwrap();
+        assert_ingest_equivalent(&original, &b.build());
     }
 
     #[test]
