@@ -3,11 +3,14 @@
 //! network simplex).
 //!
 //! The per-subgraph evaluations are independent, so
-//! [`flow_method_experiment`] and [`lp_engine_experiment`] fan the subgraphs
-//! out over the workspace worker pool ([`tin_parallel::parallel_map`] — the
-//! same pool the parallel path-table builder uses): workers pull indices
-//! from an atomic counter and results land in per-index slots, so the output
-//! is deterministic in everything but the timings themselves.
+//! [`flow_method_experiment`], [`bucket_experiment`] and
+//! [`lp_engine_experiment`] fan the subgraphs out over the workspace worker
+//! pool ([`tin_parallel::parallel_map`] — the same pool the parallel
+//! path-table builder uses): workers pull indices from an atomic counter and
+//! results land in per-index slots, so the output is deterministic in
+//! everything but the timings themselves. A method's time on a subgraph is
+//! the fastest of [`REPEATS`] runs, so a run that another worker or the host
+//! slowed down does not reach the tables.
 
 use crate::workloads::Workload;
 use std::time::{Duration, Instant};
@@ -55,13 +58,23 @@ pub struct FlowTable {
     pub class_sizes: (usize, usize, usize),
 }
 
-/// Runs `method` on `sub`, returning its runtime and the flow it computed.
+/// How many times Tables 6–8 and Figure 11 run each method on each
+/// subgraph; the method's time there is the fastest run.
+pub const REPEATS: usize = 5;
+
+/// Runs `method` on `sub` [`REPEATS`] times, returning the fastest runtime
+/// and the flow it computed.
 fn time_method(sub: &SeedSubgraph, method: FlowMethod) -> (Duration, f64) {
-    let start = Instant::now();
-    let result = compute_flow(&sub.graph, sub.source, sub.sink, method)
-        .expect("extracted subgraphs are valid flow DAGs");
-    let flow = std::hint::black_box(result.flow);
-    (start.elapsed(), flow)
+    let mut fastest = Duration::MAX;
+    let mut flow = 0.0;
+    for _ in 0..REPEATS {
+        let start = Instant::now();
+        let result = compute_flow(&sub.graph, sub.source, sub.sink, method)
+            .expect("extracted subgraphs are valid flow DAGs");
+        flow = std::hint::black_box(result.flow);
+        fastest = fastest.min(start.elapsed());
+    }
+    (fastest, flow)
 }
 
 /// Checks the values the timed runs of [`TABLE_METHODS`] computed on
@@ -102,17 +115,23 @@ fn summarize(method: FlowMethod, durations: &[Duration]) -> MethodTiming {
     }
 }
 
-/// Classifies every subgraph (via the `PreSim` pipeline) and measures each
-/// method on it, producing one of the paper's Tables 6–8. Off the clock,
-/// every subgraph's values are checked: `LP`, `Pre` and `PreSim` agree
-/// within 1e-6 relative and greedy does not exceed them (a disagreement
-/// panics).
+/// One subgraph's class and the time of each of [`TABLE_METHODS`] on it.
+struct SubgraphTiming {
+    class: DifficultyClass,
+    interactions: usize,
+    durations: Vec<Duration>,
+}
+
+/// Classifies every subgraph (via the `PreSim` pipeline) and times each of
+/// [`TABLE_METHODS`] on it with [`time_method`]. Off the clock, every
+/// subgraph's values are checked: `LP`, `Pre` and `PreSim` agree within
+/// 1e-6 relative and greedy does not exceed them (a disagreement panics).
 ///
 /// Subgraphs are evaluated in parallel on a std-thread worker pool; each
 /// subgraph's classification and all of its method timings happen on one
 /// worker, so per-method comparisons stay within a single thread.
-pub fn flow_method_experiment(workload: &Workload) -> FlowTable {
-    let per_subgraph = parallel_map(&workload.subgraphs, |sub| {
+fn time_subgraphs(workload: &Workload) -> Vec<SubgraphTiming> {
+    parallel_map(&workload.subgraphs, |sub| {
         let class = compute_flow(&sub.graph, sub.source, sub.sink, FlowMethod::PreSim)
             .expect("valid subgraph")
             .class
@@ -122,41 +141,45 @@ pub fn flow_method_experiment(workload: &Workload) -> FlowTable {
             .map(|&method| time_method(sub, method))
             .unzip();
         check_flows(workload.kind.name(), sub, &flows);
-        (class, durations)
-    });
-
-    let mut timings: Vec<Vec<Duration>> = vec![Vec::new(); TABLE_METHODS.len()];
-    let mut classes: Vec<DifficultyClass> = Vec::with_capacity(workload.subgraphs.len());
-    for (class, durations) in per_subgraph {
-        classes.push(class);
-        for (i, d) in durations.into_iter().enumerate() {
-            timings[i].push(d);
+        SubgraphTiming {
+            class,
+            interactions: sub.interaction_count(),
+            durations,
         }
-    }
+    })
+}
 
-    let collect = |filter: Option<DifficultyClass>| -> Vec<MethodTiming> {
-        TABLE_METHODS
-            .iter()
-            .enumerate()
-            .map(|(i, &method)| {
-                let durations: Vec<Duration> = timings[i]
-                    .iter()
-                    .zip(&classes)
-                    .filter(|(_, &c)| filter.is_none_or(|f| c == f))
-                    .map(|(d, _)| *d)
-                    .collect();
-                summarize(method, &durations)
-            })
-            .collect()
-    };
+/// Averages each of [`TABLE_METHODS`] over the subgraphs `keep` selects.
+fn summarize_where(
+    timings: &[SubgraphTiming],
+    keep: impl Fn(&SubgraphTiming) -> bool,
+) -> Vec<MethodTiming> {
+    let picked: Vec<&SubgraphTiming> = timings.iter().filter(|t| keep(t)).collect();
+    TABLE_METHODS
+        .iter()
+        .enumerate()
+        .map(|(i, &method)| {
+            let durations: Vec<Duration> = picked.iter().map(|t| t.durations[i]).collect();
+            summarize(method, &durations)
+        })
+        .collect()
+}
 
-    let count = |class: DifficultyClass| classes.iter().filter(|&&c| c == class).count();
+/// Classifies every subgraph, times every method on it (the fastest of
+/// [`REPEATS`] runs) and averages per difficulty class, producing one of the
+/// paper's Tables 6–8. Off the clock, `LP`, `Pre` and `PreSim` must agree
+/// within 1e-6 relative on every subgraph and greedy must not exceed them
+/// (a disagreement panics).
+pub fn flow_method_experiment(workload: &Workload) -> FlowTable {
+    let timings = time_subgraphs(workload);
+    let class = |class: DifficultyClass| summarize_where(&timings, |t| t.class == class);
+    let count = |class: DifficultyClass| timings.iter().filter(|t| t.class == class).count();
     FlowTable {
         dataset: workload.kind.name().to_string(),
-        all: collect(None),
-        class_a: collect(Some(DifficultyClass::A)),
-        class_b: collect(Some(DifficultyClass::B)),
-        class_c: collect(Some(DifficultyClass::C)),
+        all: summarize_where(&timings, |_| true),
+        class_a: class(DifficultyClass::A),
+        class_b: class(DifficultyClass::B),
+        class_c: class(DifficultyClass::C),
         class_sizes: (
             count(DifficultyClass::A),
             count(DifficultyClass::B),
@@ -183,32 +206,19 @@ pub const BUCKETS: [(&str, usize, usize); 3] = [
     (">1000", 1000, usize::MAX),
 ];
 
-/// Groups the workload's subgraphs by interaction count and measures every
-/// method per bucket (Figure 11).
+/// Times every method on every subgraph exactly as
+/// [`flow_method_experiment`] does, checks included, and averages per
+/// interaction-count bucket (Figure 11).
 pub fn bucket_experiment(workload: &Workload) -> Vec<BucketRow> {
+    let timings = time_subgraphs(workload);
     BUCKETS
         .iter()
         .map(|&(label, lo, hi)| {
-            let subs: Vec<&SeedSubgraph> = workload
-                .subgraphs
-                .iter()
-                .filter(|s| {
-                    let n = s.interaction_count();
-                    n >= lo && n < hi
-                })
-                .collect();
-            let timings = TABLE_METHODS
-                .iter()
-                .map(|&method| {
-                    let durations: Vec<Duration> =
-                        subs.iter().map(|s| time_method(s, method).0).collect();
-                    summarize(method, &durations)
-                })
-                .collect();
+            let inside = |t: &SubgraphTiming| lo <= t.interactions && t.interactions < hi;
             BucketRow {
                 bucket: label,
-                subgraphs: subs.len(),
-                timings,
+                subgraphs: timings.iter().filter(|t| inside(t)).count(),
+                timings: summarize_where(&timings, inside),
             }
         })
         .collect()

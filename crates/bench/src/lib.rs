@@ -21,7 +21,7 @@ pub mod workloads;
 
 pub use flow_experiments::{
     bucket_experiment, flow_method_experiment, lp_engine_experiment, BucketRow, EngineClassRow,
-    EngineSelection, EngineStat, FlowTable, MethodTiming,
+    EngineSelection, EngineStat, FlowTable, MethodTiming, REPEATS,
 };
 pub use ingest_experiments::{assert_ingest_equivalent, ingest_csv, to_csv, IngestMeasurement};
 pub use pattern_experiments::{pattern_experiment, PatternTableRow};

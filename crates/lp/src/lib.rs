@@ -12,7 +12,7 @@
 //!   ([`netflow::MinCostFlowProblem`]): the basis is an explicit spanning
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
-//!   and pricing scans a candidate-list block. This is what the class C
+//!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C
 //!   flow hot path runs on, and [`NetflowSession`] keeps one such engine
 //!   resident across the batches of a live flow session, repairing its
 //!   tree after each patch instead of solving again from scratch;
