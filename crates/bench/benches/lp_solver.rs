@@ -1,15 +1,13 @@
 //! Criterion benchmark for the exact-solver substrate: formulation
 //! construction plus solve time per engine — the network simplex (the class
 //! C hot path, fed by the direct min-cost-flow emitter) against the sparse
-//! revised simplex and the dense tableau — as a function of the number of
-//! interactions.
+//! revised simplex — as a function of the number of interactions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tin_bench::{ExperimentScale, Workload};
 use tin_datasets::DatasetKind;
 use tin_flow::{build_lp, build_mcf};
-use tin_lp::SimplexEngine;
 
 fn bench_lp(c: &mut Criterion) {
     let scale = ExperimentScale::quick();
@@ -53,25 +51,19 @@ fn bench_lp(c: &mut Criterion) {
                 )
             })
         });
-        // Formulate once, then time each engine on the same program: the
-        // old-vs-new comparison each engine rewrite is accountable to.
+        // Formulate once, then time the solve alone.
         let formulation = build_lp(&sub.graph, sub.source, sub.sink);
-        for (engine_label, engine) in [
-            ("solve_sparse", SimplexEngine::SparseRevised),
-            ("solve_dense", SimplexEngine::DenseTableau),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(engine_label, label),
-                &formulation,
-                |b, f| {
-                    b.iter(|| {
-                        let solution = f.problem.solve_with(engine);
-                        assert!(solution.is_optimal(), "solvable flow LP");
-                        std::hint::black_box(solution.objective)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("solve_sparse", label),
+            &formulation,
+            |b, f| {
+                b.iter(|| {
+                    let solution = f.problem.solve();
+                    assert!(solution.is_optimal(), "solvable flow LP");
+                    std::hint::black_box(solution.objective)
+                })
+            },
+        );
         let mcf = build_mcf(&sub.graph, sub.source, sub.sink);
         group.bench_with_input(BenchmarkId::new("solve_netflow", label), &mcf, |b, f| {
             b.iter(|| {

@@ -1,11 +1,11 @@
-//! Criterion benchmark for the static max-flow substrate: Dinic vs
-//! Edmonds–Karp on time-expanded networks, and the expansion itself.
+//! Criterion benchmark for the static max-flow substrate: Dinic on
+//! time-expanded networks, and the expansion itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use tin_bench::{ExperimentScale, Workload};
 use tin_datasets::DatasetKind;
-use tin_maxflow::{dinic, edmonds_karp, TimeExpandedNetwork};
+use tin_maxflow::{dinic, TimeExpandedNetwork};
 
 fn bench_maxflow(c: &mut Criterion) {
     let scale = ExperimentScale::quick();
@@ -32,12 +32,6 @@ fn bench_maxflow(c: &mut Criterion) {
         b.iter(|| {
             let mut te = TimeExpandedNetwork::build(&sub.graph, sub.source, sub.sink);
             std::hint::black_box(dinic(&mut te.network, te.source, te.sink))
-        })
-    });
-    group.bench_function("edmonds_karp", |b| {
-        b.iter(|| {
-            let mut te = TimeExpandedNetwork::build(&sub.graph, sub.source, sub.sink);
-            std::hint::black_box(edmonds_karp(&mut te.network, te.source, te.sink))
         })
     });
     group.finish();

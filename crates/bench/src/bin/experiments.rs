@@ -3,13 +3,11 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [section] [--quick] [--engine <dense|sparse|netflow|all>]
+//! experiments [section] [--quick]
 //!
 //! section: all | table4 | table5 | tables678 | fig11 | lpsolvers | patterns
 //!          | tables91011 | ingest | replay
-//! --quick:  run at the CI scale instead of the standard scale
-//! --engine: which exact engines the lpsolvers section measures
-//!           (default: all, cross-checked against each other)
+//! --quick: run at the CI scale instead of the standard scale
 //! ```
 //!
 //! The `ingest` and `replay` sections are this reproduction's additions.
@@ -37,11 +35,9 @@
 use std::time::Duration;
 use tin_bench::{
     bucket_experiment, flow_method_experiment, format_duration, lp_engine_experiment,
-    pattern_experiment, print_table, EngineSelection, ExperimentScale, Regime, Replay, Verdict,
-    Workload, REPEATS,
+    pattern_experiment, print_table, ExperimentScale, Regime, Replay, Verdict, Workload, REPEATS,
 };
 use tin_datasets::{dataset_stats, subgraph_stats};
-use tin_lp::SimplexEngine;
 
 const SECTIONS: [&str; 10] = [
     "all",
@@ -108,40 +104,17 @@ static ALLOCATOR: alloc_probe::CountingAllocator = alloc_probe::CountingAllocato
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parse_engine = |value: &str| -> EngineSelection {
-        EngineSelection::parse(value).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown engine `{value}` (supported: dense | sparse | netflow | all)"
-            );
-            std::process::exit(2);
-        })
-    };
     let mut quick = false;
-    let mut engine = EngineSelection::All;
     let mut section: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
+    for arg in args.iter().map(String::as_str) {
         if arg == "--quick" {
             quick = true;
-        } else if arg == "--engine" {
-            i += 1;
-            match args.get(i) {
-                Some(value) => engine = parse_engine(value),
-                None => {
-                    eprintln!("error: --engine needs a value (dense | sparse | netflow | all)");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(value) = arg.strip_prefix("--engine=") {
-            engine = parse_engine(value);
         } else if arg.starts_with("--") {
-            eprintln!("error: unknown flag `{arg}` (supported: --quick, --engine <value>)");
+            eprintln!("error: unknown flag `{arg}` (supported: --quick)");
             std::process::exit(2);
         } else {
             section = Some(arg);
         }
-        i += 1;
     }
     let section = section.unwrap_or("all");
     if !SECTIONS.contains(&section) {
@@ -182,7 +155,7 @@ fn main() {
         fig11(&workloads);
     }
     if matches!(section, "all" | "lpsolvers") {
-        lpsolvers(&workloads, engine);
+        lpsolvers(&workloads);
     }
     if matches!(section, "all" | "patterns" | "tables91011") {
         tables91011(&workloads, if quick { 2_000 } else { 20_000 });
@@ -615,76 +588,52 @@ fn fig11(workloads: &[Workload]) {
     }
 }
 
-fn lpsolvers(workloads: &[Workload], selection: EngineSelection) {
-    let engines = selection.engines();
-    let short = |e: SimplexEngine| match e {
-        SimplexEngine::SparseRevised => "sparse",
-        SimplexEngine::DenseTableau => "dense",
-        SimplexEngine::NetworkSimplex => "netflow",
-    };
-    let with_speedup = engines.contains(&SimplexEngine::SparseRevised)
-        && engines.contains(&SimplexEngine::NetworkSimplex);
-    let with_density = engines.contains(&SimplexEngine::SparseRevised);
-    let mut header: Vec<String> = vec!["class".to_string(), "#subgraphs".to_string()];
-    for &e in &engines {
-        header.push(short(e).to_string());
-        header.push(format!("{} piv (deg)", short(e)));
-    }
-    if with_speedup {
-        header.push("netflow speedup".to_string());
-    }
-    if with_density {
-        header.push("density".to_string());
-    }
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-
+fn lpsolvers(workloads: &[Workload]) {
     for w in workloads {
-        let rows: Vec<Vec<String>> = lp_engine_experiment(w, selection)
+        let rows: Vec<Vec<String>> = lp_engine_experiment(w)
             .iter()
             .map(|r| {
                 let mut cells = vec![r.label.to_string(), r.subgraphs.to_string()];
                 if r.subgraphs == 0 {
-                    cells.extend(std::iter::repeat_n("-".to_string(), header.len() - 2));
+                    cells.extend(std::iter::repeat_n("-".to_string(), 6));
                 } else {
-                    for stat in &r.engines {
+                    for stat in [&r.sparse, &r.netflow] {
                         cells.push(format_duration(stat.avg));
                         cells.push(format!(
                             "{:.1} ({:.1})",
                             stat.pivots, stat.degenerate_pivots
                         ));
                     }
-                    if with_speedup {
-                        cells.push(format!(
-                            "{:.1}x",
-                            r.speedup(SimplexEngine::SparseRevised, SimplexEngine::NetworkSimplex)
-                        ));
-                    }
-                    if with_density {
-                        cells.push(format!("{:.3}%", 100.0 * r.density));
-                    }
+                    cells.push(format!("{:.1}x", r.speedup()));
+                    cells.push(format!("{:.3}%", 100.0 * r.density));
                 }
                 cells
             })
             .collect();
-        let names: Vec<&str> = engines.iter().map(|&e| short(e)).collect();
         print_table(
             &format!(
-                "Exact engines ({}): formulate+solve per subgraph — {}",
-                names.join(" vs "),
+                "Exact engines (sparse vs netflow): formulate+solve per subgraph — {}",
                 w.kind.name()
             ),
-            &header_refs,
+            &[
+                "class",
+                "#subgraphs",
+                "sparse",
+                "sparse piv (deg)",
+                "netflow",
+                "netflow piv (deg)",
+                "netflow speedup",
+                "density",
+            ],
             &rows,
         );
     }
-    if with_speedup {
-        println!(
-            "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
-             assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
-             pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
-             optimal values are asserted to agree across engines)"
-        );
-    }
+    println!(
+        "(netflow = direct graph -> min-cost-flow emitter + network simplex, no LP \
+         assembly; speedup = sparse avg / netflow avg; piv (deg) = avg basis-changing \
+         pivots and, in parentheses, zero-step pivots per subgraph; every subgraph's \
+         optimal values are asserted to agree across engines)"
+    );
 }
 
 fn tables91011(workloads: &[Workload], instance_limit: usize) {

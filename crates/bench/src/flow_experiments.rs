@@ -1,6 +1,6 @@
 //! Flow-method comparison experiments: Tables 6–8 and Figure 11, plus the
-//! three-way exact-engine comparison (sparse revised simplex, dense tableau,
-//! network simplex).
+//! exact-engine comparison (sparse revised simplex against network
+//! simplex).
 //!
 //! The per-subgraph evaluations are independent, so
 //! [`flow_method_experiment`], [`bucket_experiment`] and
@@ -16,7 +16,6 @@ use crate::workloads::Workload;
 use std::time::{Duration, Instant};
 use tin_datasets::SeedSubgraph;
 use tin_flow::{build_lp, build_mcf, compute_flow, DifficultyClass, FlowMethod};
-use tin_lp::SimplexEngine;
 use tin_parallel::parallel_map;
 
 /// Methods compared in the paper's runtime tables.
@@ -224,53 +223,9 @@ pub fn bucket_experiment(workload: &Workload) -> Vec<BucketRow> {
         .collect()
 }
 
-/// Which exact engines the `lpsolvers` experiment measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSelection {
-    /// Only the dense tableau simplex.
-    Dense,
-    /// Only the sparse revised simplex.
-    Sparse,
-    /// Only the network simplex (direct min-cost-flow emitter, no LP
-    /// assembly).
-    Netflow,
-    /// All three engines, cross-checked against each other.
-    All,
-}
-
-impl EngineSelection {
-    /// Parses a `--engine` flag value; `None` for unrecognized input.
-    pub fn parse(value: &str) -> Option<EngineSelection> {
-        match value {
-            "dense" => Some(EngineSelection::Dense),
-            "sparse" => Some(EngineSelection::Sparse),
-            "netflow" => Some(EngineSelection::Netflow),
-            "all" => Some(EngineSelection::All),
-            _ => None,
-        }
-    }
-
-    /// The engines to run, in reporting order (the prior default first, so
-    /// speedups read as "new over old").
-    pub fn engines(self) -> Vec<SimplexEngine> {
-        match self {
-            EngineSelection::Dense => vec![SimplexEngine::DenseTableau],
-            EngineSelection::Sparse => vec![SimplexEngine::SparseRevised],
-            EngineSelection::Netflow => vec![SimplexEngine::NetworkSimplex],
-            EngineSelection::All => vec![
-                SimplexEngine::SparseRevised,
-                SimplexEngine::DenseTableau,
-                SimplexEngine::NetworkSimplex,
-            ],
-        }
-    }
-}
-
 /// Per-engine aggregate over one row of the `lpsolvers` table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineStat {
-    /// The engine measured.
-    pub engine: SimplexEngine,
     /// Average formulate+solve time per subgraph (formulation included: the
     /// network simplex skips the LP assembly entirely, and that saving is
     /// part of what the table is for).
@@ -288,52 +243,44 @@ pub struct EngineClassRow {
     pub label: &'static str,
     /// Number of subgraphs in the row.
     pub subgraphs: usize,
-    /// One aggregate per engine, in [`EngineSelection::engines`] order.
-    pub engines: Vec<EngineStat>,
+    /// The sparse revised simplex on the Section 4.2.1 LP.
+    pub sparse: EngineStat,
+    /// The network simplex on the emitted min-cost circulation.
+    pub netflow: EngineStat,
     /// Average LP constraint-matrix density over the row's subgraphs
-    /// (sparse engine's view: balance rows only; 0 when the sparse engine
-    /// did not run).
+    /// (sparse engine's view: balance rows only).
     pub density: f64,
 }
 
 impl EngineClassRow {
-    /// The aggregate for one engine, if it ran.
-    pub fn stat(&self, engine: SimplexEngine) -> Option<&EngineStat> {
-        self.engines.iter().find(|s| s.engine == engine)
-    }
-
-    /// Runtime ratio `baseline / engine` (`> 1` means `engine` is faster);
-    /// 0 when either engine is missing or the row is empty.
-    pub fn speedup(&self, baseline: SimplexEngine, engine: SimplexEngine) -> f64 {
-        match (self.stat(baseline), self.stat(engine)) {
-            (Some(b), Some(e)) if e.avg > Duration::ZERO => {
-                b.avg.as_secs_f64() / e.avg.as_secs_f64()
-            }
-            _ => 0.0,
+    /// Runtime ratio sparse / netflow (`> 1` means the network simplex is
+    /// faster); 0 when the row is empty.
+    pub fn speedup(&self) -> f64 {
+        if self.netflow.avg > Duration::ZERO {
+            self.sparse.avg.as_secs_f64() / self.netflow.avg.as_secs_f64()
+        } else {
+            0.0
         }
     }
 }
 
-/// Engine comparison: times a full formulate+solve per subgraph with every
-/// selected engine, reported per difficulty class (class C is where the
-/// exact solver dominates end-to-end runtime).
+/// Engine comparison: times a full formulate+solve per subgraph with both
+/// exact engines, reported per difficulty class (class C is where the exact
+/// solver dominates end-to-end runtime).
 ///
-/// The LP engines assemble the Section 4.2.1 LP via [`build_lp`] and solve
-/// it; the network simplex emits the time-expanded min-cost circulation
-/// directly ([`tin_flow::build_mcf`]) and never touches the LP row/column
-/// machinery. When more than one engine runs, their optimal values are
-/// asserted to agree to 1e-6 relative tolerance on every subgraph.
+/// The sparse revised simplex assembles the Section 4.2.1 LP via
+/// [`build_lp`] and solves it; the network simplex emits the time-expanded
+/// min-cost circulation directly ([`tin_flow::build_mcf`]) and never touches
+/// the LP row/column machinery. Their optimal values are asserted to agree
+/// to 1e-6 relative tolerance on every subgraph.
 ///
-/// Runs on the same worker pool as [`flow_method_experiment`]; all engine
+/// Runs on the same worker pool as [`flow_method_experiment`]; both engine
 /// timings for one subgraph are taken on the same worker, back to back.
-/// Every engine's time is the best of three repeated trials so one-shot
+/// Each engine's time is the best of three repeated trials so one-shot
 /// allocator and cold-cache noise (large on sub-100µs solves) does not
 /// drown the signal — the same discipline Criterion applies in
-/// `benches/lp_solver.rs`, applied uniformly across engines.
-pub fn lp_engine_experiment(
-    workload: &Workload,
-    selection: EngineSelection,
-) -> Vec<EngineClassRow> {
+/// `benches/lp_solver.rs`, applied to both engines alike.
+pub fn lp_engine_experiment(workload: &Workload) -> Vec<EngineClassRow> {
     struct Measurement {
         time: Duration,
         value: f64,
@@ -343,66 +290,59 @@ pub fn lp_engine_experiment(
     }
     struct Sample {
         class: DifficultyClass,
-        engines: Vec<Measurement>,
+        sparse: Measurement,
+        netflow: Measurement,
     }
-    let engines = selection.engines();
+    fn best_of_three(measure: impl Fn() -> Measurement) -> Measurement {
+        (0..3)
+            .map(|_| measure())
+            .min_by_key(|m| m.time)
+            .expect("at least one trial")
+    }
     let samples = parallel_map(&workload.subgraphs, |sub| {
         let class = compute_flow(&sub.graph, sub.source, sub.sink, FlowMethod::PreSim)
             .expect("valid subgraph")
             .class
             .unwrap_or(DifficultyClass::C);
-        let measure = |engine: SimplexEngine| {
-            if engine == SimplexEngine::NetworkSimplex {
-                let start = Instant::now();
-                let f = build_mcf(&sub.graph, sub.source, sub.sink);
-                let solution = f.problem.solve();
-                assert!(solution.is_optimal(), "flow circulation must be solvable");
-                let value = solution.flows[f.return_arc];
-                std::hint::black_box(value);
-                Measurement {
-                    time: start.elapsed(),
-                    value,
-                    pivots: solution.pivots,
-                    degenerate: solution.degenerate_pivots,
-                    density: 0.0,
-                }
-            } else {
-                let start = Instant::now();
-                let f = build_lp(&sub.graph, sub.source, sub.sink);
-                let solution = f.problem.solve_with(engine);
-                assert!(solution.is_optimal(), "flow LP must be solvable");
-                std::hint::black_box(solution.objective);
-                Measurement {
-                    time: start.elapsed(),
-                    value: solution.objective,
-                    pivots: solution.pivots,
-                    degenerate: solution.degenerate_pivots,
-                    density: solution.matrix_density,
-                }
+        let sparse = best_of_three(|| {
+            let start = Instant::now();
+            let f = build_lp(&sub.graph, sub.source, sub.sink);
+            let solution = f.problem.solve();
+            assert!(solution.is_optimal(), "flow LP must be solvable");
+            std::hint::black_box(solution.objective);
+            Measurement {
+                time: start.elapsed(),
+                value: solution.objective,
+                pivots: solution.pivots,
+                degenerate: solution.degenerate_pivots,
+                density: solution.matrix_density,
             }
-        };
-        const TRIALS: usize = 3;
-        let measurements: Vec<Measurement> = engines
-            .iter()
-            .map(|&engine| {
-                (0..TRIALS)
-                    .map(|_| measure(engine))
-                    .min_by_key(|m| m.time)
-                    .expect("at least one trial")
-            })
-            .collect();
-        for m in &measurements[1..] {
-            let base = &measurements[0];
-            assert!(
-                (m.value - base.value).abs() <= 1e-6 * (1.0 + base.value.abs()),
-                "engines disagree on a workload subgraph: {} vs {}",
-                base.value,
-                m.value
-            );
-        }
+        });
+        let netflow = best_of_three(|| {
+            let start = Instant::now();
+            let f = build_mcf(&sub.graph, sub.source, sub.sink);
+            let solution = f.problem.solve();
+            assert!(solution.is_optimal(), "flow circulation must be solvable");
+            let value = solution.flows[f.return_arc];
+            std::hint::black_box(value);
+            Measurement {
+                time: start.elapsed(),
+                value,
+                pivots: solution.pivots,
+                degenerate: solution.degenerate_pivots,
+                density: 0.0,
+            }
+        });
+        assert!(
+            (netflow.value - sparse.value).abs() <= 1e-6 * (1.0 + sparse.value.abs()),
+            "engines disagree on a workload subgraph: {} vs {}",
+            sparse.value,
+            netflow.value
+        );
         Sample {
             class,
-            engines: measurements,
+            sparse,
+            netflow,
         }
     });
 
@@ -412,42 +352,28 @@ pub fn lp_engine_experiment(
             .filter(|s| filter.is_none_or(|f| s.class == f))
             .collect();
         let n = picked.len();
-        let stats = engines
-            .iter()
-            .enumerate()
-            .map(|(i, &engine)| {
-                let avg_f64 = |f: &dyn Fn(&Measurement) -> f64| {
-                    if n == 0 {
-                        0.0
-                    } else {
-                        picked.iter().map(|s| f(&s.engines[i])).sum::<f64>() / n as f64
-                    }
-                };
-                EngineStat {
-                    engine,
-                    avg: if n == 0 {
-                        Duration::ZERO
-                    } else {
-                        picked.iter().map(|s| s.engines[i].time).sum::<Duration>() / n as u32
-                    },
-                    pivots: avg_f64(&|m| m.pivots as f64),
-                    degenerate_pivots: avg_f64(&|m| m.degenerate as f64),
-                }
-            })
-            .collect();
-        let sparse_idx = engines
-            .iter()
-            .position(|&e| e == SimplexEngine::SparseRevised);
+        let avg = |f: &dyn Fn(&Sample) -> f64| {
+            if n == 0 {
+                0.0
+            } else {
+                picked.iter().map(|s| f(s)).sum::<f64>() / n as f64
+            }
+        };
+        let stat = |engine: fn(&Sample) -> &Measurement| EngineStat {
+            avg: if n == 0 {
+                Duration::ZERO
+            } else {
+                picked.iter().map(|s| engine(s).time).sum::<Duration>() / n as u32
+            },
+            pivots: avg(&|s| engine(s).pivots as f64),
+            degenerate_pivots: avg(&|s| engine(s).degenerate as f64),
+        };
         EngineClassRow {
             label,
             subgraphs: n,
-            engines: stats,
-            density: match (sparse_idx, n) {
-                (Some(i), n) if n > 0 => {
-                    picked.iter().map(|s| s.engines[i].density).sum::<f64>() / n as f64
-                }
-                _ => 0.0,
-            },
+            sparse: stat(|s| &s.sparse),
+            netflow: stat(|s| &s.netflow),
+            density: avg(&|s| s.sparse.density),
         }
     };
     vec![
@@ -503,59 +429,32 @@ mod tests {
     #[test]
     fn engine_comparison_covers_every_subgraph_and_agrees() {
         let w = tiny_workload();
-        let rows = lp_engine_experiment(&w, EngineSelection::All);
+        let rows = lp_engine_experiment(&w);
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].label, "All");
         assert_eq!(rows[0].subgraphs, w.subgraphs.len());
         let by_class: usize = rows[1..].iter().map(|r| r.subgraphs).sum();
         assert_eq!(by_class, w.subgraphs.len());
-        // All three engines were measured (the experiment itself asserts
-        // their optimal values agree on every subgraph).
-        assert_eq!(rows[0].engines.len(), 3);
-        for engine in EngineSelection::All.engines() {
-            assert!(rows[0].stat(engine).is_some());
-        }
+        // Both engines were measured (the experiment itself asserts their
+        // optimal values agree on every subgraph).
+        assert!(rows[0].sparse.avg > Duration::ZERO);
+        assert!(rows[0].netflow.avg > Duration::ZERO);
         // The flow LP is genuinely sparse on every non-trivial subgraph.
         assert!(rows[0].density < 0.5, "density {}", rows[0].density);
-    }
-
-    #[test]
-    fn engine_selection_parses_flag_values() {
-        assert_eq!(
-            EngineSelection::parse("dense"),
-            Some(EngineSelection::Dense)
-        );
-        assert_eq!(
-            EngineSelection::parse("sparse"),
-            Some(EngineSelection::Sparse)
-        );
-        assert_eq!(
-            EngineSelection::parse("netflow"),
-            Some(EngineSelection::Netflow)
-        );
-        assert_eq!(EngineSelection::parse("all"), Some(EngineSelection::All));
-        assert_eq!(EngineSelection::parse("simplex"), None);
-        assert_eq!(EngineSelection::parse(""), None);
-        // Single-engine selections run exactly that engine.
-        assert_eq!(
-            EngineSelection::Netflow.engines(),
-            vec![SimplexEngine::NetworkSimplex]
-        );
-    }
-
-    #[test]
-    fn single_engine_selection_produces_one_stat_per_row() {
-        let w = tiny_workload();
-        let rows = lp_engine_experiment(&w, EngineSelection::Netflow);
-        assert_eq!(rows[0].engines.len(), 1);
-        assert_eq!(rows[0].engines[0].engine, SimplexEngine::NetworkSimplex);
-        // No sparse engine ran, so there is no density to report and no
-        // speedup baseline.
-        assert_eq!(rows[0].density, 0.0);
-        assert_eq!(
-            rows[0].speedup(SimplexEngine::SparseRevised, SimplexEngine::NetworkSimplex),
-            0.0
-        );
+        // The dense tableau, the sparse engine's test reference, agrees on
+        // the LP of every subgraph.
+        for sub in &w.subgraphs {
+            let f = build_lp(&sub.graph, sub.source, sub.sink);
+            let sparse = f.problem.solve();
+            let dense = tin_lp::dense::solve(&f.problem);
+            assert!(sparse.is_optimal() && dense.is_optimal());
+            assert!(
+                (sparse.objective - dense.objective).abs() <= 1e-6 * (1.0 + sparse.objective.abs()),
+                "sparse {} vs dense {}",
+                sparse.objective,
+                dense.objective
+            );
+        }
     }
 
     #[test]

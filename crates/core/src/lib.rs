@@ -16,7 +16,8 @@
 //!   the LP;
 //! * [`lp_formulation`] — the Section 4.2.1 linear program (one variable per
 //!   non-source interaction), plus a direct graph → min-cost-flow emitter
-//!   that feeds the network simplex without assembling the general LP;
+//!   that feeds the network simplex without assembling the general LP, and
+//!   [`SimplexEngine`], the switch between those two exact engines;
 //! * [`solver`] — the evaluated pipelines `Greedy`, `LP`, `Pre`, `PreSim`
 //!   plus a time-expanded max-flow oracle, with per-run statistics and the
 //!   class A/B/C difficulty classification used in the paper's tables;
@@ -68,7 +69,7 @@ pub use greedy::{
 };
 pub use lp_formulation::{
     build_lp, build_mcf, build_mcf_session, lp_max_flow, max_flow_with_engine, netflow_max_flow,
-    LpFormulation, LpOutcome, McfFormulation, McfPatch,
+    LpFormulation, LpOutcome, McfFormulation, McfPatch, SimplexEngine,
 };
 pub use preprocess::{preprocess, PreprocessOutcome, PreprocessReport};
 pub use simplify::{simplify, SimplifyOutcome, SimplifyReport};

@@ -23,21 +23,33 @@
 //!
 //! The constraint matrix this produces is extremely sparse — each variable
 //! appears in one balance row per downstream departure of its endpoint —
-//! which is why the [`tin_lp::SimplexEngine::SparseRevised`] engine beats
-//! the dense tableau by a wide margin on class C subgraphs.
+//! which is the regime the sparse revised simplex
+//! ([`SimplexEngine::SparseRevised`]) is built for.
 //!
-//! The class C **hot path** no longer assembles this LP at all: the same
+//! The class C **hot path** does not assemble this LP at all: the same
 //! flow problem is a pure min-cost circulation on the time-expanded
 //! network, and [`build_mcf`] emits it directly as a
 //! [`MinCostFlowProblem`] for the network simplex
-//! ([`tin_lp::SimplexEngine::NetworkSimplex`]) — see [`McfFormulation`].
-//! The balance-row LP remains the cross-check oracle form for the sparse
-//! and dense engines.
+//! ([`SimplexEngine::NetworkSimplex`]) — see [`McfFormulation`].
+//! [`SimplexEngine`] picks between the two in [`max_flow_with_engine`].
 
 use crate::error::FlowError;
 use std::cmp::Ordering;
 use tin_graph::{AppliedDelta, EdgeId, Events, Interaction, NodeId, Quantity, TemporalGraph, Time};
-use tin_lp::{LpProblem, LpSolution, LpStatus, McfSolution, MinCostFlowProblem, SimplexEngine};
+use tin_lp::{LpProblem, LpSolution, LpStatus, McfSolution, MinCostFlowProblem};
+
+/// The exact engine that solves a maximum-flow problem, read by
+/// [`max_flow_with_engine`] and [`crate::compute_flow_with_engine`] and
+/// recorded in [`LpOutcome::engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimplexEngine {
+    /// The network simplex on the time-expanded circulation of
+    /// [`build_mcf`] — what [`crate::compute_flow`] uses.
+    NetworkSimplex,
+    /// The sparse revised simplex on the Section 4.2.1 LP of [`build_lp`],
+    /// the stand-in for the paper's `lpsolve`.
+    SparseRevised,
+}
 
 /// A constructed LP instance together with the bookkeeping needed to
 /// interpret its solution.
@@ -56,7 +68,7 @@ pub struct LpFormulation {
 }
 
 /// Result of solving the LP formulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LpOutcome {
     /// The maximum flow from the source to the sink.
     pub flow: Quantity,
@@ -66,7 +78,8 @@ pub struct LpOutcome {
     pub constraints: usize,
     /// Simplex iterations performed (pivots plus bound flips).
     pub iterations: usize,
-    /// Basis refactorizations performed (0 for the dense engine).
+    /// Basis refactorizations performed (0 for the network simplex, which
+    /// has no factorized basis).
     pub refactorizations: usize,
     /// Nonzero coefficients in the constraint matrix.
     pub nonzeros: usize,
@@ -198,14 +211,10 @@ pub fn build_lp(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> LpFormul
 }
 
 impl LpFormulation {
-    /// Solves the program and interprets the result as a maximum flow value.
+    /// Solves the program with the sparse revised simplex and interprets the
+    /// result as a maximum flow value.
     pub fn solve(&self) -> Result<(LpOutcome, LpSolution), FlowError> {
-        self.solve_with(self.problem.engine())
-    }
-
-    /// Solves the program with an explicitly chosen engine.
-    pub fn solve_with(&self, engine: SimplexEngine) -> Result<(LpOutcome, LpSolution), FlowError> {
-        let solution = self.problem.solve_with(engine);
+        let solution = self.problem.solve();
         if solution.status != LpStatus::Optimal {
             return Err(FlowError::LpFailed(solution.status));
         }
@@ -217,7 +226,7 @@ impl LpFormulation {
             refactorizations: solution.refactorizations,
             nonzeros: solution.matrix_nonzeros,
             density: solution.matrix_density,
-            engine: solution.engine,
+            engine: SimplexEngine::SparseRevised,
             pivots: solution.pivots,
             degenerate_pivots: solution.degenerate_pivots,
         };
@@ -832,8 +841,8 @@ pub fn netflow_max_flow(
 
 /// Builds and solves the exact flow problem with the chosen engine:
 /// [`SimplexEngine::NetworkSimplex`] takes the direct min-cost-flow path
-/// ([`build_mcf`], no LP assembly at all); the sparse and dense engines
-/// solve the balance-row LP of [`build_lp`].
+/// ([`build_mcf`], no LP assembly at all); [`SimplexEngine::SparseRevised`]
+/// solves the balance-row LP of [`build_lp`].
 pub fn max_flow_with_engine(
     graph: &TemporalGraph,
     source: NodeId,
@@ -842,9 +851,7 @@ pub fn max_flow_with_engine(
 ) -> Result<LpOutcome, FlowError> {
     match engine {
         SimplexEngine::NetworkSimplex => netflow_max_flow(graph, source, sink),
-        other => build_lp(graph, source, sink)
-            .solve_with(other)
-            .map(|(o, _)| o),
+        SimplexEngine::SparseRevised => lp_max_flow(graph, source, sink),
     }
 }
 
@@ -1019,11 +1026,10 @@ mod tests {
 
     #[test]
     fn both_engines_agree_on_the_formulation() {
-        use tin_lp::SimplexEngine;
         let (g, s, t) = figure3();
         let f = build_lp(&g, s, t);
-        let sparse = f.problem.solve_with(SimplexEngine::SparseRevised);
-        let dense = f.problem.solve_with(SimplexEngine::DenseTableau);
+        let sparse = f.problem.solve();
+        let dense = tin_lp::dense::solve(&f.problem);
         assert!(sparse.is_optimal() && dense.is_optimal());
         assert!((sparse.objective - dense.objective).abs() < 1e-6);
         assert!((sparse.objective + f.fixed_flow - 5.0).abs() < 1e-6);
@@ -1065,12 +1071,9 @@ mod tests {
         let (g, s, t) = figure3();
         let netflow = max_flow_with_engine(&g, s, t, SimplexEngine::NetworkSimplex).unwrap();
         let sparse = max_flow_with_engine(&g, s, t, SimplexEngine::SparseRevised).unwrap();
-        let dense = max_flow_with_engine(&g, s, t, SimplexEngine::DenseTableau).unwrap();
         assert_close(netflow.flow, sparse.flow);
-        assert_close(netflow.flow, dense.flow);
         assert_eq!(netflow.engine, SimplexEngine::NetworkSimplex);
         assert_eq!(sparse.engine, SimplexEngine::SparseRevised);
-        assert_eq!(dense.engine, SimplexEngine::DenseTableau);
     }
 
     #[test]

@@ -18,14 +18,13 @@
 
 use crate::error::FlowError;
 use crate::greedy::{greedy_flow, greedy_flow_with, GreedyScratch};
-use crate::lp_formulation::{build_lp, max_flow_with_engine};
+use crate::lp_formulation::{build_lp, max_flow_with_engine, LpOutcome, SimplexEngine};
 use crate::preprocess::PreprocessReport;
 use crate::reduce::FlatDag;
 use crate::simplify::SimplifyReport;
 use crate::solubility::is_greedy_soluble;
 use serde::{Deserialize, Serialize};
 use tin_graph::{topological_order, NodeId, Quantity, TemporalGraph};
-use tin_lp::SimplexEngine;
 use tin_maxflow::time_expanded_max_flow;
 
 /// The flow computation strategies compared in the paper's evaluation.
@@ -111,34 +110,11 @@ pub struct SolveStats {
     pub interactions_after_preprocess: Option<usize>,
     /// Interactions remaining after simplification (when it ran).
     pub interactions_after_simplify: Option<usize>,
-    /// Number of LP variables actually solved (when the LP ran).
-    pub lp_variables: Option<usize>,
-    /// Number of LP constraint rows (when the LP ran; capacities are
-    /// variable bounds and do not count).
-    pub lp_constraints: Option<usize>,
-    /// Simplex iterations — pivots plus bound flips (when the LP ran).
-    pub lp_iterations: Option<usize>,
-    /// Basis refactorizations performed by the revised simplex (when the LP
-    /// ran; 0 under the dense fallback engine).
-    pub lp_refactorizations: Option<usize>,
-    /// Nonzero coefficients in the LP constraint matrix (when the LP ran).
-    pub lp_nonzeros: Option<usize>,
-    /// Nonzero density of the LP constraint matrix — nonzeros over rows ×
-    /// columns (when the LP ran). On the recorded workloads this ranges
-    /// from ~5% (large Prosper/Bitcoin class C extracts) to ~50% (tiny
-    /// CTU-13 programs), shrinking as subgraphs grow — which is what makes
-    /// the sparse revised simplex the right default for the hard cases.
-    pub lp_density: Option<f64>,
-    /// Which engine solved the exact subproblem (when one ran). The default
-    /// pipeline routes class C through the network simplex; the general LP
-    /// engines remain available as cross-check oracles via
-    /// [`compute_flow_with_engine`].
-    pub lp_engine: Option<SimplexEngine>,
-    /// Basis-changing pivots performed by the engine (when one ran).
-    pub lp_pivots: Option<usize>,
-    /// Pivots with a (numerically) zero step length (when an engine ran) —
-    /// the degeneracy observability hook for the engine-comparison tables.
-    pub lp_degenerate_pivots: Option<usize>,
+    /// What the exact engine reported (when one ran): the LP size, pivots
+    /// and which engine it was. The default pipeline routes class C through
+    /// the network simplex; [`compute_flow_with_engine`] can pick the sparse
+    /// revised simplex instead.
+    pub lp: Option<LpOutcome>,
     /// Whether the final answer was produced by the greedy scan.
     pub solved_by_greedy: bool,
     /// Preprocessing report (when preprocessing ran).
@@ -160,21 +136,6 @@ pub struct FlowResult {
     pub class: Option<DifficultyClass>,
     /// Instrumentation.
     pub stats: SolveStats,
-}
-
-impl SolveStats {
-    /// Records the LP telemetry of `outcome`.
-    fn record_lp(&mut self, outcome: &crate::lp_formulation::LpOutcome) {
-        self.lp_variables = Some(outcome.variables);
-        self.lp_constraints = Some(outcome.constraints);
-        self.lp_iterations = Some(outcome.iterations);
-        self.lp_refactorizations = Some(outcome.refactorizations);
-        self.lp_nonzeros = Some(outcome.nonzeros);
-        self.lp_density = Some(outcome.density);
-        self.lp_engine = Some(outcome.engine);
-        self.lp_pivots = Some(outcome.pivots);
-        self.lp_degenerate_pivots = Some(outcome.degenerate_pivots);
-    }
 }
 
 /// Checks the endpoints and returns a topological order of `graph`.
@@ -209,10 +170,10 @@ pub fn compute_flow(
 /// Like [`compute_flow`], but with an explicit choice of exact engine for the
 /// subproblems that need one (`Lp`, and the class C leg of `Pre`/`PreSim`).
 ///
-/// [`SimplexEngine::NetworkSimplex`] — the default used by [`compute_flow`] —
+/// [`SimplexEngine::NetworkSimplex`] — the engine [`compute_flow`] uses —
 /// skips the general LP assembly entirely and solves the time-expanded
-/// min-cost circulation directly; the sparse and dense simplex engines are
-/// retained unchanged as cross-check oracles.
+/// min-cost circulation directly; [`SimplexEngine::SparseRevised`] solves
+/// the Section 4.2.1 LP, as the paper does with `lpsolve`.
 pub fn compute_flow_with_engine(
     graph: &TemporalGraph,
     source: NodeId,
@@ -243,12 +204,14 @@ pub fn compute_flow_with_engine(
         }),
         FlowMethod::Lp => {
             let outcome = max_flow_with_engine(graph, source, sink, engine)?;
-            stats.record_lp(&outcome);
             Ok(FlowResult {
                 flow: outcome.flow,
                 method,
                 class: None,
-                stats,
+                stats: SolveStats {
+                    lp: Some(outcome),
+                    ..stats
+                },
             })
         }
         FlowMethod::Pre => {
@@ -273,8 +236,8 @@ pub fn maximum_flow(
 /// The `Pre`/`PreSim` pipeline. After the class A test everything runs on
 /// one flat DAG: preprocessing, the Lemma 2 test, simplification, the Lemma
 /// 2 test again, and the exact leg, which the network simplex solves from
-/// the circulation emitted straight off the DAG. Only the oracle engines
-/// build a graph of the reduced DAG, for [`build_lp`].
+/// the circulation emitted straight off the DAG. Only the sparse engine
+/// builds a graph of the reduced DAG, for [`build_lp`].
 fn solve_with_preprocessing(
     graph: &TemporalGraph,
     source: NodeId,
@@ -337,19 +300,19 @@ fn solve_with_preprocessing(
     // Step 5: class C — exact solve on the reduced DAG.
     let outcome = match engine {
         SimplexEngine::NetworkSimplex => dag.build_mcf().solve().map(|(o, _)| o)?,
-        oracle => {
+        SimplexEngine::SparseRevised => {
             let (graph, source, sink) = dag.into_graph();
-            build_lp(&graph, source, sink)
-                .solve_with(oracle)
-                .map(|(o, _)| o)?
+            build_lp(&graph, source, sink).solve().map(|(o, _)| o)?
         }
     };
-    stats.record_lp(&outcome);
     Ok(FlowResult {
         flow: outcome.flow,
         method,
         class: Some(DifficultyClass::C),
-        stats,
+        stats: SolveStats {
+            lp: Some(outcome),
+            ..stats
+        },
     })
 }
 
@@ -448,15 +411,11 @@ mod tests {
         let (g, s, t) = figure3();
         let r = compute_flow(&g, s, t, FlowMethod::Pre).unwrap();
         assert_eq!(r.class, Some(DifficultyClass::C));
-        assert!(r.stats.lp_variables.is_some());
-        assert!(r.stats.lp_iterations.is_some());
-        assert!(r.stats.lp_refactorizations.is_some());
-        assert!(r.stats.lp_nonzeros.unwrap() > 0);
-        assert!(r.stats.lp_density.unwrap() > 0.0);
+        let lp = r.stats.lp.as_ref().expect("class C runs the exact engine");
+        assert!(lp.nonzeros > 0);
+        assert!(lp.density > 0.0);
         // The default pipeline routes class C through the network simplex.
-        assert_eq!(r.stats.lp_engine, Some(SimplexEngine::NetworkSimplex));
-        assert!(r.stats.lp_pivots.is_some());
-        assert!(r.stats.lp_degenerate_pivots.is_some());
+        assert_eq!(lp.engine, SimplexEngine::NetworkSimplex);
         let rs = compute_flow(&g, s, t, FlowMethod::PreSim).unwrap();
         assert_eq!(rs.class, Some(DifficultyClass::C));
     }
@@ -464,16 +423,28 @@ mod tests {
     #[test]
     fn every_engine_solves_class_c_identically() {
         let (g, s, t) = figure3();
-        for engine in [
-            SimplexEngine::NetworkSimplex,
-            SimplexEngine::SparseRevised,
-            SimplexEngine::DenseTableau,
-        ] {
+        for engine in [SimplexEngine::NetworkSimplex, SimplexEngine::SparseRevised] {
             for method in [FlowMethod::Lp, FlowMethod::Pre, FlowMethod::PreSim] {
                 let r = compute_flow_with_engine(&g, s, t, method, engine).unwrap();
                 assert_close(r.flow, 5.0);
-                assert_eq!(r.stats.lp_engine, Some(engine));
+                assert_eq!(r.stats.lp.map(|o| o.engine), Some(engine));
             }
+        }
+        // The dense tableau, the sparse engine's test reference, agrees on
+        // the reduced LPs the sparse engine solves for `Pre` and `PreSim`.
+        let order = topological_order(&g).unwrap();
+        for with_simplify in [false, true] {
+            let mut dag = FlatDag::new(&g, s, t);
+            dag.preprocess(&order);
+            if with_simplify {
+                dag.simplify(&mut GreedyScratch::new());
+            }
+            assert!(!dag.is_greedy_soluble(), "Figure 3 stays class C");
+            let (reduced, rs, rt) = dag.into_graph();
+            let f = build_lp(&reduced, rs, rt);
+            let dense = tin_lp::dense::solve(&f.problem);
+            assert!(dense.is_optimal());
+            assert_close(dense.objective + f.fixed_flow, 5.0);
         }
     }
 
@@ -502,8 +473,8 @@ mod tests {
         let pre = compute_flow(&g, s, t, FlowMethod::Pre).unwrap();
         let presim = compute_flow(&g, s, t, FlowMethod::PreSim).unwrap();
         assert_close(pre.flow, presim.flow);
-        let pre_vars = pre.stats.lp_variables.unwrap_or(0);
-        match presim.stats.lp_variables {
+        let pre_vars = pre.stats.lp.map_or(0, |o| o.variables);
+        match presim.stats.lp.map(|o| o.variables) {
             Some(v) => assert!(
                 v < pre_vars,
                 "PreSim LP ({v}) not smaller than Pre LP ({pre_vars})"

@@ -1,10 +1,10 @@
-//! Dense two-phase primal simplex — the [`SimplexEngine::DenseTableau`]
-//! fallback.
+//! Dense two-phase primal simplex, retained as a test reference.
 //!
-//! This is the original baseline solver of this crate, kept verbatim as an
-//! independent implementation so property tests can cross-check the sparse
-//! revised simplex ([`crate::simplex`]) against it. The implementation
-//! follows the classic full-tableau method:
+//! This is the original baseline solver of this crate, a test reference and
+//! not an engine. It stays as an independent implementation so that the
+//! property tests can cross-check the sparse revised simplex
+//! ([`crate::simplex`]) against it on general LPs, where no other reference
+//! exists. The implementation follows the classic full-tableau method:
 //!
 //! 1. every constraint is normalized to a non-negative right-hand side and
 //!    augmented with slack, surplus and artificial variables as required;
@@ -20,8 +20,10 @@
 //! The tableau has no native notion of variable bounds, so every finite
 //! upper bound is expanded into an explicit `xⱼ ≤ uⱼ` row before the solve —
 //! the very densification the revised simplex exists to avoid.
+//!
+//! Do not use it outside tests.
 
-use crate::problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
+use crate::problem::{ConstraintOp, LpProblem, Sense};
 use crate::solution::{LpSolution, LpStatus};
 
 /// Numerical tolerance used for pivoting decisions.
@@ -220,11 +222,10 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     let rows = materialize_rows(problem);
     let m = rows.len();
     let finish = |mut s: LpSolution, degenerate: usize| {
-        s.engine = SimplexEngine::DenseTableau;
         // Every dense iteration is a pivot.
         s.pivots = s.iterations;
         s.degenerate_pivots = degenerate;
-        // The dense engine works on the bound-expanded row set; report the
+        // The tableau works on the bound-expanded row set; report the
         // size it actually solved.
         s.matrix_nonzeros = rows.iter().map(|r| r.coeffs.len()).sum();
         s.matrix_density = if m * n == 0 {

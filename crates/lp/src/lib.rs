@@ -5,28 +5,28 @@
 //!
 //! The paper solves its maximum-flow formulation with the `lpsolve` C
 //! library; this crate provides an equivalent exact solver implemented from
-//! scratch. Three interchangeable engines share one problem representation
-//! (see [`SimplexEngine`]):
+//! scratch, with one solver per problem type:
 //!
 //! * [`netflow`] — a **network simplex** over min-cost-flow structure
-//!   ([`netflow::MinCostFlowProblem`]): the basis is an explicit spanning
+//!   ([`MinCostFlowProblem::solve`]): the basis is an explicit spanning
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
 //!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C
 //!   flow hot path runs on, and [`NetflowSession`] keeps one such engine
 //!   resident across the batches of a live flow session, repairing its
 //!   tree after each patch instead of solving again from scratch;
-//! * [`simplex`] — the general-LP default, a **sparse revised simplex**:
-//!   the constraint matrix lives in a compressed-sparse-column store
-//!   ([`sparse::CscMatrix`]), the basis inverse in a product-form eta file
-//!   ([`sparse::EtaFile`]) with periodic refactorization, pricing is
-//!   Dantzig's rule over a partial-pricing section scan, and variable upper
-//!   bounds are handled natively by the bounded ratio test (no row per
-//!   bound);
-//! * [`dense`] — the original **dense two-phase tableau** (Dantzig pricing,
-//!   Bland's-rule anti-cycling fallback), kept as an independent
-//!   implementation for property-based cross-checking and as a baseline the
-//!   benches compare against.
+//! * [`simplex`] — the general-LP engine behind [`LpProblem::solve`], a
+//!   **sparse revised simplex**: the constraint matrix lives in a
+//!   compressed-sparse-column store ([`sparse::CscMatrix`]), the basis
+//!   inverse in a product-form eta file ([`sparse::EtaFile`]) with periodic
+//!   refactorization, pricing is Dantzig's rule over a partial-pricing
+//!   section scan, and variable upper bounds are handled natively by the
+//!   bounded ratio test (no row per bound).
+//!
+//! [`dense`] holds the original **dense two-phase tableau**, retained only
+//! as a test reference for the sparse engine; it is not an engine. Which
+//! exact engine a flow computation uses is chosen one layer up, in
+//! `tin_flow`.
 //!
 //! The flow LP's constraint matrix is extremely sparse — each interaction
 //! variable appears in a handful of balance rows — which is exactly the
@@ -63,5 +63,5 @@ pub mod solution;
 pub mod sparse;
 
 pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
-pub use problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
+pub use problem::{ConstraintOp, LpProblem, Sense};
 pub use solution::{LpSolution, LpStatus};

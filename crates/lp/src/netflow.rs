@@ -20,19 +20,15 @@
 //! * [`NetflowSession`] — the same engine kept resident across a stream of
 //!   solves of one evolving circulation, syncing only the patched arcs and
 //!   repairing the kept tree with worst-first dual pivots;
-//! * [`MinCostFlowProblem::to_lp`] / [`MinCostFlowProblem::from_lp`] —
-//!   lossless bridges to the general [`LpProblem`] form, used by the
-//!   three-way engine-equivalence proptests and by
-//!   [`LpProblem::solve_with`] when [`SimplexEngine::NetworkSimplex`] is
-//!   requested on a network-structured LP.
+//! * [`MinCostFlowProblem::to_lp`] — a lossless bridge to the general
+//!   [`LpProblem`] form, used by the engine-equivalence proptests.
 //!
 //! Infeasibility is detected in phase 1 (artificial arcs keep positive
 //! flow at the phase-1 optimum), unboundedness in phase 2 (the entering
 //! arc closes a negative-cost cycle with unlimited residual capacity).
 
-use crate::problem::{LpProblem, Sense, SimplexEngine};
-use crate::simplex;
-use crate::solution::{LpSolution, LpStatus};
+use crate::problem::{LpProblem, Sense};
+use crate::solution::LpStatus;
 
 /// Reduced-cost / residual tolerance (same scale as the LP engines).
 const EPS: f64 = 1e-9;
@@ -73,7 +69,7 @@ pub struct MinCostFlowProblem {
 }
 
 /// Result of a network-simplex run, with the same telemetry shape as
-/// [`LpSolution`]: pivot and degenerate-pivot counts.
+/// [`LpSolution`](crate::LpSolution): pivot and degenerate-pivot counts.
 #[derive(Debug, Clone)]
 pub struct McfSolution {
     /// Termination status ([`LpStatus::NumericalFailure`] is never
@@ -301,55 +297,6 @@ impl MinCostFlowProblem {
             lp.add_eq_constraint(coeffs, rhs[v]);
         }
         (lp, offset)
-    }
-
-    /// Recovers a min-cost-flow problem from a general LP when (and only
-    /// when) the LP has pure network structure: every row is an equality
-    /// and every variable carries exactly one `+1` and one `−1` coefficient
-    /// (its tail and head rows). Returns `None` otherwise — including for
-    /// the paper's class C balance formulation, whose variables appear in
-    /// arbitrarily many rows; that path uses the direct emitter in the core
-    /// crate instead.
-    pub fn from_lp(problem: &LpProblem) -> Option<MinCostFlowProblem> {
-        use crate::problem::ConstraintOp;
-        if problem.row_meta.iter().any(|m| m.op != ConstraintOp::Eq) {
-            return None;
-        }
-        let n_vars = problem.num_vars();
-        let mut tail = vec![NONE; n_vars];
-        let mut head = vec![NONE; n_vars];
-        for &(row, var, c) in &problem.entries {
-            if c == 1.0 && tail[var] == NONE {
-                tail[var] = row;
-            } else if c == -1.0 && head[var] == NONE {
-                head[var] = row;
-            } else {
-                return None;
-            }
-        }
-        if tail
-            .iter()
-            .zip(&head)
-            .any(|(&t, &h)| t == NONE || h == NONE)
-        {
-            return None;
-        }
-        let minimize = problem.sense() == Sense::Minimize;
-        let mut mcf = MinCostFlowProblem::new(problem.num_constraints());
-        mcf.max_iterations = problem.max_iterations;
-        for (row, meta) in problem.row_meta.iter().enumerate() {
-            mcf.set_supply(row, meta.rhs);
-        }
-        for j in 0..n_vars {
-            let c = problem.objective()[j];
-            mcf.add_arc(
-                tail[j],
-                head[j],
-                if minimize { c } else { -c },
-                problem.upper_bound(j),
-            );
-        }
-        Some(mcf)
     }
 
     /// The pivot budget for one solve: the explicit cap when set, else a
@@ -1908,37 +1855,6 @@ fn scratch_arc_capacity() -> usize {
     SCRATCH.with(|slot| slot.borrow().arcs.capacity())
 }
 
-/// Solves a general [`LpProblem`] with the network simplex when it has
-/// network structure (see [`MinCostFlowProblem::from_lp`]); otherwise falls
-/// back to the sparse revised simplex — the returned
-/// [`LpSolution::engine`] records which engine actually ran.
-pub fn solve_lp(problem: &LpProblem) -> LpSolution {
-    let Some(mcf) = MinCostFlowProblem::from_lp(problem) else {
-        return simplex::solve(problem);
-    };
-    let s = mcf.solve();
-    let maximize = problem.sense() == Sense::Maximize;
-    let nodes = mcf.num_nodes();
-    let arcs = mcf.num_arcs();
-    let nonzeros = 2 * arcs;
-    LpSolution {
-        status: s.status,
-        objective: if maximize { -s.objective } else { s.objective },
-        variables: s.flows,
-        iterations: s.pivots,
-        refactorizations: 0,
-        engine: SimplexEngine::NetworkSimplex,
-        matrix_nonzeros: nonzeros,
-        matrix_density: if nodes * arcs == 0 {
-            0.0
-        } else {
-            nonzeros as f64 / (nodes * arcs) as f64
-        },
-        pivots: s.pivots,
-        degenerate_pivots: s.degenerate_pivots,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2175,28 +2091,6 @@ mod tests {
     }
 
     #[test]
-    fn to_lp_round_trips_through_from_lp() {
-        let mut p = MinCostFlowProblem::new(3);
-        p.set_supply(0, 4.0);
-        p.set_supply(2, -4.0);
-        p.add_arc(0, 1, 1.0, 3.0);
-        p.add_arc(1, 2, 2.0, f64::INFINITY);
-        p.add_arc(0, 2, 4.0, f64::INFINITY);
-        let (lp, offset) = p.to_lp();
-        assert_eq!(offset, 0.0);
-        let back = MinCostFlowProblem::from_lp(&lp).expect("network structure survives");
-        assert_eq!(back.num_nodes(), 3);
-        assert_eq!(back.num_arcs(), 3);
-        let direct = p.solve();
-        let round = back.solve();
-        assert!((direct.objective - round.objective).abs() < 1e-9);
-        // And the LpProblem agrees with the network simplex.
-        let lp_sol = lp.solve();
-        assert_eq!(lp_sol.status, LpStatus::Optimal);
-        assert!((lp_sol.objective + offset - direct.objective).abs() < 1e-6);
-    }
-
-    #[test]
     fn to_lp_carries_lower_bound_offsets() {
         let mut p = MinCostFlowProblem::new(2);
         p.set_supply(0, 5.0);
@@ -2209,50 +2103,6 @@ mod tests {
         assert_eq!(lp_sol.status, LpStatus::Optimal);
         let direct = p.solve();
         assert!((lp_sol.objective + offset - direct.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn from_lp_rejects_non_network_programs() {
-        // An inequality row.
-        let mut lp = LpProblem::new(1);
-        lp.add_le_constraint(&[(0, 1.0)], 1.0);
-        assert!(MinCostFlowProblem::from_lp(&lp).is_none());
-        // A variable in three rows.
-        let mut lp = LpProblem::new(1);
-        lp.add_eq_constraint(&[(0, 1.0)], 0.0);
-        lp.add_eq_constraint(&[(0, -1.0)], 0.0);
-        lp.add_eq_constraint(&[(0, 1.0)], 0.0);
-        assert!(MinCostFlowProblem::from_lp(&lp).is_none());
-        // A non-unit coefficient.
-        let mut lp = LpProblem::new(1);
-        lp.add_eq_constraint(&[(0, 2.0)], 0.0);
-        assert!(MinCostFlowProblem::from_lp(&lp).is_none());
-        // A variable that touches no row.
-        let mut lp = LpProblem::new(1);
-        lp.add_eq_constraint(&[], 0.0);
-        assert!(MinCostFlowProblem::from_lp(&lp).is_none());
-    }
-
-    #[test]
-    fn solve_lp_runs_the_network_engine_on_network_programs() {
-        let mut p = MinCostFlowProblem::new(3);
-        p.set_supply(0, 4.0);
-        p.set_supply(2, -4.0);
-        p.add_arc(0, 1, 1.0, 3.0);
-        p.add_arc(1, 2, 2.0, f64::INFINITY);
-        p.add_arc(0, 2, 4.0, f64::INFINITY);
-        let (lp, _) = p.to_lp();
-        let sol = solve_lp(&lp);
-        assert_eq!(sol.engine, SimplexEngine::NetworkSimplex);
-        assert_eq!(sol.status, LpStatus::Optimal);
-        assert!(lp.is_feasible(&sol.variables, 1e-6));
-        // Non-network programs fall back to the sparse revised engine.
-        let mut general = LpProblem::new(1);
-        general.set_objective_coefficient(0, 1.0);
-        general.add_le_constraint(&[(0, 1.0)], 2.0);
-        let sol = solve_lp(&general);
-        assert_eq!(sol.engine, SimplexEngine::SparseRevised);
-        assert!((sol.objective - 2.0).abs() < 1e-9);
     }
 
     #[test]

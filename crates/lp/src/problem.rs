@@ -1,7 +1,5 @@
 //! Construction of linear programs.
 
-use crate::dense;
-use crate::netflow;
 use crate::simplex;
 use crate::solution::LpSolution;
 
@@ -25,28 +23,6 @@ pub enum Sense {
     Maximize,
     /// Minimize the objective.
     Minimize,
-}
-
-/// Which simplex implementation solves the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimplexEngine {
-    /// The sparse revised simplex (product-form basis, partial pricing,
-    /// native variable bounds) — the default.
-    #[default]
-    SparseRevised,
-    /// The dense two-phase full-tableau simplex kept as a cross-checking
-    /// fallback; variable upper bounds are expanded into explicit `≤` rows
-    /// before it runs.
-    DenseTableau,
-    /// The network simplex over a spanning-tree basis. It applies when the
-    /// program has pure min-cost-flow structure (every row an equality,
-    /// every variable one `+1` and one `−1` coefficient — see
-    /// [`crate::netflow::MinCostFlowProblem::from_lp`]); other programs
-    /// silently fall back to [`SimplexEngine::SparseRevised`], which the
-    /// returned [`LpSolution::engine`](crate::LpSolution) field records.
-    /// The flow hot path skips the LP form entirely and feeds
-    /// [`crate::netflow::MinCostFlowProblem`] directly.
-    NetworkSimplex,
 }
 
 /// Operator and right-hand side of one constraint row (the coefficients
@@ -85,7 +61,6 @@ pub struct LpProblem {
     pub(crate) row_meta: Vec<RowMeta>,
     /// Maximum simplex iterations before giving up (safety valve).
     pub max_iterations: usize,
-    engine: SimplexEngine,
 }
 
 impl LpProblem {
@@ -100,7 +75,6 @@ impl LpProblem {
             entries: Vec::new(),
             row_meta: Vec::new(),
             max_iterations: 0, // 0 = automatic (scaled with problem size)
-            engine: SimplexEngine::default(),
         }
     }
 
@@ -128,17 +102,6 @@ impl LpProblem {
     /// Current optimization direction.
     pub fn sense(&self) -> Sense {
         self.sense
-    }
-
-    /// Selects the simplex implementation used by [`LpProblem::solve`]
-    /// (default: [`SimplexEngine::SparseRevised`]).
-    pub fn set_engine(&mut self, engine: SimplexEngine) {
-        self.engine = engine;
-    }
-
-    /// The simplex implementation used by [`LpProblem::solve`].
-    pub fn engine(&self) -> SimplexEngine {
-        self.engine
     }
 
     /// Sets the objective coefficient of variable `var`.
@@ -226,19 +189,9 @@ impl LpProblem {
         &self.upper
     }
 
-    /// Solves the program with the configured engine (the sparse revised
-    /// simplex unless [`LpProblem::set_engine`] said otherwise).
+    /// Solves the program with the sparse revised simplex.
     pub fn solve(&self) -> LpSolution {
-        self.solve_with(self.engine)
-    }
-
-    /// Solves the program with an explicitly chosen engine.
-    pub fn solve_with(&self, engine: SimplexEngine) -> LpSolution {
-        match engine {
-            SimplexEngine::SparseRevised => simplex::solve(self),
-            SimplexEngine::DenseTableau => dense::solve(self),
-            SimplexEngine::NetworkSimplex => netflow::solve_lp(self),
-        }
+        simplex::solve(self)
     }
 
     /// Evaluates the objective at a given point (useful for checking
@@ -300,9 +253,6 @@ mod tests {
         assert_eq!(p.sense(), Sense::Maximize);
         p.set_sense(Sense::Minimize);
         assert_eq!(p.sense(), Sense::Minimize);
-        assert_eq!(p.engine(), SimplexEngine::SparseRevised);
-        p.set_engine(SimplexEngine::DenseTableau);
-        assert_eq!(p.engine(), SimplexEngine::DenseTableau);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Sparse revised simplex with bounded variables — the default engine.
+//! Sparse revised simplex with bounded variables — the general-LP engine
+//! behind [`LpProblem::solve`](crate::LpProblem::solve).
 //!
 //! Where the dense tableau ([`crate::dense`]) updates an `m × n` matrix on
 //! every pivot, the revised method keeps only:
@@ -23,13 +24,13 @@
 //! per-interaction capacities `xᵢ ≤ qᵢ` therefore cost nothing: they are
 //! bounds, not rows.
 //!
-//! Feasibility is established the same way as in the dense engine: rows are
+//! Feasibility is established the same way as in the dense tableau: rows are
 //! normalized to non-negative right-hand sides, `≥`/`=` rows get artificial
 //! variables, and phase 1 maximizes minus their sum. After phase 1 the
 //! artificials' upper bounds are fixed to 0, which lets the bounded ratio
 //! test expel any that linger in the basis without special-casing them.
 
-use crate::problem::{ConstraintOp, LpProblem, Sense, SimplexEngine};
+use crate::problem::{ConstraintOp, LpProblem, Sense};
 use crate::solution::{LpSolution, LpStatus};
 use crate::sparse::{CscMatrix, EtaFile};
 
@@ -471,7 +472,6 @@ impl<'a> Solver<'a> {
     }
 
     fn telemetry(&self, mut s: LpSolution) -> LpSolution {
-        s.engine = SimplexEngine::SparseRevised;
         s.pivots = self.pivots;
         s.degenerate_pivots = self.degenerate;
         s.refactorizations = self.refactorizations;
@@ -583,18 +583,20 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
 
 #[cfg(test)]
 mod tests {
-    use crate::problem::{LpProblem, Sense, SimplexEngine};
+    use crate::dense;
+    use crate::problem::{LpProblem, Sense};
     use crate::solution::LpStatus;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
 
-    /// Runs the same program through both engines and checks they agree
-    /// before returning the sparse solution.
+    /// Runs the same program through the sparse engine and the dense
+    /// tableau reference and checks they agree before returning the sparse
+    /// solution.
     fn solve_both(p: &LpProblem) -> crate::solution::LpSolution {
-        let sparse = p.solve_with(SimplexEngine::SparseRevised);
-        let dense = p.solve_with(SimplexEngine::DenseTableau);
+        let sparse = p.solve();
+        let dense = dense::solve(p);
         assert_eq!(sparse.status, dense.status, "engine status disagreement");
         if sparse.status == LpStatus::Optimal {
             assert_close(sparse.objective, dense.objective);
@@ -884,7 +886,7 @@ mod tests {
             p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
         }
         p.add_ge_constraint(&[(0, 1.0)], 5.0);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
+        let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 5.0);
         assert!(
@@ -895,18 +897,5 @@ mod tests {
         );
         // Telemetry reflects a genuinely sparse matrix.
         assert!(s.matrix_density < 0.05, "density {}", s.matrix_density);
-    }
-
-    #[test]
-    fn telemetry_reports_the_engine() {
-        let mut p = LpProblem::new(1);
-        p.set_objective_coefficient(0, 1.0);
-        p.set_upper_bound(0, 1.0);
-        p.add_le_constraint(&[(0, 1.0)], 1.0);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
-        assert_eq!(s.engine, SimplexEngine::SparseRevised);
-        let d = p.solve_with(SimplexEngine::DenseTableau);
-        assert_eq!(d.engine, SimplexEngine::DenseTableau);
-        assert_close(s.objective, d.objective);
     }
 }

@@ -1,7 +1,5 @@
 //! Solver results.
 
-use crate::problem::SimplexEngine;
-
 /// Outcome of a simplex run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
@@ -22,7 +20,7 @@ pub enum LpStatus {
 }
 
 /// Solution of a linear program, with enough telemetry to see *how* it was
-/// solved (engine, pivot counts, basis refactorizations, matrix sparsity).
+/// solved (pivot counts, basis refactorizations, matrix sparsity).
 #[derive(Debug, Clone)]
 pub struct LpSolution {
     /// Termination status.
@@ -37,20 +35,17 @@ pub struct LpSolution {
     /// plus, for the revised engine, bound flips).
     pub iterations: usize,
     /// Number of basis refactorizations performed (always 0 for the dense
-    /// tableau engine, which has no factorized basis).
+    /// tableau reference, which has no factorized basis).
     pub refactorizations: usize,
-    /// Which engine produced this solution.
-    pub engine: SimplexEngine,
-    /// Nonzero entries in the constraint matrix the engine actually solved
-    /// (the dense engine counts its bound-expanded rows).
+    /// Nonzero entries in the constraint matrix the solver actually worked
+    /// on (the dense tableau counts its bound-expanded rows).
     pub matrix_nonzeros: usize,
     /// `matrix_nonzeros` over the dense row × column size (0 for empty
     /// programs) — the observability hook for "how sparse was this LP".
     pub matrix_density: f64,
-    /// Basis-changing (or bound-flipping) pivots. For the dense tableau
-    /// this equals `iterations`; the revised engine also counts bound
-    /// flips in `iterations` but not here; the network simplex counts
-    /// spanning-tree pivots.
+    /// Basis-changing pivots. For the dense tableau this equals
+    /// `iterations`; the revised engine also counts bound flips in
+    /// `iterations` but not here.
     pub pivots: usize,
     /// Pivots whose step length was (numerically) zero — the degeneracy
     /// observability hook for the engine-comparison tables.
@@ -67,7 +62,6 @@ impl LpSolution {
             variables: Vec::new(),
             iterations,
             refactorizations: 0,
-            engine: SimplexEngine::SparseRevised,
             matrix_nonzeros: 0,
             matrix_density: 0.0,
             pivots: 0,
@@ -100,6 +94,5 @@ mod tests {
             ..LpSolution::with_status(LpStatus::Optimal, 1)
         };
         assert!(o.is_optimal());
-        assert_eq!(o.engine, SimplexEngine::SparseRevised);
     }
 }

@@ -1,19 +1,21 @@
-//! Property-based cross-check of the three exact engines.
+//! Property-based cross-check of the two exact engines against each other
+//! and against the dense-tableau test reference.
 //!
-//! The sparse revised simplex (the general-LP default), the dense two-phase
-//! tableau (the fallback) and the network simplex are independent
-//! implementations sharing only the problem representations. On randomized
-//! flow-shaped LPs the two LP engines must agree on status and, when
+//! The sparse revised simplex ([`LpProblem::solve`]), the network simplex
+//! ([`MinCostFlowProblem::solve`]) and the dense two-phase tableau
+//! ([`dense::solve`], a test reference) are independent implementations
+//! sharing only the problem representations. On randomized flow-shaped LPs
+//! the sparse engine must agree with the dense tableau on status and, when
 //! optimal, on the objective value with both returned points feasible. On
-//! randomized bounded min-cost-flow instances all **three** engines are
-//! held to the same bar: the network simplex solves the instance directly
-//! while the LP engines solve its [`MinCostFlowProblem::to_lp`] image, and
-//! status, optimal value and primal feasibility must line up — including
+//! randomized bounded min-cost-flow instances all **three** are held to the
+//! same bar: the network simplex solves the instance directly while the two
+//! LP solvers solve its [`MinCostFlowProblem::to_lp`] image, and status,
+//! optimal value and primal feasibility must line up — including
 //! degenerate/zero-capacity, infeasible and unbounded instances. Directed
 //! tests pin those corners explicitly.
 
 use proptest::prelude::*;
-use tin_lp::{LpProblem, LpStatus, MinCostFlowProblem, SimplexEngine};
+use tin_lp::{dense, LpProblem, LpSolution, LpStatus, MinCostFlowProblem};
 
 /// A deterministic pseudo-random LP description derived from a seed, shaped
 /// like the flow formulation: every variable is upper-bounded, and each
@@ -89,8 +91,8 @@ proptest! {
     #[test]
     fn engines_agree_on_random_flow_shaped_lps(desc in random_lp(10, 8)) {
         let p = build(&desc);
-        let sparse = p.solve_with(SimplexEngine::SparseRevised);
-        let dense = p.solve_with(SimplexEngine::DenseTableau);
+        let sparse = p.solve();
+        let dense = dense::solve(&p);
         prop_assert_eq!(sparse.status, dense.status,
             "sparse {:?} vs dense {:?}", sparse.status, dense.status);
         if sparse.status == LpStatus::Optimal {
@@ -108,7 +110,7 @@ proptest! {
     #[test]
     fn bounded_programs_are_never_unbounded(desc in random_lp(8, 6)) {
         let p = build(&desc);
-        let s = p.solve_with(SimplexEngine::SparseRevised);
+        let s = p.solve();
         prop_assert!(s.status != LpStatus::Unbounded);
     }
 }
@@ -197,7 +199,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// The network simplex (solving the instance directly) and both LP
-    /// engines (solving its `to_lp` image) agree on the verdict; on optimal
+    /// solvers (solving its `to_lp` image) agree on the verdict; on optimal
     /// instances they agree on the optimal cost, and the network simplex
     /// returns a primal-feasible flow whose cost matches its objective.
     #[test]
@@ -205,8 +207,8 @@ proptest! {
         let p = build_mcf(&desc);
         let net = p.solve();
         let (lp, offset) = p.to_lp();
-        let sparse = lp.solve_with(SimplexEngine::SparseRevised);
-        let dense = lp.solve_with(SimplexEngine::DenseTableau);
+        let sparse = lp.solve();
+        let dense = dense::solve(&lp);
         prop_assert_eq!(sparse.status, dense.status,
             "sparse {:?} vs dense {:?}", sparse.status, dense.status);
         prop_assert_eq!(net.status, sparse.status,
@@ -234,14 +236,18 @@ proptest! {
 
 // --- Directed corner cases ------------------------------------------------
 
-fn engines() -> [SimplexEngine; 2] {
-    [SimplexEngine::SparseRevised, SimplexEngine::DenseTableau]
+/// A solver of general LPs.
+type Solver = fn(&LpProblem) -> LpSolution;
+
+/// The sparse engine and the dense-tableau reference, by name.
+fn engines() -> [(&'static str, Solver); 2] {
+    [("sparse", LpProblem::solve), ("dense", dense::solve)]
 }
 
 #[test]
 fn degenerate_beale_cycle_terminates_on_both_engines() {
     // Beale's classic cycling example; anti-cycling safeguards must hold.
-    for engine in engines() {
+    for (engine, solve) in engines() {
         let mut p = LpProblem::new(4);
         p.set_objective_coefficient(0, 0.75);
         p.set_objective_coefficient(1, -150.0);
@@ -250,11 +256,11 @@ fn degenerate_beale_cycle_terminates_on_both_engines() {
         p.add_le_constraint(&[(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], 0.0);
         p.add_le_constraint(&[(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], 0.0);
         p.add_le_constraint(&[(2, 1.0)], 1.0);
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
+        let s = solve(&p);
+        assert_eq!(s.status, LpStatus::Optimal, "{engine}");
         assert!(
             (s.objective - 0.05).abs() < 1e-6,
-            "{engine:?}: {}",
+            "{engine}: {}",
             s.objective
         );
     }
@@ -263,7 +269,7 @@ fn degenerate_beale_cycle_terminates_on_both_engines() {
 #[test]
 fn massively_degenerate_zero_rhs_program_terminates() {
     // Every balance row has RHS 0 (the hard degenerate case in flow LPs).
-    for engine in engines() {
+    for (engine, solve) in engines() {
         let n = 20;
         let mut p = LpProblem::new(n);
         p.set_objective_coefficient(n - 1, 1.0);
@@ -272,11 +278,11 @@ fn massively_degenerate_zero_rhs_program_terminates() {
             p.set_upper_bound(j, 10.0);
             p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
         }
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
+        let s = solve(&p);
+        assert_eq!(s.status, LpStatus::Optimal, "{engine}");
         assert!(
             (s.objective - 3.0).abs() < 1e-6,
-            "{engine:?}: {}",
+            "{engine}: {}",
             s.objective
         );
     }
@@ -284,73 +290,62 @@ fn massively_degenerate_zero_rhs_program_terminates() {
 
 #[test]
 fn unbounded_direction_is_reported_by_both_engines() {
-    for engine in engines() {
+    for (engine, solve) in engines() {
         // max x + y with only x + y >= 2: no upper bounds anywhere.
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
         p.set_objective_coefficient(1, 1.0);
         p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 2.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Unbounded,
-            "{engine:?}"
-        );
+        assert_eq!(solve(&p).status, LpStatus::Unbounded, "{engine}");
     }
 }
 
 #[test]
 fn row_infeasibility_is_reported_by_both_engines() {
-    for engine in engines() {
+    for (engine, solve) in engines() {
         let mut p = LpProblem::new(2);
         p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
         p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 1.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Infeasible,
-            "{engine:?}"
-        );
+        assert_eq!(solve(&p).status, LpStatus::Infeasible, "{engine}");
     }
 }
 
 #[test]
 fn bound_infeasibility_is_reported_by_both_engines() {
     // x + y >= 5 but both variables are bounded by 1.
-    for engine in engines() {
+    for (engine, solve) in engines() {
         let mut p = LpProblem::new(2);
         p.set_upper_bound(0, 1.0);
         p.set_upper_bound(1, 1.0);
         p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
-        assert_eq!(
-            p.solve_with(engine).status,
-            LpStatus::Infeasible,
-            "{engine:?}"
-        );
+        assert_eq!(solve(&p).status, LpStatus::Infeasible, "{engine}");
     }
 }
 
 #[test]
 fn equality_with_fixed_variables_is_solved_exactly() {
     // x fixed at 0, x + y = 3, y <= 4 -> y = 3.
-    for engine in engines() {
+    for (engine, solve) in engines() {
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(1, 1.0);
         p.set_upper_bound(0, 0.0);
         p.set_upper_bound(1, 4.0);
         p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 3.0);
-        let s = p.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!((s.objective - 3.0).abs() < 1e-6, "{engine:?}");
+        let s = solve(&p);
+        assert_eq!(s.status, LpStatus::Optimal, "{engine}");
+        assert!((s.objective - 3.0).abs() < 1e-6, "{engine}");
     }
 }
 
 // --- Directed three-way MCF corners ---------------------------------------
 
-/// Asserts all three engines return `expect` for the given instance.
+/// Asserts the network simplex, the sparse engine and the dense reference
+/// all return `expect` for the given instance.
 fn assert_three_way_status(p: &MinCostFlowProblem, expect: LpStatus) {
     assert_eq!(p.solve().status, expect, "netflow");
     let (lp, _) = p.to_lp();
-    for engine in engines() {
-        assert_eq!(lp.solve_with(engine).status, expect, "{engine:?}");
+    for (engine, solve) in engines() {
+        assert_eq!(solve(&lp).status, expect, "{engine}");
     }
 }
 
@@ -369,10 +364,10 @@ fn zero_capacity_arcs_are_degenerate_not_wrong() {
     assert!((net.objective - 4.0).abs() < 1e-6, "{}", net.objective);
     assert_eq!(net.flows[0], 0.0);
     let (lp, offset) = p.to_lp();
-    for engine in engines() {
-        let s = lp.solve_with(engine);
-        assert_eq!(s.status, LpStatus::Optimal, "{engine:?}");
-        assert!((s.objective + offset - 4.0).abs() < 1e-6, "{engine:?}");
+    for (engine, solve) in engines() {
+        let s = solve(&lp);
+        assert_eq!(s.status, LpStatus::Optimal, "{engine}");
+        assert!((s.objective + offset - 4.0).abs() < 1e-6, "{engine}");
     }
 }
 

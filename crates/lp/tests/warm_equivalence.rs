@@ -19,7 +19,7 @@
 //! still agree, on infeasible steps included.
 
 use proptest::prelude::*;
-use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession, SimplexEngine};
+use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
@@ -176,7 +176,7 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
         warm.status, cold.status
     );
     let (lp, offset) = p.to_lp();
-    let oracle = lp.solve_with(SimplexEngine::SparseRevised);
+    let oracle = lp.solve();
     assert_eq!(
         cold.status, oracle.status,
         "{context}: cold {:?} vs LP oracle {:?}",

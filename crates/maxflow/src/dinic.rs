@@ -116,6 +116,55 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
 
+    /// Edmonds–Karp (BFS augmenting paths between distinct nodes): the
+    /// independent reference Dinic is checked against on random cyclic
+    /// networks.
+    fn edmonds_karp(net: &mut FlowNetwork, source: usize, sink: usize) -> f64 {
+        let n = net.node_count();
+        let mut total = 0.0;
+        loop {
+            // BFS recording the arc used to reach every node.
+            let mut pred: Vec<Option<usize>> = vec![None; n];
+            let mut visited = vec![false; n];
+            visited[source] = true;
+            let mut queue = std::collections::VecDeque::new();
+            queue.push_back(source);
+            'bfs: while let Some(v) = queue.pop_front() {
+                for &a in net.adjacency(v) {
+                    let to = net.arc_to(a);
+                    if !visited[to] && net.arc_cap(a) > EPS {
+                        visited[to] = true;
+                        pred[to] = Some(a);
+                        if to == sink {
+                            break 'bfs;
+                        }
+                        queue.push_back(to);
+                    }
+                }
+            }
+            if !visited[sink] {
+                break;
+            }
+            // Bottleneck along the path.
+            let mut bottleneck = f64::INFINITY;
+            let mut v = sink;
+            while v != source {
+                let a = pred[v].expect("path reconstruction");
+                bottleneck = bottleneck.min(net.arc_cap(a));
+                v = net.arc_to(a ^ 1);
+            }
+            // Apply.
+            let mut v = sink;
+            while v != source {
+                let a = pred[v].expect("path reconstruction");
+                net.push(a, bottleneck);
+                v = net.arc_to(a ^ 1);
+            }
+            total += bottleneck;
+        }
+        total
+    }
+
     #[test]
     fn single_edge() {
         let mut net = FlowNetwork::with_nodes(2);
@@ -239,5 +288,37 @@ mod tests {
         // Bottleneck: 3 middle nodes * min(10, 3*2)=6 but outgoing capacity
         // to t is 5 per node -> total 15.
         assert_close(dinic(&mut net, s, t), 15.0);
+    }
+
+    #[test]
+    fn agrees_with_dinic_on_random_networks() {
+        // Deterministic pseudo-random layered networks.
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / ((1u64 << 31) as f64)
+        };
+        for trial in 0..20 {
+            let n = 6 + (trial % 5);
+            let mut a = FlowNetwork::with_nodes(n);
+            let mut b = FlowNetwork::with_nodes(n);
+            for u in 0..n {
+                for v in 0..n {
+                    if u != v && next() < 0.4 {
+                        let cap = (next() * 10.0 * 100.0).round() / 100.0;
+                        a.add_arc(u, v, cap);
+                        b.add_arc(u, v, cap);
+                    }
+                }
+            }
+            let f1 = edmonds_karp(&mut a, 0, n - 1);
+            let f2 = dinic(&mut b, 0, n - 1);
+            assert!(
+                (f1 - f2).abs() < 1e-6,
+                "trial {trial}: EK {f1} vs Dinic {f2}"
+            );
+        }
     }
 }

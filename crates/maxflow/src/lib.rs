@@ -10,9 +10,9 @@
 //!
 //! * [`FlowNetwork`] — a residual-arc representation of a static capacitated
 //!   network;
-//! * [`mod@dinic`] and [`mod@edmonds_karp`] — two textbook max-flow algorithms
-//!   (Dinic is used as the fast exact oracle, Edmonds–Karp as an independent
-//!   cross-check);
+//! * [`mod@dinic`] — Dinic's blocking-flow algorithm, the fast exact oracle
+//!   (its tests hold it to an Edmonds–Karp reference that lives only in the
+//!   test module);
 //! * [`time_expanded`] — the reduction from a temporal interaction DAG to a
 //!   static network, honouring the paper's *strict* precedence rule (an
 //!   interaction leaving `v` at time `t` may only use quantity that arrived
@@ -26,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod dinic;
-pub mod edmonds_karp;
 pub mod network;
 pub mod time_expanded;
 
 pub use dinic::dinic;
-pub use edmonds_karp::edmonds_karp;
 pub use network::{ArcId, FlowNetwork};
 pub use time_expanded::{time_expanded_max_flow, TimeExpandedNetwork};

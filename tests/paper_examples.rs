@@ -226,12 +226,12 @@ fn figure7_simplification_shrinks_the_lp() {
     let g = b.build();
 
     let lp = compute_flow(&g, s, t, FlowMethod::Lp).unwrap();
-    assert_eq!(lp.stats.lp_variables, Some(9));
+    assert_eq!(lp.stats.lp.as_ref().map(|o| o.variables), Some(9));
 
     let presim = compute_flow(&g, s, t, FlowMethod::PreSim).unwrap();
     assert!(close(lp.flow, presim.flow));
-    if let Some(vars) = presim.stats.lp_variables {
-        assert_eq!(vars, 3);
+    if let Some(lp) = &presim.stats.lp {
+        assert_eq!(lp.variables, 3);
     } else {
         assert!(presim.stats.solved_by_greedy);
     }
