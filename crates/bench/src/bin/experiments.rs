@@ -289,7 +289,10 @@ fn replay(workloads: &[Workload]) -> bool {
                     s.warm_pivots as f64 / s.basis_hits.max(1) as f64,
                     m.cold_pivots as f64 / m.work_batches.max(1) as f64
                 ),
-                format!("{}/{}", s.dual_reoptimizations, s.fallback_cold),
+                format!(
+                    "{}/{} ({})",
+                    s.dual_reoptimizations, s.fallback_cold, s.budget_restarts
+                ),
             ]
         })
         .collect();
@@ -304,7 +307,7 @@ fn replay(workloads: &[Workload]) -> bool {
             "speedup",
             "basis hits",
             "pivots (warm)/(cold)",
-            "dual/fallback",
+            "dual/fallback (budget)",
         ],
         &rows,
     );
@@ -312,7 +315,9 @@ fn replay(workloads: &[Workload]) -> bool {
         "(session/batch = apply_delta + re-optimize from the previous basis; cold/batch = \
          build_mcf + cold network simplex on the same graph; every batch asserts the two \
          optimal values are identical; pivots (warm) = avg pivots per basis-reusing solve \
-         next to the cold baseline's avg; dual = expiry-only batches re-optimized in the dual)"
+         next to the cold baseline's avg; dual = incremental attempts after expiry-only \
+         batches; fallback = incremental attempts that restarted cold, (budget) = those whose \
+         dual repair ran over its work budget, tin_lp::DUAL_REPAIR_BUDGET per arc and node)"
     );
     failed |= verdicts("warmflow", Regime::Warmflow, workloads, &warm);
 

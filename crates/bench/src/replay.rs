@@ -692,6 +692,7 @@ mod tests {
                             s.basis_hits + s.fallback_cold + s.compactions + 1 >= s.solves,
                             "{what}: every solve after the first reuses, compacts or falls back"
                         );
+                        assert!(s.budget_restarts <= s.fallback_cold, "{what}");
                         assert!((0.0..=1.0).contains(&m.hit_rate()), "{what}");
                     }
                     Regime::Durable => {

@@ -15,8 +15,10 @@
 //!    ([`NetflowSession`]): the previous optimal basis stays live in the
 //!    engine, expired capacity is repaired by worst-first dual pivots, new
 //!    arcs are priced in by warm primal pivots, and a state the patch
-//!    cannot reuse (a shrunk problem, a dual stall, the pivot limit)
-//!    transparently restarts from scratch.
+//!    cannot reuse (a shrunk problem, a dual repair over its work budget,
+//!    a dual stall, the pivot limit) transparently restarts from scratch.
+//!    The budget ([`tin_lp::DUAL_REPAIR_BUDGET`]) bounds what a batch can
+//!    spend on a warm repair before it pays for the cold solve.
 //!
 //! The solved value is exact on every batch — equal to what a cold
 //! [`netflow_max_flow`](crate::netflow_max_flow) on the current graph
@@ -66,20 +68,33 @@ pub struct SessionStats {
     /// Solves that successfully re-optimized from the previous basis.
     pub basis_hits: usize,
     /// Solves that found the engine resident but restarted it from scratch
-    /// (the problem shrank, the dual repair stalled, or the warm pivots hit
-    /// the pivot limit).
+    /// (the problem shrank, the dual repair ran over its work budget or
+    /// stalled, or the warm pivots hit the pivot limit). Budget restarts
+    /// are included, and also counted in
+    /// [`SessionStats::budget_restarts`].
     pub fallback_cold: usize,
-    /// Resident solves after expiry-only batches: every patch since the
-    /// previous solve only removed capacity ([`McfPatch::shrink_only`]), so
-    /// the dual repair does all the work.
+    /// Fallbacks whose dual repair ran over its work budget,
+    /// [`tin_lp::DUAL_REPAIR_BUDGET`] units per node and arc
+    /// ([`McfSolution::budget_restart`]).
+    pub budget_restarts: usize,
+    /// Incremental attempts after expiry-only batches: every patch since
+    /// the previous solve only removed capacity ([`McfPatch::shrink_only`]),
+    /// so the dual repair does all the work. This counts attempts: each
+    /// resident solve counts here or in
+    /// [`SessionStats::primal_reoptimizations`] whether it reused the basis
+    /// or fell back, so the two sum to `basis_hits + fallback_cold`.
     pub dual_reoptimizations: usize,
-    /// Resident solves after batches that also added or moved arcs, which
-    /// the final primal pricing brings into the tree.
+    /// Incremental attempts after batches that also added or moved arcs,
+    /// which the final primal pricing brings into the tree.
     pub primal_reoptimizations: usize,
     /// Pivots spent in solves that reused a basis.
     pub warm_pivots: usize,
-    /// Pivots spent in cold solves (first solve + fallbacks).
+    /// Pivots spent in cold solves (first solve + fallbacks' restarts).
     pub cold_pivots: usize,
+    /// Pivots of incremental attempts that fell back, spent before the
+    /// restart ([`McfSolution::abandoned_pivots`]); in neither
+    /// `warm_pivots` nor `cold_pivots`.
+    pub abandoned_pivots: usize,
     /// Arcs tombstoned to zero capacity by expiry so far.
     pub tombstoned_arcs: usize,
     /// Arcs appended for newly arrived interactions so far.
@@ -103,8 +118,12 @@ pub struct SessionSolve {
     pub basis_reused: bool,
     /// Whether the engine was resident but restarted from scratch.
     pub fallback_cold: bool,
-    /// Simplex pivots this solve performed.
+    /// Simplex pivots this solve performed (the restart's, after a
+    /// fallback).
     pub pivots: usize,
+    /// The dual repair's work on this solve, the abandoned attempt's after
+    /// a fallback ([`McfSolution::repair_work`]).
+    pub repair_work: usize,
 }
 
 /// An exact flow computation kept warm across streaming delta batches. See
@@ -222,7 +241,7 @@ impl FlowSession {
     /// Solves the current state exactly through the resident engine: the
     /// previous solve's simplex state absorbs the accumulated patches and
     /// re-proves optimality, falling back to a from-scratch solve when it
-    /// cannot.
+    /// cannot or when its dual repair runs over budget.
     pub fn solve(&mut self) -> Result<SessionSolve, FlowError> {
         if self.engine.is_resident() {
             if self.shrink_only_pending {
@@ -242,6 +261,8 @@ impl FlowSession {
         }
         if solution.fallback_cold {
             self.stats.fallback_cold += 1;
+            self.stats.budget_restarts += usize::from(solution.budget_restart);
+            self.stats.abandoned_pivots += solution.abandoned_pivots;
         }
         if solution.status != LpStatus::Optimal {
             return Err(FlowError::LpFailed(solution.status));
@@ -252,6 +273,7 @@ impl FlowSession {
             basis_reused: solution.basis_reused,
             fallback_cold: solution.fallback_cold,
             pivots: solution.pivots,
+            repair_work: solution.repair_work,
         })
     }
 }
@@ -339,6 +361,11 @@ mod tests {
         assert_eq!(stats.dual_reoptimizations, 1);
         assert_eq!(stats.primal_reoptimizations, 2);
         assert_eq!(stats.basis_hits + stats.fallback_cold, 3);
+        assert_eq!(
+            stats.dual_reoptimizations + stats.primal_reoptimizations,
+            stats.basis_hits + stats.fallback_cold,
+            "re-optimizations count attempts"
+        );
         assert!(stats.tombstoned_arcs > 0 && stats.added_arcs > 0);
     }
 

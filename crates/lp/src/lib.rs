@@ -14,7 +14,8 @@
 //!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C
 //!   flow hot path runs on, and [`NetflowSession`] keeps one such engine
 //!   resident across the batches of a live flow session, repairing its
-//!   tree after each patch instead of solving again from scratch;
+//!   tree after each patch instead of solving again from scratch (a repair
+//!   that runs over [`netflow::DUAL_REPAIR_BUDGET`] restarts cold);
 //! * [`simplex`] — the general-LP engine behind [`LpProblem::solve`], a
 //!   **sparse revised simplex**: the constraint matrix lives in a
 //!   compressed-sparse-column store ([`sparse::CscMatrix`]), the basis
@@ -62,6 +63,6 @@ pub mod simplex;
 pub mod solution;
 pub mod sparse;
 
-pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession};
+pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession, DUAL_REPAIR_BUDGET};
 pub use problem::{ConstraintOp, LpProblem, Sense};
 pub use solution::{LpSolution, LpStatus};

