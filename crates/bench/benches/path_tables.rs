@@ -3,8 +3,6 @@
 //!
 //! Variants per dataset (quick scale):
 //!
-//! * `reference` — the retained pre-kernel builder (per-row graph
-//!   materialization + traced greedy scan), the before/after baseline;
 //! * `serial` — the chain-propagation kernel on one thread;
 //! * `parallel` — the kernel fanned out over the worker pool;
 //! * `lazy32` — [`LazyPathTables`] answering 32 anchors on demand (the
@@ -18,7 +16,7 @@ use std::time::Duration;
 use tin_bench::{generate_dataset, ExperimentScale};
 use tin_datasets::DatasetKind;
 use tin_graph::NodeId;
-use tin_patterns::{reference::build_reference, LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
 
 fn bench_config(c: &mut Criterion, group_name: &str, config: TablesConfig, kinds: &[DatasetKind]) {
     let scale = ExperimentScale::quick();
@@ -31,16 +29,6 @@ fn bench_config(c: &mut Criterion, group_name: &str, config: TablesConfig, kinds
         let graph = generate_dataset(kind, &scale);
         let rows = PathTables::build(&graph, &config).row_count();
         group.throughput(Throughput::Elements(rows as u64));
-        group.bench_with_input(
-            BenchmarkId::new("reference", kind.name()),
-            &graph,
-            |b, g| {
-                b.iter(|| {
-                    let t = build_reference(g, &config);
-                    std::hint::black_box(t.l2.len() + t.l3.len() + t.c2.len())
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("serial", kind.name()), &graph, |b, g| {
             b.iter(|| std::hint::black_box(PathTables::build_serial(g, &config).row_count()))
         });

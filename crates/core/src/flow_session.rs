@@ -15,8 +15,9 @@
 //!    ([`NetflowSession`]): the previous optimal basis stays live in the
 //!    engine, expired capacity is repaired by worst-first dual pivots, new
 //!    arcs are priced in by warm primal pivots, and a state the patch
-//!    cannot reuse (a shrunk problem, a dual repair over its work budget,
-//!    a dual stall, the pivot limit) transparently restarts from scratch.
+//!    cannot reuse (a shrunk problem, a re-costed tree arc, a dual repair
+//!    over its work budget, a dual stall, the pivot limit) transparently
+//!    restarts from scratch.
 //!    The budget ([`tin_lp::DUAL_REPAIR_BUDGET`]) bounds what a batch can
 //!    spend on a warm repair before it pays for the cold solve.
 //!
@@ -68,9 +69,9 @@ pub struct SessionStats {
     /// Solves that successfully re-optimized from the previous basis.
     pub basis_hits: usize,
     /// Solves that found the engine resident but restarted it from scratch
-    /// (the problem shrank, the dual repair ran over its work budget or
-    /// stalled, or the warm pivots hit the pivot limit). Budget restarts
-    /// are included, and also counted in
+    /// (the problem shrank, a tree arc was re-costed, the dual repair ran
+    /// over its work budget or stalled, or the warm pivots hit the pivot
+    /// limit). Budget restarts are included, and also counted in
     /// [`SessionStats::budget_restarts`].
     pub fallback_cold: usize,
     /// Fallbacks whose dual repair ran over its work budget,

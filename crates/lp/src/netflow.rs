@@ -104,10 +104,11 @@ pub struct McfSolution {
     /// first solve, and for a session solve that restarted from scratch.
     pub basis_reused: bool,
     /// Whether a [`NetflowSession`] had resident state but could not reuse
-    /// it and restarted from scratch: the problem shrank, the dual repair
-    /// ran over its work budget ([`McfSolution::budget_restart`]) or
-    /// stalled, or the warm pivots hit the pivot limit or an unbounded
-    /// verdict (which the restart then renders authoritatively).
+    /// it and restarted from scratch: the problem shrank, a tree arc was
+    /// re-costed, the dual repair ran over its work budget
+    /// ([`McfSolution::budget_restart`]) or stalled, or the warm pivots hit
+    /// the pivot limit or an unbounded verdict (which the restart then
+    /// renders authoritatively).
     pub fallback_cold: bool,
     /// Whether the fallback was the dual repair running over
     /// [`DUAL_REPAIR_BUDGET`]`·(m + n)` units of work.
@@ -550,7 +551,7 @@ struct NetSimplex {
     chain: Vec<usize>,
     chain_arcs: Vec<usize>,
     stack: Vec<usize>,
-    // CSR bucketing scratch for `warm_start` / `seed_tree`.
+    // CSR bucketing scratch for `warm_start`.
     start: Vec<usize>,
     incoming: Vec<u32>,
     // Subtree membership flags for the dual pivots (all `false` between
@@ -564,7 +565,6 @@ struct NetSimplex {
     adj: Vec<u32>,
     adj_start: Vec<u32>,
     adj_valid: bool,
-    adj_enabled: bool,
 }
 
 impl Drop for NetSimplex {
@@ -640,7 +640,6 @@ impl NetSimplex {
             adj: sc.adj,
             adj_start: sc.adj_start,
             adj_valid: false,
-            adj_enabled: false,
         };
         for a in &p.arcs {
             s.arcs.push(ArcRec {
@@ -692,120 +691,6 @@ impl NetSimplex {
             s.attach(root, v);
         }
         s
-    }
-
-    /// Rebuilds the parent/pred/child-sibling tree from the arc `Tree`
-    /// states a resident session kept, after a re-cost of a tree arc
-    /// invalidated its potentials. Tree arcs are treated as undirected
-    /// edges; any arc that would close a cycle (possible after retargeting)
-    /// is demoted to nonbasic-at-lower, and every connected piece —
-    /// including nodes appended since the previous solve — is anchored to
-    /// the artificial root through its lowest-numbered node's artificial
-    /// arc. Depths and potentials are left for the caller to refresh.
-    fn seed_tree(&mut self) {
-        let root = self.n;
-        let mut start = std::mem::take(&mut self.start);
-        start.clear();
-        start.resize(self.n + 1, 0);
-        for arc in &self.arcs[..self.m] {
-            if arc.state == ArcState::Tree {
-                start[arc.tail as usize] += 1;
-                start[arc.head as usize] += 1;
-            }
-        }
-        let mut run = 0usize;
-        for s in start.iter_mut() {
-            run += *s;
-            *s = run;
-        }
-        let mut incoming = std::mem::take(&mut self.incoming);
-        incoming.clear();
-        incoming.resize(run, 0);
-        for (a, arc) in self.arcs[..self.m].iter().enumerate() {
-            if arc.state == ArcState::Tree {
-                for v in [arc.tail as usize, arc.head as usize] {
-                    let slot = &mut start[v];
-                    *slot -= 1;
-                    incoming[*slot] = a as u32;
-                }
-            }
-        }
-        self.stack.clear();
-        for anchor in 0..self.n {
-            if self.nodes[anchor].parent != NIL {
-                continue;
-            }
-            self.nodes[anchor].parent = root as u32;
-            self.nodes[anchor].pred = (self.m + anchor) as u32;
-            self.arcs[self.m + anchor].state = ArcState::Tree;
-            self.attach(root, anchor);
-            self.stack.push(anchor);
-            while let Some(v) = self.stack.pop() {
-                for &inc in &incoming[start[v]..start[v + 1]] {
-                    let a = inc as usize;
-                    let arc = self.arcs[a];
-                    let u = if arc.tail as usize == v {
-                        arc.head as usize
-                    } else {
-                        arc.tail as usize
-                    };
-                    if self.nodes[u].parent == NIL {
-                        self.nodes[u].parent = v as u32;
-                        self.nodes[u].pred = a as u32;
-                        self.attach(v, u);
-                        self.stack.push(u);
-                    } else if self.arcs[a].state == ArcState::Tree
-                        && self.nodes[v].pred as usize != a
-                        && self.nodes[u].pred as usize != a
-                    {
-                        // Both endpoints already attached and the arc is
-                        // neither one's entry: it closes a cycle. The stored
-                        // tree is stale here; rest the arc at its lower
-                        // bound instead.
-                        self.arcs[a].state = ArcState::Lower;
-                        self.arcs[a].flow = 0.0;
-                    }
-                }
-            }
-        }
-        self.start = start;
-        self.incoming = incoming;
-    }
-
-    /// Tree elimination: given per-node residual excesses `e` (indexed
-    /// `0..=n`, root last), assigns every basic arc the unique flow that
-    /// balances its subtree. Preorder by explicit stack puts parents before
-    /// descendants, so the reverse sweep sees every child first and solves
-    /// the triangular system in one pass. Flows may land outside their
-    /// bounds — that is the caller's dual repair to finish.
-    fn eliminate_tree_flows(&mut self, e: &mut [f64]) {
-        let root = self.n;
-        self.chain.clear();
-        self.stack.clear();
-        let mut c = self.nodes[root].first_child;
-        while c != NIL {
-            self.stack.push(c as usize);
-            c = self.nodes[c as usize].next_sib;
-        }
-        while let Some(v) = self.stack.pop() {
-            self.chain.push(v);
-            let mut c = self.nodes[v].first_child;
-            while c != NIL {
-                self.stack.push(c as usize);
-                c = self.nodes[c as usize].next_sib;
-            }
-        }
-        for i in (0..self.chain.len()).rev() {
-            let v = self.chain[i];
-            let a = self.nodes[v].pred as usize;
-            let ev = e[v];
-            self.arcs[a].flow = if self.arcs[a].tail as usize == v {
-                ev
-            } else {
-                -ev
-            };
-            e[self.nodes[v].parent as usize] += ev;
-        }
     }
 
     fn rc(&self, a: &ArcRec) -> f64 {
@@ -1207,13 +1092,6 @@ impl NetSimplex {
         self.refresh_subtree(q);
     }
 
-    /// Every tree arc (each is exactly one real node's entry arc): the
-    /// [`Self::dual_repair`] worklist of a caller that recomputed all tree
-    /// flows.
-    fn tree_arcs(&self) -> Vec<u32> {
-        self.nodes[..self.n].iter().map(|node| node.pred).collect()
-    }
-
     /// Dual network simplex over a dual-feasible tree: while some tree arc
     /// is outside its bounds, repair the most-violated one with a single
     /// dual pivot. The tree stays dual-feasible throughout (the entering
@@ -1379,7 +1257,7 @@ impl NetSimplex {
         // small cut whose incidence lists hold `m` arcs or more is swept
         // too, so no pivot reads more than `m` arcs.
         let mut reads = self.m;
-        if self.adj_enabled && self.chain.len() * 16 < self.n {
+        if self.chain.len() * 16 < self.n {
             if !self.adj_valid {
                 self.build_incidence();
             }
@@ -1511,9 +1389,9 @@ impl Abandoned {
 ///   zero-capacity anchors;
 /// * `touched` arcs (capacity, cost or endpoint patches) are refreshed
 ///   individually and the flow each edit displaces is routed root-ward
-///   through the tree; the spanning tree is rebuilt (and every basic flow
-///   recomputed by tree elimination) only when a *tree* arc was re-costed,
-///   and the potentials survive otherwise;
+///   through the tree, so the potentials survive; a re-costed *tree* arc
+///   would invalidate a subtree's potentials, and sends the solve to a
+///   restart from scratch instead (no flow emitter re-costs an arc);
 /// * each solve then repairs the tree arcs left outside their bounds with
 ///   worst-first dual pivots and finishes with primal pricing.
 ///
@@ -1521,8 +1399,9 @@ impl Abandoned {
 /// since the previous solve (appended arcs are picked up automatically;
 /// duplicates are fine) — debug builds verify the sync against the problem.
 /// Whenever the resident state cannot be reused (first solve, shrunk
-/// problem, non-circulation shape, a dual repair over its work budget
-/// [`DUAL_REPAIR_BUDGET`], a dual stall, the pivot limit), the session
+/// problem, non-circulation shape, a re-costed tree arc, a dual repair over
+/// its work budget [`DUAL_REPAIR_BUDGET`], a dual stall, the pivot limit),
+/// the session
 /// transparently solves from scratch — keeping the fresh state resident —
 /// and reports it via [`McfSolution::fallback_cold`] (and, for the budget,
 /// [`McfSolution::budget_restart`]).
@@ -1661,14 +1540,17 @@ impl NetflowSession {
         touched.sort_unstable();
         touched.dedup();
 
-        // A tree arc whose *cost* changed invalidates the potentials of an
-        // entire subtree — rare enough (the flow formulations never re-cost
-        // an arc) that a full tree reseed is the simplest correct answer.
-        // Endpoint moves and capacity changes are repaired surgically.
-        let reseed = touched.iter().any(|&t| {
+        // A tree arc whose *cost* changed invalidates the potentials of a
+        // whole subtree, which the sparse sync below cannot repair. No flow
+        // emitter re-costs an arc (the problem has no cost setter), so such
+        // a patch simply restarts cold. Endpoint moves and capacity changes
+        // are repaired surgically.
+        if touched.iter().any(|&t| {
             let rec = &s.arcs[t as usize];
             rec.state == ArcState::Tree && rec.cost != problem.arcs[t as usize].cost
-        });
+        }) {
+            return Err(Abandoned::default());
+        }
 
         // Structural growth. Appended real arcs are spliced in ahead of
         // the artificial block so arc ids keep their meaning; tree `pred`
@@ -1747,167 +1629,116 @@ impl NetflowSession {
         let root = n;
         let limit = problem.pivot_limit();
 
-        let mut worklist: Vec<u32> = if reseed {
-            // Sync every touched arc in place, rebuild the tree from the arc
-            // states, recompute all flows by elimination: any tree arc may
-            // now be out of bounds.
-            for &t in &touched {
-                let a = &problem.arcs[t as usize];
-                let rec = &mut s.arcs[t as usize];
-                rec.tail = a.tail as u32;
-                rec.head = a.head as u32;
-                rec.cost = a.cost;
-                rec.cap = a.upper - a.lower;
-            }
-            for node in &mut s.nodes {
-                *node = NODE_INIT;
-            }
-            for rec in &mut s.arcs[m..] {
-                rec.state = ArcState::Lower;
-                rec.flow = 0.0;
-            }
-            s.seed_tree();
-            let mut excess = vec![0.0f64; n + 1];
-            for rec in &mut s.arcs[..m] {
-                match rec.state {
-                    ArcState::Upper if !rec.cap.is_finite() || rec.cap <= EPS => {
+        // Sparse sync. `excess` tracks the conservation surplus each flow
+        // edit leaves behind at a node; `hot` the nodes holding one;
+        // `worklist` the tree arcs whose flows were (or will be) rewritten
+        // and may now sit outside their bounds.
+        let mut excess = vec![0.0f64; n + 1];
+        let mut hot: Vec<usize> = Vec::new();
+        let mut worklist: Vec<u32> = Vec::new();
+        for &t in &touched {
+            let i = t as usize;
+            let a = &problem.arcs[i];
+            let new_cap = a.upper - a.lower;
+            let rec = &mut s.arcs[i];
+            let moved = rec.tail as usize != a.tail || rec.head as usize != a.head;
+            match rec.state {
+                ArcState::Lower => {
+                    // Resting at zero flow: every patch is free.
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                }
+                ArcState::Upper => {
+                    // The rest flow follows the bound: retract the old
+                    // contribution, apply the new one.
+                    let old = rec.flow;
+                    if old != 0.0 {
+                        excess[rec.tail as usize] += old;
+                        excess[rec.head as usize] -= old;
+                        hot.push(rec.tail as usize);
+                        hot.push(rec.head as usize);
+                    }
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    rec.cost = a.cost;
+                    if !new_cap.is_finite() || new_cap <= EPS {
                         rec.state = ArcState::Lower;
                         rec.flow = 0.0;
-                        continue;
-                    }
-                    ArcState::Upper => rec.flow = rec.cap,
-                    ArcState::Lower | ArcState::Tree => {
-                        rec.flow = 0.0;
-                        continue;
-                    }
-                }
-                excess[rec.tail as usize] -= rec.flow;
-                excess[rec.head as usize] += rec.flow;
-            }
-            s.eliminate_tree_flows(&mut excess);
-            s.nodes[root].pot = 0.0;
-            let mut c = s.nodes[root].first_child;
-            while c != NIL {
-                s.refresh_subtree(c as usize);
-                c = s.nodes[c as usize].next_sib;
-            }
-            s.tree_arcs()
-        } else {
-            // Sparse sync. `excess` tracks the conservation surplus each
-            // flow edit leaves behind at a node; `hot` the nodes holding
-            // one; `worklist` the tree arcs whose flows were (or will be)
-            // rewritten and may now sit outside their bounds.
-            let mut excess = vec![0.0f64; n + 1];
-            let mut hot: Vec<usize> = Vec::new();
-            let mut worklist: Vec<u32> = Vec::new();
-            for &t in &touched {
-                let i = t as usize;
-                let a = &problem.arcs[i];
-                let new_cap = a.upper - a.lower;
-                let rec = &mut s.arcs[i];
-                let moved = rec.tail as usize != a.tail || rec.head as usize != a.head;
-                match rec.state {
-                    ArcState::Lower => {
-                        // Resting at zero flow: every patch is free.
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                    }
-                    ArcState::Upper => {
-                        // The rest flow follows the bound: retract the old
-                        // contribution, apply the new one.
-                        let old = rec.flow;
-                        if old != 0.0 {
-                            excess[rec.tail as usize] += old;
-                            excess[rec.head as usize] -= old;
-                            hot.push(rec.tail as usize);
-                            hot.push(rec.head as usize);
-                        }
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        if !new_cap.is_finite() || new_cap <= EPS {
-                            rec.state = ArcState::Lower;
-                            rec.flow = 0.0;
-                        } else {
-                            rec.flow = new_cap;
-                            excess[a.tail] -= new_cap;
-                            excess[a.head] += new_cap;
-                            hot.push(a.tail);
-                            hot.push(a.head);
-                        }
-                    }
-                    ArcState::Tree if moved => {
-                        // A retargeted basic arc: demote it, give its flow
-                        // back to its old endpoints, and re-anchor the
-                        // subtree it was holding up directly under the
-                        // root (zero-capacity anchor — any flow the
-                        // subtree still exchanges with the rest surfaces
-                        // there as a violation for the dual repair).
-                        let f = rec.flow;
-                        let (ot, oh) = (rec.tail as usize, rec.head as usize);
-                        rec.state = ArcState::Lower;
-                        rec.flow = 0.0;
-                        rec.tail = a.tail as u32;
-                        rec.head = a.head as u32;
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        if f != 0.0 {
-                            excess[ot] += f;
-                            excess[oh] -= f;
-                            hot.push(ot);
-                            hot.push(oh);
-                        }
-                        let x = if s.nodes[ot].pred as usize == i {
-                            ot
-                        } else {
-                            oh
-                        };
-                        debug_assert_eq!(s.nodes[x].pred as usize, i);
-                        s.detach(x);
-                        s.nodes[x].parent = root as u32;
-                        s.nodes[x].pred = (m + x) as u32;
-                        s.arcs[m + x].state = ArcState::Tree;
-                        s.attach(root, x);
-                        s.refresh_subtree(x);
-                        worklist.push((m + x) as u32);
-                    }
-                    ArcState::Tree => {
-                        // Capacity change on a basic arc: the flow stays;
-                        // if the new bound cut below it, the dual repair
-                        // will reroute the difference.
-                        rec.cap = new_cap;
-                        rec.cost = a.cost;
-                        worklist.push(t);
-                    }
-                }
-            }
-            // Route every surplus to the root through the tree: the
-            // contributions sum to zero there, and each rewritten tree
-            // flow becomes a repair candidate.
-            for &v0 in &hot {
-                let e = excess[v0];
-                if e == 0.0 || v0 == root {
-                    continue;
-                }
-                excess[v0] = 0.0;
-                let mut v = v0;
-                while v != root {
-                    let a = s.nodes[v].pred as usize;
-                    if s.arcs[a].tail as usize == v {
-                        s.arcs[a].flow += e;
                     } else {
-                        s.arcs[a].flow -= e;
+                        rec.flow = new_cap;
+                        excess[a.tail] -= new_cap;
+                        excess[a.head] += new_cap;
+                        hot.push(a.tail);
+                        hot.push(a.head);
                     }
-                    worklist.push(a as u32);
-                    v = s.nodes[v].parent as usize;
+                }
+                ArcState::Tree if moved => {
+                    // A retargeted basic arc (its cost is unchanged, see
+                    // above): demote it, give its flow back to its old
+                    // endpoints, and re-anchor the subtree it was holding
+                    // up directly under the root (zero-capacity anchor —
+                    // any flow the subtree still exchanges with the rest
+                    // surfaces there as a violation for the dual repair).
+                    let f = rec.flow;
+                    let (ot, oh) = (rec.tail as usize, rec.head as usize);
+                    rec.state = ArcState::Lower;
+                    rec.flow = 0.0;
+                    rec.tail = a.tail as u32;
+                    rec.head = a.head as u32;
+                    rec.cap = new_cap;
+                    if f != 0.0 {
+                        excess[ot] += f;
+                        excess[oh] -= f;
+                        hot.push(ot);
+                        hot.push(oh);
+                    }
+                    let x = if s.nodes[ot].pred as usize == i {
+                        ot
+                    } else {
+                        oh
+                    };
+                    debug_assert_eq!(s.nodes[x].pred as usize, i);
+                    s.detach(x);
+                    s.nodes[x].parent = root as u32;
+                    s.nodes[x].pred = (m + x) as u32;
+                    s.arcs[m + x].state = ArcState::Tree;
+                    s.attach(root, x);
+                    s.refresh_subtree(x);
+                    worklist.push((m + x) as u32);
+                }
+                ArcState::Tree => {
+                    // Capacity change on a basic arc: the flow stays; if
+                    // the new bound cut below it, the dual repair will
+                    // reroute the difference.
+                    rec.cap = new_cap;
+                    worklist.push(t);
                 }
             }
-            worklist
-        };
-        s.adj_enabled = true;
+        }
+        // Route every surplus to the root through the tree: the
+        // contributions sum to zero there, and each rewritten tree flow
+        // becomes a repair candidate.
+        for &v0 in &hot {
+            let e = excess[v0];
+            if e == 0.0 || v0 == root {
+                continue;
+            }
+            excess[v0] = 0.0;
+            let mut v = v0;
+            while v != root {
+                let a = s.nodes[v].pred as usize;
+                if s.arcs[a].tail as usize == v {
+                    s.arcs[a].flow += e;
+                } else {
+                    s.arcs[a].flow -= e;
+                }
+                worklist.push(a as u32);
+                v = s.nodes[v].parent as usize;
+            }
+        }
         if let Err(outcome) = s.dual_repair(limit, DUAL_REPAIR_BUDGET * (m + n), &mut worklist) {
             return Err(Abandoned::of(&s, matches!(outcome, DualOutcome::Budget)));
         }
@@ -2264,7 +2095,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_session_reseeds_after_recosting_a_tree_arc() {
+    fn resident_session_restarts_cold_after_recosting_a_tree_arc() {
         let p = circulation();
         let mut session = NetflowSession::new();
         assert_warm_matches_cold(&p, &session.solve(&p, &[]));
@@ -2274,17 +2105,24 @@ mod tests {
         assert_eq!(engine.arcs[4].state, ArcState::Tree);
 
         // Re-cost it and, in the same batch, cut it below its flow: the
-        // re-cost rebuilds the tree and the cut leaves a tree arc out of
-        // bounds for the dual repair.
+        // re-cost invalidates the potentials below the arc, so the session
+        // restarts cold before any repair work.
         let mut q = MinCostFlowProblem::new(p.num_nodes());
         for a in &p.arcs()[..4] {
             q.add_arc(a.tail, a.head, a.cost, a.upper);
         }
         q.add_arc(3, 0, -2.0, 4.0);
-        let warm = session.solve(&q, &[4]);
-        assert!(warm.basis_reused && !warm.fallback_cold);
-        assert!((warm.objective - (-8.0)).abs() < 1e-9);
-        assert_warm_matches_cold(&q, &warm);
+        let sol = session.solve(&q, &[4]);
+        assert!(sol.fallback_cold && !sol.basis_reused && !sol.budget_restart);
+        assert_eq!((sol.repair_work, sol.abandoned_pivots), (0, 0));
+        assert!((sol.objective - (-8.0)).abs() < 1e-9);
+        assert_warm_matches_cold(&q, &sol);
+
+        // The restarted state stays resident: an unchanged re-solve reuses
+        // it without a pivot.
+        let again = session.solve(&q, &[]);
+        assert!(again.basis_reused && !again.fallback_cold);
+        assert_eq!(again.pivots, 0);
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! The pre-kernel path-table builder, retained as a cross-check oracle.
+//! The pre-kernel path-table builder: the test reference for
+//! `crates/patterns/tests/table_equivalence.rs`.
 //!
 //! This is the original [`crate::tables`] implementation: for every
 //! candidate path it materializes a throwaway chain DAG with
 //! [`GraphBuilder`] and replays it with the traced greedy scan. It is one to
 //! two orders of magnitude slower than the chain-propagation kernel (per-row
 //! graph construction, `format!`-allocated node names, cloned interaction
-//! vectors, event re-sorting, a full trace) and exists only so that
-//!
-//! * the equivalence property tests can prove the kernel builder produces
-//!   identical rows, delivered profiles and flows, and
-//! * `benches/path_tables.rs` and EXPERIMENTS.md can measure the speedup
-//!   back-to-back in the same process.
-//!
-//! Do not use it outside tests and benchmarks.
+//! vectors, event re-sorting, a full trace) and exists only so that the
+//! equivalence property tests can prove the kernel builder produces
+//! identical rows, delivered profiles and flows. It is not an engine: do
+//! not call it outside tests.
 
 use tin_flow::greedy_flow_traced;
 use tin_graph::{GraphBuilder, Interaction, NodeId, Quantity, TemporalGraph};

@@ -607,12 +607,6 @@ impl PathTables {
         tables
     }
 
-    /// Rows of `table` anchored at `anchor` (kept as a thin wrapper over the
-    /// table's per-anchor offset index for source compatibility).
-    pub fn rows_for(table: &PathTable, anchor: NodeId) -> &[PathRow] {
-        table.rows_for(anchor)
-    }
-
     /// Total number of rows across all tables.
     pub fn row_count(&self) -> usize {
         self.l2.len() + self.l3.len() + self.c2.len()
@@ -1476,7 +1470,7 @@ mod tests {
         // 2-hop cycles: x<->y (both anchors) and x<->z (both anchors).
         assert_eq!(t.l2.len(), 4);
         let x = g.node_by_name("x").unwrap();
-        let rows = PathTables::rows_for(&t.l2, x);
+        let rows = t.l2.rows_for(x);
         assert_eq!(rows.len(), 2);
         // x->y->x: y receives 5 at time 1, returns min(3,5)=3 at time 4.
         let via_y = rows
@@ -1499,7 +1493,7 @@ mod tests {
         // 3-hop cycles: x->y->z->x (and rotations y->z->x->y, z->x->y->z).
         assert_eq!(t.l3.len(), 3);
         let x = g.node_by_name("x").unwrap();
-        let rows = PathTables::rows_for(&t.l3, x);
+        let rows = t.l3.rows_for(x);
         assert_eq!(rows.len(), 1);
         // x->y->z->x: y gets 5@1, forwards min(4,5)=4@5, z forwards nothing
         // (its only return interaction is at time 3 < 5)... so flow 0.
@@ -1637,7 +1631,7 @@ mod tests {
         let g = sample();
         let t = PathTables::build(&g, &TablesConfig::default());
         let w = g.node_by_name("w").unwrap();
-        assert!(PathTables::rows_for(&t.l2, w).is_empty());
+        assert!(t.l2.rows_for(w).is_empty());
     }
 
     #[test]
