@@ -21,9 +21,11 @@
 //!   truncation verdict), committed atomically via temp-file + rename with a
 //!   manifest tying each snapshot to its journal position.
 //! * [`recovery`] — the startup ladder: newest valid snapshot → older
-//!   snapshot → full journal replay, then journal-tail re-apply through the
-//!   existing [`tin_graph::TemporalGraph::apply`] /
-//!   [`tin_patterns::PathTables::apply`] path.
+//!   snapshot → full journal replay, then journal-tail re-apply through
+//!   [`tin_graph::TemporalGraph::apply`], frame by frame, and one table
+//!   catch-up at the end: the frames' changes folded into one
+//!   [`tin_patterns::PathTables::apply`], or a rebuild when the tail
+//!   changed a large share of the graph.
 //! * [`store`] — [`DurableStore`], the glue used by examples and benches:
 //!   journal-then-apply per delta (the [`tin_datasets::DeltaStream`] tee)
 //!   and on-demand snapshots.

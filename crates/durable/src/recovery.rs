@@ -22,14 +22,33 @@
 //! A torn frame at the very tail of the last segment is *not* a failure:
 //! it is the expected signature of a crash mid-append, and recovery reports
 //! it in [`RecoveryReport::torn_tail`] while recovering everything before it.
+//!
+//! Replay applies every frame to the graph first and brings the path tables
+//! up to date once at the end, since nothing reads them in between: the
+//! frames' [`AppliedDelta`]s are folded with [`AppliedDelta::absorb`], and
+//! the fold is either applied as one [`PathTables::apply`] or, when it
+//! changed at least a quarter of the live `(src, dst)` pairs, replaced by
+//! one [`PathTables::build`] of the final graph.
+//! [`RecoveryReport::tables_update`] says which.
 
 use crate::error::DurabilityError;
 use crate::frame::TornTail;
-use crate::journal::{list_segments, JournalPos};
+use crate::journal::{list_segments, JournalPos, JournalReplay};
 use crate::snapshot::{list_manifests, load_snapshot, read_manifest};
 use std::path::{Path, PathBuf};
-use tin_graph::TemporalGraph;
-use tin_patterns::{PathTables, TablesConfig};
+use tin_graph::{AppliedDelta, NodeId, TemporalGraph};
+use tin_patterns::{PathTables, TablesConfig, TablesUpdate};
+
+/// Share of the recovered graph's live `(src, dst)` pairs a replayed tail
+/// must change for recovery to rebuild the path tables instead of patching
+/// them with the tail's fold. A patch's work grows with the pairs it
+/// changed and a rebuild's does not. The folded patch and the rebuild tie
+/// at 19–24% changed on standard-scale stores of 1% frames, at 23–28%
+/// with a half-span window, and at about 26% on small windowed stores of
+/// single-record frames. Near the share, a folded patch also allocates
+/// more at its peak than a rebuild, which frees the stale tables first
+/// (DESIGN.md, "Durability").
+const REBUILD_SHARE: f64 = 0.25;
 
 /// Where the recovered state came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +81,13 @@ pub struct RecoveryReport {
     pub discarded: Vec<String>,
     /// A torn tail detected (and ignored) at the end of the last segment.
     pub torn_tail: Option<TornTail>,
+    /// The one table catch-up after the replay: `None` when nothing was
+    /// replayed and the restored tables already fit the requested
+    /// configuration, `rebuilt: true` when the tables were built afresh
+    /// (a tail that changed at least a quarter of the live `(src, dst)`
+    /// pairs, a full replay, or a configuration mismatch), a patch
+    /// otherwise.
+    pub tables_update: Option<TablesUpdate>,
 }
 
 /// The recovered state plus its [`RecoveryReport`].
@@ -143,48 +169,102 @@ impl Recovery {
         self.finish_from_snapshot(graph, tables, JournalPos::start(), 0, source, discarded)
     }
 
-    /// Replays the journal tail from `pos` onto `(graph, tables)` and
-    /// assembles the report.
+    /// Replays the journal tail from `pos` onto `graph`, brings `tables`
+    /// up to date in one catch-up ([`Recovery::catch_up`]) and assembles
+    /// the report.
     fn finish_from_snapshot(
         &self,
         mut graph: TemporalGraph,
-        mut tables: PathTables,
+        tables: PathTables,
         pos: JournalPos,
         frames: u64,
         source: RecoverySource,
         discarded: Vec<String>,
     ) -> Result<Recovered, DurabilityError> {
-        // The snapshot may have been produced under a different table
-        // configuration than the one requested now; rebuild rather than
-        // serve rows the caller did not ask for (or miss ones they did).
-        if *tables.config() != self.tables_config {
-            tables = PathTables::build(&graph, &self.tables_config);
-        }
-        let replay = crate::journal::replay_from(&self.dir, pos)?;
-        let mut replayed = 0u64;
-        for (delta, frame_pos) in &replay.deltas {
-            let applied = graph.apply(delta).map_err(|e| DurabilityError::Replay {
+        let JournalReplay { deltas, end, torn } = crate::journal::replay_from(&self.dir, pos)?;
+        let replayed = deltas.len() as u64;
+        let mut fold: Option<AppliedDelta> = None;
+        for (i, (delta, frame_pos)) in deltas.into_iter().enumerate() {
+            let applied = graph.apply(&delta).map_err(|e| DurabilityError::Replay {
                 file: format!("journal-{:06}.wal", frame_pos.segment),
-                frame: frames + replayed,
+                frame: frames + i as u64,
                 offset: frame_pos.offset,
                 source: e,
             })?;
-            tables.apply(&graph, &applied);
-            replayed += 1;
+            match &mut fold {
+                Some(fold) => fold.absorb(applied),
+                None => fold = Some(applied),
+            }
         }
+        let (tables, tables_update) = self.catch_up(&graph, tables, fold);
         Ok(Recovered {
             graph,
             tables,
             report: RecoveryReport {
-                position: replay.end,
+                position: end,
                 frames: frames + replayed,
                 replayed,
                 source,
                 discarded,
-                torn_tail: replay.torn.map(|(_, t)| t),
+                torn_tail: torn.map(|(_, t)| t),
+                tables_update,
             },
         })
     }
+
+    /// Brings `tables`, current as of the replay's start, up to date with
+    /// `graph`, the state after the replayed frames whose fold is `fold`.
+    ///
+    /// The choice between patch and rebuild lives here rather than in
+    /// [`PathTables::apply`]: a live feed's first batches also change most
+    /// of a small graph, and rebuilding there would turn the feed's
+    /// incremental maintenance into rebuilds it does not need. Recovery is
+    /// the one caller that holds a whole tail's changes at once.
+    fn catch_up(
+        &self,
+        graph: &TemporalGraph,
+        mut tables: PathTables,
+        fold: Option<AppliedDelta>,
+    ) -> (PathTables, Option<TablesUpdate>) {
+        // The snapshot may have been produced under a different table
+        // configuration than the one requested now; rebuild rather than
+        // serve rows the caller did not ask for (or miss ones they did).
+        let config_fits = *tables.config() == self.tables_config;
+        match fold {
+            None if config_fits => return (tables, None),
+            Some(fold) if config_fits && !mostly_changed(graph, &fold) => {
+                let update = tables.apply(graph, &fold);
+                return (tables, Some(update));
+            }
+            _ => {}
+        }
+        // Free the stale rows before the build allocates fresh ones.
+        drop(tables);
+        let tables = PathTables::build(graph, &self.tables_config);
+        let update = TablesUpdate {
+            refreshed_groups: graph.node_count(),
+            rebuilt: true,
+            kernel_calls: tables.kernel_calls(),
+        };
+        (tables, Some(update))
+    }
+}
+
+/// Whether `fold` changed at least [`REBUILD_SHARE`] of `graph`'s live
+/// `(src, dst)` pairs. A tombstoned pair that was revived counts once, and
+/// a pair that died within the fold counts although it is no longer live,
+/// so a full replay from an empty graph always reads as mostly changed.
+fn mostly_changed(graph: &TemporalGraph, fold: &AppliedDelta) -> bool {
+    let mut pairs: Vec<(NodeId, NodeId)> = fold
+        .changed_edges()
+        .map(|e| {
+            let edge = graph.edge(e);
+            (edge.src, edge.dst)
+        })
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs.len() as f64 >= REBUILD_SHARE * graph.live_edge_count() as f64
 }
 
 #[cfg(test)]
@@ -192,7 +272,9 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalConfig};
     use crate::snapshot::{manifest_path, snapshot_path, write_snapshot};
+    use crate::store::DurableStore;
     use std::fs;
+    use tin_datasets::{generate_prosper, DeltaStream, LoaderConfig, ProsperConfig};
     use tin_graph::{GraphDelta, Interaction, Node, NodeId};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -389,6 +471,127 @@ mod tests {
         assert_eq!(rec.tables.c2.len(), 0);
         let (_, t) = reference(6, &narrow);
         assert_eq!(t.first_row_divergence(&rec.tables), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store fed like a live windowed one: a small generated Prosper log
+    /// in timestamp order, a half-span window, one record per frame. It
+    /// snapshots after 90% of the frames and journals `tail` more (every
+    /// remaining frame when `tail` is `None`); returns the live state and
+    /// the tail's length.
+    fn windowed_store(dir: &Path, tail: Option<usize>) -> (TemporalGraph, PathTables, u64) {
+        let log = generate_prosper(
+            &ProsperConfig {
+                seed: 42,
+                ..ProsperConfig::default()
+            }
+            .scaled(0.04),
+        );
+        let mut records: Vec<_> = log
+            .edges()
+            .iter()
+            .flat_map(|e| {
+                e.interactions
+                    .iter()
+                    .map(move |i| (i.time, e.src, e.dst, i))
+            })
+            .collect();
+        records.sort_by_key(|r| r.0);
+        let mut csv = String::from("sender,recipient,timestamp,amount\n");
+        for (time, src, dst, i) in records {
+            let (src, dst) = (&log.node(src).name, &log.node(dst).name);
+            csv.push_str(&format!("{src},{dst},{time},{}\n", i.quantity));
+        }
+        let span = log.max_time().unwrap() - log.min_time().unwrap();
+        let mut stream = DeltaStream::new(csv.as_bytes(), &LoaderConfig::default())
+            .and_then(|s| s.window(span / 2))
+            .unwrap();
+        let mut deltas = Vec::new();
+        while let Some(delta) = stream.next_delta(1).unwrap() {
+            deltas.push(delta);
+        }
+        let snapshot_after = deltas.len() * 9 / 10;
+        let end = tail.map_or(deltas.len(), |t| snapshot_after + t);
+        let journal = JournalConfig {
+            sync_every: 0,
+            ..JournalConfig::default()
+        };
+        let (mut store, _) = DurableStore::open(dir, TablesConfig::default(), journal).unwrap();
+        for (i, delta) in deltas[..end].iter().enumerate() {
+            store.apply(delta).unwrap();
+            if i + 1 == snapshot_after {
+                store.snapshot().unwrap();
+            }
+        }
+        (
+            store.graph().clone(),
+            store.tables().clone(),
+            (end - snapshot_after) as u64,
+        )
+    }
+
+    /// Asserts `rec` is the live state and its report shows one catch-up,
+    /// `rebuilt` or not, that did all the kernel work on the tables.
+    fn assert_one_catch_up(
+        rec: &Recovered,
+        graph: &TemporalGraph,
+        tables: &PathTables,
+        rebuilt: bool,
+    ) -> TablesUpdate {
+        assert_eq!(rec.graph, *graph);
+        assert_eq!(tables.first_row_divergence(&rec.tables), None);
+        let update = rec
+            .report
+            .tables_update
+            .expect("a replayed tail is caught up");
+        assert_eq!(update.rebuilt, rebuilt, "{update:?}");
+        assert_eq!(rec.tables.kernel_calls(), update.kernel_calls);
+        update
+    }
+
+    #[test]
+    fn long_windowed_tail_rebuilds_the_tables_once() {
+        let dir = temp_dir("longtail");
+        let (graph, tables, tail) = windowed_store(&dir, None);
+        assert!(tail >= 40, "a long tail of single-record frames: {tail}");
+        let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+        assert!(matches!(rec.report.source, RecoverySource::Snapshot { .. }));
+        assert_eq!(rec.report.replayed, tail);
+        let update = assert_one_catch_up(&rec, &graph, &tables, true);
+        assert_eq!(update.refreshed_groups, graph.node_count());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_frame_tail_patches_the_tables_once() {
+        let dir = temp_dir("shorttail");
+        let (graph, tables, tail) = windowed_store(&dir, Some(1));
+        let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+        assert!(matches!(rec.report.source, RecoverySource::Snapshot { .. }));
+        assert_eq!((tail, rec.report.replayed), (1, 1));
+        let update = assert_one_catch_up(&rec, &graph, &tables, false);
+        assert!(update.refreshed_groups > 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn full_replay_rebuilds_the_tables_once() {
+        let dir = temp_dir("replaytail");
+        let (graph, tables, _) = windowed_store(&dir, None);
+        fs::remove_file(manifest_path(&dir, 0)).unwrap();
+        let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+        assert_eq!(rec.report.source, RecoverySource::FullReplay);
+        assert_one_catch_up(&rec, &graph, &tables, true);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_tail_needs_no_catch_up() {
+        let dir = temp_dir("notail");
+        populate(&dir, 6, Some(6));
+        let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+        assert_eq!(rec.report.replayed, 0);
+        assert_eq!(rec.report.tables_update, None);
         fs::remove_dir_all(&dir).unwrap();
     }
 

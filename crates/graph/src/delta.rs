@@ -169,10 +169,13 @@ pub struct AppliedDelta {
     /// Vertex count after the application.
     pub nodes_after: usize,
     /// Edges created by this application (new `(src, dst)` pairs), in
-    /// identifier order.
+    /// identifier order. In a fold made with [`AppliedDelta::absorb`], a
+    /// listed edge may since have been tombstoned.
     pub new_edges: Vec<EdgeId>,
     /// Every edge that received at least one interaction (includes all of
-    /// [`AppliedDelta::new_edges`]), in first-touch order.
+    /// [`AppliedDelta::new_edges`]), in first-touch order. A fold made with
+    /// [`AppliedDelta::absorb`] lists an edge once per application that
+    /// touched it.
     pub touched_edges: Vec<EdgeId>,
     /// Number of interactions merged.
     pub interactions: usize,
@@ -181,7 +184,10 @@ pub struct AppliedDelta {
     /// frontier immediately expired.
     pub removed_interactions: usize,
     /// Edges that lost interactions to the frontier but still carry at
-    /// least one — shrunk in place, still live.
+    /// least one — shrunk in place, still live after this application. In
+    /// a fold made with [`AppliedDelta::absorb`], a listed edge may since
+    /// have been tombstoned, and so also be in
+    /// [`AppliedDelta::removed_edges`].
     pub shrunk_edges: Vec<EdgeId>,
     /// Edges whose entire interaction sequence expired: now tombstones,
     /// unlinked from the adjacency lists and the `(src, dst)` lookup. Their
@@ -198,13 +204,45 @@ impl AppliedDelta {
     /// Every edge whose interaction sequence changed: touched by additions,
     /// shrunk by eviction, or tombstoned. An edge can appear more than once
     /// (e.g. it gained new interactions *and* lost expired ones in the same
-    /// application) — incremental indexes should treat this as a set.
+    /// application, or a fold changed it more than once) — incremental
+    /// indexes should treat this as a set.
     pub fn changed_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.touched_edges
             .iter()
             .chain(&self.shrunk_edges)
             .chain(&self.removed_edges)
             .copied()
+    }
+
+    /// Folds `later`, the application that came right after this one, into
+    /// `self`, so that `self` describes both as one application:
+    /// `nodes_before` stays this one's, `nodes_after` becomes `later`'s,
+    /// the interaction counts add up, and every edge list gains `later`'s
+    /// entries.
+    ///
+    /// This is what an index that skipped the states in between needs to
+    /// catch up in one step: an edge outside the fold's
+    /// [`AppliedDelta::changed_edges`] has the same interaction sequence
+    /// before the first application and after the last. The fold does not
+    /// net changes out: an edge can sit in a list once per application, an
+    /// edge created and then tombstoned within the fold is in both
+    /// `new_edges` and `removed_edges`, and one shrunk and then tombstoned
+    /// is in both `shrunk_edges` and `removed_edges`. So the per-list
+    /// invariants of a single application do not hold for a fold: of its
+    /// edge lists, only [`AppliedDelta::changed_edges`], read as a set, is
+    /// meaningful.
+    pub fn absorb(&mut self, later: AppliedDelta) {
+        debug_assert_eq!(
+            self.nodes_after, later.nodes_before,
+            "absorb folds consecutive applications"
+        );
+        self.nodes_after = later.nodes_after;
+        self.new_edges.extend(later.new_edges);
+        self.touched_edges.extend(later.touched_edges);
+        self.interactions += later.interactions;
+        self.removed_interactions += later.removed_interactions;
+        self.shrunk_edges.extend(later.shrunk_edges);
+        self.removed_edges.extend(later.removed_edges);
     }
 }
 
@@ -724,5 +762,61 @@ mod tests {
         assert_eq!(changed.len(), 2, "touched a->b plus tombstoned b->c");
         assert!(applied.shrunk_edges.contains(&e_ab));
         assert_eq!(applied.removed_edges.len(), 1);
+    }
+
+    #[test]
+    fn absorb_folds_two_applications_into_one() {
+        let mut g = from_records([("a", "b", 1, 1.0), ("a", "b", 5, 1.0), ("b", "c", 2, 1.0)]);
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let e_ab = g.find_edge(a, b).unwrap();
+        let e_bc = g.find_edge(b, c).unwrap();
+        // First: a new vertex and a new pair.
+        let first = g
+            .apply(
+                &GraphDelta::new(3, vec![node("d")], vec![(c, d, Interaction::new(6, 1.0))])
+                    .unwrap(),
+            )
+            .unwrap();
+        // Second: another vertex and pair, and a frontier that shrinks a->b
+        // and tombstones b->c. Each of its lists names an edge the first
+        // application left alone.
+        let second = g
+            .apply(
+                &GraphDelta::new(4, vec![node("e")], vec![(d, a, Interaction::new(8, 1.0))])
+                    .unwrap()
+                    .expire_before(3),
+            )
+            .unwrap();
+        let as_set = |applied: &AppliedDelta| {
+            let mut edges: Vec<EdgeId> = applied.changed_edges().collect();
+            edges.sort_unstable();
+            edges.dedup();
+            edges
+        };
+        let mut want = as_set(&first);
+        want.extend(as_set(&second));
+        want.sort_unstable();
+        want.dedup();
+
+        let mut fold = first.clone();
+        fold.absorb(second.clone());
+        assert_eq!(fold.nodes_before, first.nodes_before);
+        assert_eq!(fold.nodes_after, second.nodes_after);
+        assert_eq!((fold.nodes_before, fold.nodes_after), (3, 5));
+        assert_eq!(fold.interactions, first.interactions + second.interactions);
+        assert_eq!(fold.interactions, 2);
+        assert_eq!(
+            fold.removed_interactions,
+            first.removed_interactions + second.removed_interactions
+        );
+        assert_eq!(fold.removed_interactions, 2);
+        assert_eq!(second.shrunk_edges, vec![e_ab]);
+        assert_eq!(second.removed_edges, vec![e_bc]);
+        assert_eq!(fold.new_node_ids().count(), 2);
+        assert_eq!(as_set(&fold), want);
+        let e_cd = g.find_edge(c, d).unwrap();
+        let e_da = g.find_edge(d, a).unwrap();
+        assert_eq!(want, vec![e_ab, e_bc, e_cd, e_da]);
+        assert_eq!(fold.new_edges, vec![e_cd, e_da]);
     }
 }

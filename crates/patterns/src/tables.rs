@@ -521,11 +521,14 @@ pub struct PathTables {
     kernel_calls: u64,
 }
 
-/// What one [`PathTables::apply`] call did.
+/// What one [`PathTables::apply`] call did. A caller that replaces the
+/// tables with a [`PathTables::build`] instead reports it the way `apply`
+/// reports its own rebuild: every vertex refreshed, `rebuilt` set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TablesUpdate {
     /// Row groups (edge blocks `[u, v, *]`, single cycle rows, single path
-    /// rows) recomputed by this update — the invalidation set.
+    /// rows) recomputed by this update — the invalidation set; the vertex
+    /// count for a rebuild.
     pub refreshed_groups: usize,
     /// Whether the update fell back to a full rebuild (truncated input
     /// tables, or the patched tables crossed the row cap).
@@ -736,7 +739,17 @@ impl PathTables {
     /// amortized compaction.
     ///
     /// Apply updates in the same order the graph applied the deltas; each
-    /// call must see the graph state right after its delta.
+    /// call must see the graph state right after its delta. A run of
+    /// consecutive applications folded with [`AppliedDelta::absorb`] is one
+    /// such delta: applied once, against the graph after the last of them,
+    /// it leaves the same rows as applying each in turn, because the row
+    /// groups above are named from the post-delta graph and the changed
+    /// edges alone, and an edge outside the fold's changed set is the same
+    /// before the run and after it. Patch work grows with the fold's
+    /// changed pairs, so a caller holding a fold that changed a large share
+    /// of the graph may do better to drop the tables and
+    /// [`PathTables::build`] (recovery does, `tin_durable`'s
+    /// `Recovery::run`).
     ///
     /// Truncated tables (and patches that cross the row cap, in either
     /// direction — growth past the cap, or shrinkage of previously capped

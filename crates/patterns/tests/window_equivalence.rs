@@ -10,18 +10,28 @@
 //! (total eviction, window larger than the log, single-record batches,
 //! eviction that re-crosses the row cap downward) and the lazy cache's
 //! eviction path, and a churn regression pins the arena's amortized
-//! compaction.
+//! compaction. A last property folds runs of consecutive batches with
+//! [`AppliedDelta::absorb`] and applies each fold once, the way recovery
+//! catches up after replaying a journal tail.
 
 use proptest::prelude::*;
-use tin_graph::{GraphBuilder, GraphDelta, Interaction, TemporalGraph};
+use tin_graph::{AppliedDelta, GraphBuilder, GraphDelta, Interaction, TemporalGraph};
 use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+
+/// One log record: source, destination, time, quantity.
+type Record = (u8, u8, i64, f64);
 
 /// A record log over a small vertex pool; destinations are generated as a
 /// nonzero offset from the source so no record is a self-loop.
-fn records(max_len: usize) -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
+fn records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
+    records_on(7, max_len)
+}
+
+/// [`records`] over a pool of `pool` vertices.
+fn records_on(pool: u8, max_len: usize) -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(
-        (0u8..7, 1u8..7, 0i64..40, 0u32..9)
-            .prop_map(|(s, off, t, q)| (s, (s + off) % 7, t, q as f64)),
+        (0..pool, 1..pool, 0i64..40, 0u32..9)
+            .prop_map(move |(s, off, t, q)| (s, (s + off) % pool, t, q as f64)),
         1..max_len,
     )
 }
@@ -33,34 +43,29 @@ fn assert_row_identical(label: &str, got: &PathTables, want: &PathTables) {
 }
 
 /// Feeds `records` through windowed deltas cut at `splits` (frontier =
-/// newest staged timestamp - `window`, as `DeltaStream::window` emits),
-/// maintaining `tables` incrementally; `on_batch` sees every post-eviction
-/// boundary state. Returns the final graph.
-fn run_windowed(
-    records: &[(u8, u8, i64, f64)],
+/// newest staged timestamp - `window`, as `DeltaStream::window` emits);
+/// `on_apply` sees every application with the graph right after it.
+/// Returns the final graph.
+fn feed_windowed(
+    records: &[Record],
     splits: &[usize],
     window: i64,
-    tables: &mut PathTables,
-    mut on_batch: impl FnMut(&TemporalGraph, &PathTables),
+    mut on_apply: impl FnMut(&TemporalGraph, AppliedDelta),
 ) -> TemporalGraph {
     let mut g = TemporalGraph::new();
     let mut b = GraphBuilder::new();
     let mut max_seen: Option<i64> = None;
-    let flush = |g: &mut TemporalGraph,
-                 b: &mut GraphBuilder,
-                 max_seen: Option<i64>,
-                 tables: &mut PathTables| {
+    let mut flush = |g: &mut TemporalGraph, b: &mut GraphBuilder, max_seen: Option<i64>| {
         let mut delta = b.drain_delta();
         if let Some(newest) = max_seen {
             delta = delta.expire_before(newest.saturating_sub(window));
         }
         let applied = g.apply(&delta).unwrap();
-        tables.apply(g, &applied);
+        on_apply(g, applied);
     };
     for (i, &(s, d, t, q)) in records.iter().enumerate() {
         if splits.contains(&i) {
-            flush(&mut g, &mut b, max_seen, tables);
-            on_batch(&g, tables);
+            flush(&mut g, &mut b, max_seen);
         }
         let s = b.get_or_add_node(format!("v{s}"));
         let d = b.get_or_add_node(format!("v{d}"));
@@ -69,9 +74,40 @@ fn run_windowed(
             max_seen = Some(t);
         }
     }
-    flush(&mut g, &mut b, max_seen, tables);
-    on_batch(&g, tables);
+    flush(&mut g, &mut b, max_seen);
     g
+}
+
+/// [`feed_windowed`] with `tables` patched after every batch; `on_batch`
+/// sees every post-eviction boundary state.
+fn run_windowed(
+    records: &[Record],
+    splits: &[usize],
+    window: i64,
+    tables: &mut PathTables,
+    mut on_batch: impl FnMut(&TemporalGraph, &PathTables),
+) -> TemporalGraph {
+    feed_windowed(records, splits, window, |g, applied| {
+        tables.apply(g, &applied);
+        on_batch(g, tables);
+    })
+}
+
+/// Appends three single-record batches that tombstone the pair `v0 → v1`
+/// and revive it under a fresh edge id: `v0 → v1` just after the log's
+/// newest time, a record elsewhere far enough ahead that the frontier
+/// passes every `v0 → v1` interaction, then `v0 → v1` at that record's
+/// time. Returns the extended log and its splits.
+fn with_revival(records: &[Record], splits: &[usize], window: i64) -> (Vec<Record>, Vec<usize>) {
+    let newest = records.iter().map(|r| r.2).max().unwrap_or(0);
+    let n = records.len();
+    let mut log = records.to_vec();
+    log.push((0, 1, newest + 1, 1.0));
+    log.push((2, 3, newest + window + 2, 1.0));
+    log.push((0, 1, newest + window + 2, 2.0));
+    let mut splits: Vec<usize> = splits.iter().copied().filter(|&i| i < n).collect();
+    splits.extend([n, n + 1, n + 2]);
+    (log, splits)
 }
 
 proptest! {
@@ -176,6 +212,70 @@ proptest! {
         flush(&mut g, &mut b, max_seen, &mut lazy);
         check(&g, &mut lazy);
     }
+
+    /// Runs of consecutive windowed batches, each folded with
+    /// `AppliedDelta::absorb` and applied to the tables once, leave the
+    /// tables row-identical to a rebuild after every run. The first run
+    /// starts from an empty graph, and the last one holds three batches
+    /// that tombstone the pair `v0 → v1` and revive it. The pool is small,
+    /// so pairs repeat, and a positive `drift` moves record `i`'s time
+    /// `drift · i` later, so the frontier keeps advancing: later batches of
+    /// a run shrink edges that earlier ones left alone.
+    #[test]
+    fn folded_runs_are_row_identical_to_rebuild(
+        records in records_on(4, 40),
+        drift in 0i64..3,
+        splits in proptest::collection::vec(0usize..40, 0..10),
+        run_ends in proptest::collection::vec(0usize..12, 0..5),
+        window in 0i64..45,
+    ) {
+        let records: Vec<_> = records
+            .iter()
+            .zip(0..)
+            .map(|(&(s, d, t, q), i)| (s, d, t + drift * i, q))
+            .collect();
+        let (log, splits) = with_revival(&records, &splits, window);
+        let batches = (0..log.len()).filter(|i| splits.contains(i)).count() + 1;
+        for config in [
+            TablesConfig::default(),
+            TablesConfig { build_c2: false, ..TablesConfig::default() },
+        ] {
+            let mut tables = PathTables::build(&TemporalGraph::new(), &config);
+            let mut fold: Option<AppliedDelta> = None;
+            let mut batch = 0;
+            let mut runs = 0;
+            feed_windowed(&log, &splits, window, |g, applied| {
+                match &mut fold {
+                    Some(fold) => fold.absorb(applied),
+                    None => fold = Some(applied),
+                }
+                batch += 1;
+                let last = batch == batches;
+                // The revival's three batches are never cut apart.
+                if !last && (batch + 3 > batches || !run_ends.contains(&batch)) {
+                    return;
+                }
+                let run = fold.take().unwrap();
+                if runs == 0 {
+                    prop_assert_eq!(run.nodes_before, 0, "the first run starts empty");
+                }
+                if last {
+                    let v = |name| g.node_by_name(name).unwrap();
+                    let (v0, v1) = (v("v0"), v("v1"));
+                    let revived = g.find_edge(v0, v1).unwrap();
+                    prop_assert!(run.new_edges.contains(&revived));
+                    prop_assert!(run
+                        .removed_edges
+                        .iter()
+                        .any(|&e| (g.edge(e).src, g.edge(e).dst) == (v0, v1)));
+                }
+                tables.apply(g, &run);
+                runs += 1;
+                assert_row_identical("folded run", &tables, &PathTables::build(g, &config));
+            });
+            prop_assert_eq!(batch, batches);
+        }
+    }
 }
 
 /// A window of zero behind the newest timestamp evicts (almost) everything;
@@ -187,7 +287,7 @@ fn window_that_evicts_everything() {
     let mut tables = PathTables::build(&TemporalGraph::new(), &config);
     // Times strictly increase, so a zero-length window keeps only the
     // newest record's timestamp.
-    let log: Vec<(u8, u8, i64, f64)> = (0..30u8)
+    let log: Vec<Record> = (0..30u8)
         .map(|i| (i % 5, (i + 1 + i % 3) % 5, i as i64, 1.0))
         .filter(|(s, d, ..)| s != d)
         .collect();
@@ -248,12 +348,54 @@ fn cycle_losing_two_edges_in_one_delta_is_deleted() {
     );
 }
 
+/// A fold must carry a shrink that only a later application of its run
+/// made: `a → b` loses its early interaction in the second batch, which
+/// touches nothing, while the first batch touched an unrelated pair. The
+/// chain `a → b → c` delivers less afterwards, and only `a → b`'s own
+/// change can name its row.
+#[test]
+fn fold_carries_a_shrink_made_only_by_a_later_batch() {
+    let config = TablesConfig::default();
+    let mut b = GraphBuilder::new();
+    let (a, v, c, d, e) = (
+        b.add_node("a"),
+        b.add_node("b"),
+        b.add_node("c"),
+        b.add_node("d"),
+        b.add_node("e"),
+    );
+    b.add_interaction(a, v, Interaction::new(1, 5.0)).unwrap();
+    b.add_interaction(a, v, Interaction::new(10, 1.0)).unwrap();
+    b.add_interaction(v, c, Interaction::new(12, 10.0)).unwrap();
+    b.add_interaction(d, e, Interaction::new(8, 1.0)).unwrap();
+    let mut g = TemporalGraph::new();
+    g.apply(&b.drain_delta()).unwrap();
+    let mut tables = PathTables::build_serial(&g, &config);
+    let n = g.node_count();
+    let mut fold = g
+        .apply(&GraphDelta::new(n, vec![], vec![(d, e, Interaction::new(11, 1.0))]).unwrap())
+        .unwrap();
+    let shrink = g
+        .apply(&GraphDelta::new(n, vec![], vec![]).unwrap().expire_before(5))
+        .unwrap();
+    assert_eq!(shrink.shrunk_edges, vec![g.find_edge(a, v).unwrap()]);
+    assert!(shrink.touched_edges.is_empty());
+    fold.absorb(shrink);
+    let update = tables.apply(&g, &fold);
+    assert!(!update.rebuilt);
+    assert_row_identical(
+        "late shrink",
+        &tables,
+        &PathTables::build_serial(&g, &config),
+    );
+}
+
 /// A window larger than the log never evicts: windowed maintenance must
 /// behave exactly like the append-only path it generalizes.
 #[test]
 fn window_larger_than_the_log_is_append_only() {
     let config = TablesConfig::default();
-    let log: Vec<(u8, u8, i64, f64)> = (0..40u8)
+    let log: Vec<Record> = (0..40u8)
         .map(|i| {
             (
                 i % 5,
@@ -287,7 +429,7 @@ fn eviction_recrosses_the_cap_downward() {
         ..TablesConfig::default()
     };
     // Phase 1 (t in 0..=9): a dense 6-clique burst — way over 12 rows.
-    let mut log: Vec<(u8, u8, i64, f64)> = Vec::new();
+    let mut log: Vec<Record> = Vec::new();
     for i in 0..6u8 {
         for j in 0..6u8 {
             if i != j {
@@ -334,7 +476,7 @@ fn steady_window_churn_keeps_the_arena_bounded() {
     let mut tables = PathTables::build(&TemporalGraph::new(), &config);
     // 600 records over a 6-vertex pool, times strictly increasing, window
     // 25: every batch both adds and evicts, cycling the same row groups.
-    let log: Vec<(u8, u8, i64, f64)> = (0..600u32)
+    let log: Vec<Record> = (0..600u32)
         .map(|i| {
             (
                 (i % 6) as u8,

@@ -68,6 +68,17 @@ fn describe(report: &RecoveryReport) {
     for d in &report.discarded {
         println!("  discarded: {d}");
     }
+    match report.tables_update {
+        None => println!("tables: restored as snapshotted, no catch-up"),
+        Some(update) if update.rebuilt => println!(
+            "tables: rebuilt once after the replay ({} kernel passes)",
+            update.kernel_calls
+        ),
+        Some(update) => println!(
+            "tables: patched once after the replay ({} row groups refreshed)",
+            update.refreshed_groups
+        ),
+    }
 }
 
 /// `run <dir>`: stream slowly, snapshot periodically, be killable.
