@@ -107,17 +107,46 @@ impl GreedyScratch {
     /// Grows the vertex-indexed vectors to `n` entries and resets the
     /// buffers touched by the previous run.
     fn reset(&mut self, n: usize) {
-        if self.buffers.len() < n {
-            self.buffers.resize(n, 0.0);
-            self.available.resize(n, 0.0);
-            self.available_loaded.resize(n, false);
-            self.arrivals.resize(n, 0.0);
-            self.arrivals_loaded.resize(n, false);
+        fn grow<T: Clone>(list: &mut Vec<T>, n: usize, value: T) {
+            if list.len() < n {
+                list.resize(n, value);
+            }
         }
+        grow(&mut self.buffers, n, 0.0);
+        grow(&mut self.available, n, 0.0);
+        grow(&mut self.available_loaded, n, false);
+        grow(&mut self.arrivals, n, 0.0);
+        grow(&mut self.arrivals_loaded, n, false);
         for &v in &self.buffers_touched {
             self.buffers[v] = 0.0;
         }
         self.buffers_touched.clear();
+    }
+
+    /// Gives back capacity beyond what scans of `events` events over
+    /// `nodes` vertices need, by the rule of [`tin_lp::netflow::stash`], so
+    /// a scratch kept between solves does not pin the largest graph's
+    /// buffers.
+    pub(crate) fn trim(&mut self, nodes: usize, events: usize) {
+        // Clear what the last run left first: a trim may truncate, and the
+        // touched list is what the next run resets by. (The other touched
+        // lists are empty between runs, the loaded flags all false.)
+        for &v in &self.buffers_touched {
+            self.buffers[v] = 0.0;
+        }
+        self.buffers_touched.clear();
+        fn shrink<T>(list: &mut Vec<T>, need: usize) {
+            let buf = std::mem::take(list);
+            tin_lp::netflow::stash(list, buf, need);
+        }
+        shrink(&mut self.buffers, nodes);
+        shrink(&mut self.buffers_touched, 2 * events + 1);
+        shrink(&mut self.available, nodes);
+        shrink(&mut self.available_loaded, nodes);
+        shrink(&mut self.available_touched, nodes);
+        shrink(&mut self.arrivals, nodes);
+        shrink(&mut self.arrivals_loaded, nodes);
+        shrink(&mut self.arrivals_touched, nodes);
     }
 
     fn touch_buffer(&mut self, v: usize) {
@@ -142,6 +171,9 @@ pub(crate) fn scan(
     mut on_step: impl FnMut(&EventRef, Quantity),
 ) -> Quantity {
     scratch.reset(nodes);
+    // Every event touches at most two buffers, once each: sized for that,
+    // the list grows at most once per scan.
+    scratch.buffers_touched.reserve(2 * events.len() + 1);
     scratch.buffers[source] = Quantity::INFINITY;
     scratch.touch_buffer(source);
 

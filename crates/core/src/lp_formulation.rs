@@ -28,15 +28,21 @@
 //!
 //! The class C **hot path** does not assemble this LP at all: the same
 //! flow problem is a pure min-cost circulation on the time-expanded
-//! network, and [`build_mcf`] emits it directly as a
-//! [`MinCostFlowProblem`] for the network simplex
-//! ([`SimplexEngine::NetworkSimplex`]) — see [`McfFormulation`].
-//! [`SimplexEngine`] picks between the two in [`max_flow_with_engine`].
+//! network, solved by the network simplex
+//! ([`SimplexEngine::NetworkSimplex`]). One emission loop writes it into
+//! one of two sinks: a [`MinCostFlowProblem`] for [`build_mcf`] and the
+//! flow sessions (see [`McfFormulation`]), or, for a cold solve that only
+//! needs the maximum flow ([`netflow_max_flow`] and the exact leg of
+//! `Pre`/`PreSim`), the simplex's own arrays through [`Circulation`].
+//! [`SimplexEngine`] picks between the LP and the circulation in
+//! [`max_flow_with_engine`].
 
 use crate::error::FlowError;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use tin_graph::{AppliedDelta, EdgeId, Events, Interaction, NodeId, Quantity, TemporalGraph, Time};
-use tin_lp::{LpProblem, LpSolution, LpStatus, McfSolution, MinCostFlowProblem};
+use tin_lp::netflow::stash;
+use tin_lp::{Circulation, LpProblem, LpSolution, LpStatus, McfSolution, MinCostFlowProblem};
 
 /// The exact engine that solves a maximum-flow problem, read by
 /// [`max_flow_with_engine`] and [`crate::compute_flow_with_engine`] and
@@ -364,100 +370,208 @@ pub fn build_mcf_session(graph: &TemporalGraph, source: NodeId, sink: NodeId) ->
     build_graph_mcf(graph, source, sink, true)
 }
 
-/// Emits every edge slot of `graph` in edge-id order — tombstones
-/// included, so a session's mirrors stay indexed by edge id.
+/// Every edge slot of `graph` in edge-id order — tombstones included, so a
+/// session's mirrors stay indexed by edge id.
+fn graph_edges(
+    graph: &TemporalGraph,
+) -> impl Iterator<Item = (usize, usize, &[Interaction])> + Clone {
+    graph
+        .edges()
+        .iter()
+        .map(|e| (e.src.index(), e.dst.index(), e.interactions.as_slice()))
+}
+
 fn build_graph_mcf(
     graph: &TemporalGraph,
     source: NodeId,
     sink: NodeId,
     session: bool,
 ) -> McfFormulation {
-    let edges = graph
-        .edges()
-        .iter()
-        .map(|e| (e.src.index(), e.dst.index(), e.interactions.as_slice()));
-    build_mcf_inner(
+    McfFormulation::from_emitted(emit(
         graph.node_count(),
-        edges,
+        graph_edges(graph),
         source.index(),
         sink.index(),
         session,
-    )
+        |nodes, arcs| {
+            let mut problem = MinCostFlowProblem::new(nodes);
+            problem.reserve_arcs(arcs);
+            problem
+        },
+    ))
+}
+
+/// Where [`emit`] writes the circulation's arcs: a [`MinCostFlowProblem`]
+/// for [`build_mcf`] and sessions, or the network simplex's own arrays
+/// ([`Circulation`]) for a cold solve that only reads the maximum flow.
+pub(crate) trait ArcSink {
+    /// Appends the arc `tail → head` (lower bound 0); returns its index.
+    fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize;
+}
+
+impl ArcSink for MinCostFlowProblem {
+    fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize {
+        MinCostFlowProblem::add_arc(self, tail, head, cost, capacity)
+    }
+}
+
+impl ArcSink for Circulation {
+    fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize {
+        Circulation::add_arc(self, tail, head, cost, capacity)
+    }
+}
+
+/// A circulation [`emit`] wrote, with what the flow problem needs to read
+/// it.
+pub(crate) struct Emitted<S> {
+    arcs: S,
+    return_arc: usize,
+    skipped: usize,
+    lp_variables: usize,
+    tracking: Option<Box<Tracking>>,
+}
+
+/// The emitter's recycled buffers: every vertex's distinct arrival times,
+/// counting-sorted by vertex into one array.
+#[derive(Default)]
+struct ArrivalBuffers {
+    /// Vertex `v`'s arrival times, ascending and distinct, are
+    /// `times[runs[v]..runs[v + 1]]`; the `k`-th is the time of node
+    /// `2 + runs[v] + k`, v's `k`-th copy.
+    times: Vec<Time>,
+    runs: Vec<u32>,
+}
+
+thread_local! {
+    static ARRIVALS: RefCell<ArrivalBuffers> = RefCell::new(ArrivalBuffers::default());
+}
+
+/// The first index at or after `from` of `times` (ascending) whose time is
+/// not below `t`: a galloping search, so a cursor that only moves forward
+/// pays for the distance it moves, not for the whole run.
+fn seek(times: &[Time], from: usize, t: Time) -> usize {
+    let rest = &times[from..];
+    if rest.first().is_none_or(|&at| at >= t) {
+        return from;
+    }
+    // rest[0] < t: double the probe until it passes t or the run ends.
+    let mut probe = 1;
+    while probe < rest.len() && rest[probe] < t {
+        probe *= 2;
+    }
+    let lo = probe / 2 + 1;
+    let hi = probe.min(rest.len());
+    from + lo + rest[lo..hi].partition_point(|&at| at < t)
 }
 
 /// Emits the time-expanded circulation of the edge list `edges` — `(src,
 /// dst, interactions)` triples over vertices `0..nodes`, interactions
-/// chronologically sorted. Arcs follow the list's order, which is what
-/// makes two lists of the same edges in the same order emit the identical
-/// problem — the reduced flow DAG relies on it to match [`build_mcf`] of
-/// the graph it would build.
-pub(crate) fn build_mcf_inner<'a>(
+/// chronologically sorted — into the sink `open(node count, arc count
+/// bound)` returns. This is the one emission loop: [`build_mcf`],
+/// sessions, the cold exact legs and the reduced flow DAG all come through
+/// it. Arcs follow the list's order, which is what makes two lists of the
+/// same edges in the same order emit the identical problem — the reduced
+/// flow DAG relies on it to match [`build_mcf`] of the graph it would
+/// build.
+///
+/// Node 0 is the source, node 1 the sink, then every vertex's copies in
+/// vertex order. Arcs: the holdovers, vertex by vertex; one arc per
+/// interaction that can carry flow, in list order; the return arc last.
+pub(crate) fn emit<'a, S: ArcSink>(
     nodes: usize,
     edges: impl Iterator<Item = (usize, usize, &'a [Interaction])> + Clone,
     source: usize,
     sink: usize,
     session: bool,
-) -> McfFormulation {
-    // Finite stand-in for "unbounded": no s-t flow can exceed the total
-    // finite quantity, so the value never constrains an optimal solution
-    // and keeps the circulation bounded (no infinite-capacity negative
-    // cycle can exist).
-    let finite_total: f64 = edges
-        .clone()
-        .flat_map(|(_, _, ints)| ints.iter())
-        .map(|i| {
-            if i.quantity.is_finite() {
+    open: impl FnOnce(usize, usize) -> S,
+) -> Emitted<S> {
+    let mut buffers = ARRIVALS.with(|slot| slot.take());
+    let ArrivalBuffers { times, runs } = &mut buffers;
+
+    // Pass 1 counts every vertex's arrivals (the flow endpoints get no
+    // copies), and prefix sums turn the counts into end offsets.
+    runs.clear();
+    runs.resize(nodes + 1, 0);
+    let mut interactions = 0usize;
+    for (_, dst, ints) in edges.clone() {
+        interactions += ints.len();
+        if dst != source && dst != sink {
+            runs[dst] += ints.len() as u32;
+        }
+    }
+    let mut total = 0u32;
+    for r in runs.iter_mut() {
+        total += *r;
+        *r = total;
+    }
+
+    // Pass 2 reads every interaction. It sums the finite quantities: no s-t
+    // flow can exceed that total, so total + 1 stands in for "unbounded"
+    // without ever constraining an optimal solution, and keeps the
+    // circulation bounded (no infinite-capacity negative cycle can exist).
+    // And it counting-sorts the arrival times by vertex: each edge's times
+    // go in one block just below its head's end offset, which then moves
+    // down past them and ends at the start of the vertex's run.
+    times.clear();
+    times.resize(total as usize, 0);
+    let mut finite_total = 0.0f64;
+    for (_, dst, ints) in edges.clone() {
+        for i in ints {
+            finite_total += if i.quantity.is_finite() {
                 i.quantity
             } else {
                 0.0
+            };
+        }
+        if dst != source && dst != sink {
+            let end = runs[dst] as usize;
+            let start = end - ints.len();
+            for (slot, i) in times[start..end].iter_mut().zip(ints) {
+                *slot = i.time;
             }
-        })
-        .sum();
+            runs[dst] = start as u32;
+        }
+    }
     let unbounded = finite_total + 1.0;
-
-    // Arrival times per vertex (excluding the flow endpoints).
-    let mut arrivals: Vec<Vec<Time>> = vec![Vec::new(); nodes];
-    for (_, dst, ints) in edges.clone() {
-        if dst == source || dst == sink {
-            continue;
-        }
-        arrivals[dst].extend(ints.iter().map(|i| i.time));
-    }
-    for list in arrivals.iter_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-
-    // Node ids: 0 = source, 1 = sink, then the per-arrival vertex copies.
-    let mut first_copy: Vec<usize> = vec![usize::MAX; nodes];
-    let mut next_node = 2usize;
-    for (v, list) in arrivals.iter().enumerate() {
-        if !list.is_empty() {
-            first_copy[v] = next_node;
-            next_node += list.len();
-        }
-    }
-    let mut problem = MinCostFlowProblem::new(next_node);
-    let holdovers: usize = arrivals
-        .iter()
-        .map(|list| list.len().saturating_sub(1))
-        .sum();
-    let interactions: usize = edges.clone().map(|(_, _, ints)| ints.len()).sum();
-    problem.reserve_arcs(holdovers + interactions + 1);
-
     // Session builds chain copies with truly infinite capacity: the finite
     // stand-in would have to grow with the stream, and holdover/return arcs
     // never bound the optimum anyway.
     let relay_cap = if session { f64::INFINITY } else { unbounded };
 
+    // Sort every run and drop repeated times, compacting the runs in place.
+    let mut copies = 0usize;
+    let mut holdovers = 0usize;
+    for v in 0..nodes {
+        let (lo, hi) = (runs[v] as usize, runs[v + 1] as usize);
+        runs[v] = copies as u32;
+        if hi - lo > 1 {
+            times[lo..hi].sort_unstable();
+        }
+        let first = copies;
+        for k in lo..hi {
+            if k == lo || times[k] != times[k - 1] {
+                times[copies] = times[k];
+                copies += 1;
+            }
+        }
+        holdovers += (copies - first).saturating_sub(1);
+    }
+    runs[nodes] = copies as u32;
+    times.truncate(copies);
+
+    let mut arcs = open(2 + copies, holdovers + interactions + 1);
+
     // Holdover arcs carry buffered quantity forward in time.
-    for (v, list) in arrivals.iter().enumerate() {
-        for k in 0..list.len().saturating_sub(1) {
-            problem.add_arc(first_copy[v] + k, first_copy[v] + k + 1, 0.0, relay_cap);
+    for v in 0..nodes {
+        for c in runs[v] as usize + 1..runs[v + 1] as usize {
+            arcs.add_arc(2 + c - 1, 2 + c, 0.0, relay_cap);
         }
     }
 
-    // Interaction arcs.
+    // Interaction arcs: the tail is the latest copy of `src` strictly
+    // before the interaction's time, the head the copy of `dst` at it. Both
+    // only move forward along an edge's chronological interactions, so a
+    // cursor per edge end finds them.
     let mut skipped = 0usize;
     let mut mirrors = if session {
         vec![EdgeMirror::default(); edges.clone().count()]
@@ -476,6 +590,10 @@ pub(crate) fn build_mcf_inner<'a>(
             skipped += ints.len();
             continue;
         }
+        let (from, to) = (runs[src] as usize, runs[dst] as usize);
+        let from_times = &times[from..runs[src + 1] as usize];
+        let to_times = &times[to..runs[dst + 1] as usize];
+        let (mut tail_at, mut head_at) = (0, 0);
         for inter in ints {
             let cap = if inter.quantity.is_finite() {
                 inter.quantity
@@ -485,10 +603,9 @@ pub(crate) fn build_mcf_inner<'a>(
             let tail = if src == source {
                 Some(SRC_NODE)
             } else {
-                match arrivals[src].partition_point(|&at| at < inter.time) {
-                    0 => None, // nothing can have arrived yet
-                    k => Some(first_copy[src] + (k - 1)),
-                }
+                tail_at = seek(from_times, tail_at, inter.time);
+                // None: nothing can have arrived yet.
+                (tail_at > 0).then(|| 2 + from + tail_at - 1)
             };
             let arc = match tail {
                 None => {
@@ -499,12 +616,11 @@ pub(crate) fn build_mcf_inner<'a>(
                     let head = if dst == sink {
                         SINK_NODE
                     } else {
-                        let list = &arrivals[dst];
-                        let k = list.partition_point(|&at| at < inter.time);
-                        debug_assert!(k < list.len() && list[k] == inter.time);
-                        first_copy[dst] + k
+                        head_at = seek(to_times, head_at, inter.time);
+                        debug_assert_eq!(to_times[head_at], inter.time);
+                        2 + to + head_at
                     };
-                    let arc = problem.add_arc(tail, head, 0.0, cap) as u32;
+                    let arc = arcs.add_arc(tail, head, 0.0, cap) as u32;
                     if session && !inter.quantity.is_finite() {
                         big_arcs.push(arc);
                     }
@@ -521,19 +637,15 @@ pub(crate) fn build_mcf_inner<'a>(
 
     // The return arc closes the circulation; rewarding its flow at cost −1
     // makes "minimize cost" mean "maximize the s-t flow".
-    let return_arc = problem.add_arc(SINK_NODE, SRC_NODE, -1.0, relay_cap);
+    let return_arc = arcs.add_arc(SINK_NODE, SRC_NODE, -1.0, relay_cap);
     let tracking = session.then(|| {
         Box::new(Tracking {
             source: NodeId::from_index(source),
             sink: NodeId::from_index(sink),
-            arrivals: arrivals
-                .iter()
-                .enumerate()
-                .map(|(v, list)| {
-                    list.iter()
-                        .enumerate()
-                        .map(|(k, &t)| (t, (first_copy[v] + k) as u32))
-                        .collect()
+            arrivals: (0..nodes)
+                .map(|v| {
+                    let (lo, hi) = (runs[v] as usize, runs[v + 1] as usize);
+                    (lo..hi).map(|c| (times[c], (2 + c) as u32)).collect()
                 })
                 .collect(),
             mirrors,
@@ -542,16 +654,81 @@ pub(crate) fn build_mcf_inner<'a>(
             big_arcs,
         })
     });
-    McfFormulation {
-        problem,
+    ARRIVALS.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        stash(&mut slot.times, std::mem::take(times), total as usize);
+        stash(&mut slot.runs, std::mem::take(runs), nodes + 1);
+    });
+    Emitted {
+        arcs,
         return_arc,
-        skipped_interactions: skipped,
+        skipped,
         lp_variables,
         tracking,
     }
 }
 
+/// Solves a circulation [`emit`] wrote straight into the solver and reads
+/// the maximum flow off its return arc: no per-arc flows, no objective.
+pub(crate) fn solve_emitted(e: Emitted<Circulation>) -> Result<LpOutcome, FlowError> {
+    let mut c = e.arcs;
+    let status = c.solve();
+    if status != LpStatus::Optimal {
+        return Err(FlowError::LpFailed(status));
+    }
+    Ok(netflow_outcome(
+        c.flow(e.return_arc),
+        e.lp_variables,
+        c.num_nodes(),
+        c.num_arcs(),
+        c.pivots(),
+        c.degenerate_pivots(),
+    ))
+}
+
+/// The [`LpOutcome`] of a network-simplex solve: the variable count the
+/// Section 4.2.1 LP would have had (so the paper's size statistics stay
+/// engine-independent) and the circulation's nodes as "constraints" — its
+/// balance rows.
+fn netflow_outcome(
+    flow: Quantity,
+    variables: usize,
+    nodes: usize,
+    arcs: usize,
+    pivots: usize,
+    degenerate_pivots: usize,
+) -> LpOutcome {
+    let nonzeros = 2 * arcs;
+    LpOutcome {
+        flow,
+        variables,
+        constraints: nodes,
+        iterations: pivots,
+        refactorizations: 0,
+        nonzeros,
+        density: if nodes * arcs == 0 {
+            0.0
+        } else {
+            nonzeros as f64 / (nodes * arcs) as f64
+        },
+        engine: SimplexEngine::NetworkSimplex,
+        pivots,
+        degenerate_pivots,
+    }
+}
+
 impl McfFormulation {
+    /// The formulation of a circulation [`emit`] wrote into a problem.
+    pub(crate) fn from_emitted(e: Emitted<MinCostFlowProblem>) -> Self {
+        McfFormulation {
+            problem: e.arcs,
+            return_arc: e.return_arc,
+            skipped_interactions: e.skipped,
+            lp_variables: e.lp_variables,
+            tracking: e.tracking,
+        }
+    }
+
     /// Whether this formulation was built by [`build_mcf_session`] and can
     /// therefore be patched with [`McfFormulation::apply_delta`].
     pub fn is_session(&self) -> bool {
@@ -796,47 +973,42 @@ impl McfFormulation {
     }
 
     /// Solves the circulation with the network simplex and interprets the
-    /// result as a maximum flow value. The [`LpOutcome`] reports the
-    /// variable count the Section 4.2.1 LP would have had (so the paper's
-    /// size statistics stay engine-independent) and the circulation's
-    /// nodes as "constraints" — its balance rows.
+    /// result as a maximum flow value (see [`LpOutcome`] for what the
+    /// size statistics count).
     pub fn solve(&self) -> Result<(LpOutcome, McfSolution), FlowError> {
         let solution = self.problem.solve();
         if solution.status != LpStatus::Optimal {
             return Err(FlowError::LpFailed(solution.status));
         }
-        let nodes = self.problem.num_nodes();
-        let arcs = self.problem.num_arcs();
-        let nonzeros = 2 * arcs;
-        let outcome = LpOutcome {
-            flow: solution.flows[self.return_arc],
-            variables: self.lp_variables,
-            constraints: nodes,
-            iterations: solution.pivots,
-            refactorizations: 0,
-            nonzeros,
-            density: if nodes * arcs == 0 {
-                0.0
-            } else {
-                nonzeros as f64 / (nodes * arcs) as f64
-            },
-            engine: SimplexEngine::NetworkSimplex,
-            pivots: solution.pivots,
-            degenerate_pivots: solution.degenerate_pivots,
-        };
+        let outcome = netflow_outcome(
+            solution.flows[self.return_arc],
+            self.lp_variables,
+            self.problem.num_nodes(),
+            self.problem.num_arcs(),
+            solution.pivots,
+            solution.degenerate_pivots,
+        );
         Ok((outcome, solution))
     }
 }
 
-/// Convenience wrapper: builds and solves the time-expanded min-cost-flow
-/// instance with the network simplex, returning the maximum flow from
-/// `source` to `sink`.
+/// Builds and solves the time-expanded min-cost-flow instance with the
+/// network simplex, returning the maximum flow from `source` to `sink`:
+/// the circulation [`build_mcf`] would build, emitted straight into the
+/// solver's arrays (a [`Circulation`]).
 pub fn netflow_max_flow(
     graph: &TemporalGraph,
     source: NodeId,
     sink: NodeId,
 ) -> Result<LpOutcome, FlowError> {
-    build_mcf(graph, source, sink).solve().map(|(o, _)| o)
+    solve_emitted(emit(
+        graph.node_count(),
+        graph_edges(graph),
+        source.index(),
+        sink.index(),
+        false,
+        Circulation::new,
+    ))
 }
 
 /// Builds and solves the exact flow problem with the chosen engine:

@@ -13,17 +13,19 @@
 //! own out-edges never makes it useless.
 //!
 //! The algorithm runs on the crate's flat flow DAG (`reduce.rs`), which
-//! skips the tombstoned edge slots of a windowed graph and trims an edge by
-//! re-slicing the interactions it borrows from the input. A cascade only
-//! ever reaches vertices already visited, so the DAG runs it as one
-//! backward pass in reverse topological order after the forward pass.
+//! skips the tombstoned edge slots of a windowed graph, computes the
+//! topological order while it is built (Kahn's algorithm over its CSR) and
+//! trims an edge by moving the start of the input range it reads. A
+//! cascade only ever reaches vertices already visited, so the DAG runs it
+//! as one backward pass in reverse topological order after the forward
+//! pass.
 //!
 //! The procedure is linear in the number of interactions and can shrink the
 //! LP dramatically; it can even solve the instance outright (flow 0 when the
 //! source or sink gets disconnected, or a Lemma 2 graph emerges).
 
 use crate::reduce::FlatDag;
-use tin_graph::{topological_order, GraphError, NodeId, TemporalGraph};
+use tin_graph::{GraphError, NodeId, TemporalGraph};
 
 /// Counters describing what preprocessing removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,9 +81,11 @@ pub fn preprocess(
     source: NodeId,
     sink: NodeId,
 ) -> Result<PreprocessOutcome, GraphError> {
-    let order = topological_order(graph).map_err(|_| GraphError::NotADag)?;
     let mut dag = FlatDag::new(graph, source, sink);
-    let report = dag.preprocess(&order);
+    if !dag.is_dag() {
+        return Err(GraphError::NotADag);
+    }
+    let report = dag.preprocess();
     let (graph, source, sink) = dag.into_graph();
     Ok(PreprocessOutcome {
         graph,

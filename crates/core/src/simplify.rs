@@ -20,7 +20,6 @@
 //! terminal chronologically and merges them into `(s, v_k)`. Chains are
 //! contracted smallest start vertex first.
 
-use crate::greedy::GreedyScratch;
 use crate::reduce::FlatDag;
 use tin_graph::{NodeId, TemporalGraph};
 
@@ -61,7 +60,7 @@ pub struct SimplifyOutcome {
 /// contracted. The source and sink always survive simplification.
 pub fn simplify(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> SimplifyOutcome {
     let mut dag = FlatDag::new(graph, source, sink);
-    let report = dag.simplify(&mut GreedyScratch::new());
+    let report = dag.simplify();
     let (graph, source, sink) = dag.into_graph();
     SimplifyOutcome {
         graph,

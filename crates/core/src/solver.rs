@@ -17,12 +17,11 @@
 //! after preprocessing) and class C (LP required even after preprocessing).
 
 use crate::error::FlowError;
-use crate::greedy::{greedy_flow, greedy_flow_with, GreedyScratch};
+use crate::greedy::{greedy_flow, greedy_flow_with};
 use crate::lp_formulation::{build_lp, max_flow_with_engine, LpOutcome, SimplexEngine};
 use crate::preprocess::PreprocessReport;
 use crate::reduce::FlatDag;
 use crate::simplify::SimplifyReport;
-use crate::solubility::is_greedy_soluble;
 use serde::{Deserialize, Serialize};
 use tin_graph::{topological_order, NodeId, Quantity, TemporalGraph};
 use tin_maxflow::time_expanded_max_flow;
@@ -138,8 +137,8 @@ pub struct FlowResult {
     pub stats: SolveStats,
 }
 
-/// Checks the endpoints and returns a topological order of `graph`.
-fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<Vec<NodeId>, FlowError> {
+/// Checks that the endpoints are distinct existing vertices.
+fn check_endpoints(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<(), FlowError> {
     if source.index() >= graph.node_count() {
         return Err(FlowError::NodeOutOfRange(source));
     }
@@ -149,7 +148,19 @@ fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<Vec<N
     if source == sink {
         return Err(FlowError::SourceEqualsSink(source));
     }
-    topological_order(graph).map_err(|_| FlowError::Graph(tin_graph::GraphError::NotADag))
+    Ok(())
+}
+
+/// The error every pipeline returns for a cyclic input.
+const NOT_A_DAG: FlowError = FlowError::Graph(tin_graph::GraphError::NotADag);
+
+/// Checks the endpoints and that `graph` is a DAG: the check of the methods
+/// that do not build the flat DAG, which `Pre` and `PreSim` take their DAG
+/// check and topological order from.
+fn validate(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Result<(), FlowError> {
+    check_endpoints(graph, source, sink)?;
+    topological_order(graph).map_err(|_| NOT_A_DAG)?;
+    Ok(())
 }
 
 /// Computes the flow from `source` to `sink` in `graph` with the requested
@@ -181,7 +192,10 @@ pub fn compute_flow_with_engine(
     method: FlowMethod,
     engine: SimplexEngine,
 ) -> Result<FlowResult, FlowError> {
-    let order = validate(graph, source, sink)?;
+    match method {
+        FlowMethod::Pre | FlowMethod::PreSim => check_endpoints(graph, source, sink)?,
+        _ => validate(graph, source, sink)?,
+    }
     let mut stats = SolveStats {
         interactions_input: graph.interaction_count(),
         ..SolveStats::default()
@@ -214,12 +228,8 @@ pub fn compute_flow_with_engine(
                 },
             })
         }
-        FlowMethod::Pre => {
-            solve_with_preprocessing(graph, source, sink, &order, false, engine, stats)
-        }
-        FlowMethod::PreSim => {
-            solve_with_preprocessing(graph, source, sink, &order, true, engine, stats)
-        }
+        FlowMethod::Pre => solve_with_preprocessing(graph, source, sink, false, engine, stats),
+        FlowMethod::PreSim => solve_with_preprocessing(graph, source, sink, true, engine, stats),
     }
 }
 
@@ -233,16 +243,17 @@ pub fn maximum_flow(
     compute_flow(graph, source, sink, FlowMethod::PreSim)
 }
 
-/// The `Pre`/`PreSim` pipeline. After the class A test everything runs on
-/// one flat DAG: preprocessing, the Lemma 2 test, simplification, the Lemma
-/// 2 test again, and the exact leg, which the network simplex solves from
-/// the circulation emitted straight off the DAG. Only the sparse engine
-/// builds a graph of the reduced DAG, for [`build_lp`].
+/// The `Pre`/`PreSim` pipeline. Everything runs on one flat DAG, whose
+/// construction is also the DAG check: the class A test, preprocessing,
+/// the Lemma 2 test, simplification, the Lemma 2 test again, and the exact
+/// leg, which the network simplex solves from the circulation emitted
+/// straight off the DAG into its arrays. Class A's greedy scan reads the
+/// input graph, whose edge order decides greedy's ties. Only the sparse
+/// engine builds a graph of the reduced DAG, for [`build_lp`].
 fn solve_with_preprocessing(
     graph: &TemporalGraph,
     source: NodeId,
     sink: NodeId,
-    order: &[NodeId],
     with_simplify: bool,
     engine: SimplexEngine,
     mut stats: SolveStats,
@@ -252,8 +263,6 @@ fn solve_with_preprocessing(
     } else {
         FlowMethod::Pre
     };
-    // One scratch serves every greedy scan in this pipeline.
-    let mut scratch = GreedyScratch::new();
     let solved_by_greedy = |flow, class, mut stats: SolveStats| {
         stats.solved_by_greedy = true;
         Ok(FlowResult {
@@ -264,15 +273,19 @@ fn solve_with_preprocessing(
         })
     };
 
+    let mut dag = FlatDag::new(graph, source, sink);
+    if !dag.is_dag() {
+        return Err(NOT_A_DAG);
+    }
+
     // Step 1: class A — greedy already solves the maximum flow problem.
-    if is_greedy_soluble(graph, source, sink) {
-        let flow = greedy_flow_with(graph, source, sink, &mut scratch);
+    if dag.is_greedy_soluble() {
+        let flow = greedy_flow_with(graph, source, sink, dag.greedy_scratch());
         return solved_by_greedy(flow, DifficultyClass::A, stats);
     }
 
     // Step 2: preprocessing (Algorithm 1).
-    let mut dag = FlatDag::new(graph, source, sink);
-    let report = dag.preprocess(order);
+    let report = dag.preprocess();
     stats.interactions_after_preprocess = Some(report.interactions_remaining);
     stats.preprocess = Some(report);
     if dag.is_zero_flow() {
@@ -281,25 +294,25 @@ fn solve_with_preprocessing(
 
     // Step 3: class B — preprocessing exposed a Lemma 2 graph.
     if dag.is_greedy_soluble() {
-        let flow = dag.greedy_flow(&mut scratch);
+        let flow = dag.greedy_flow();
         return solved_by_greedy(flow, DifficultyClass::B, stats);
     }
 
     // Step 4 (PreSim only): simplification (Algorithm 2), which may produce
     // a Lemma 2 graph.
     if with_simplify {
-        let report = dag.simplify(&mut scratch);
+        let report = dag.simplify();
         stats.interactions_after_simplify = Some(report.interactions_after);
         stats.simplify = Some(report);
         if dag.is_greedy_soluble() {
-            let flow = dag.greedy_flow(&mut scratch);
+            let flow = dag.greedy_flow();
             return solved_by_greedy(flow, DifficultyClass::C, stats);
         }
     }
 
     // Step 5: class C — exact solve on the reduced DAG.
     let outcome = match engine {
-        SimplexEngine::NetworkSimplex => dag.build_mcf().solve().map(|(o, _)| o)?,
+        SimplexEngine::NetworkSimplex => dag.max_flow()?,
         SimplexEngine::SparseRevised => {
             let (graph, source, sink) = dag.into_graph();
             build_lp(&graph, source, sink).solve().map(|(o, _)| o)?
@@ -432,12 +445,11 @@ mod tests {
         }
         // The dense tableau, the sparse engine's test reference, agrees on
         // the reduced LPs the sparse engine solves for `Pre` and `PreSim`.
-        let order = topological_order(&g).unwrap();
         for with_simplify in [false, true] {
             let mut dag = FlatDag::new(&g, s, t);
-            dag.preprocess(&order);
+            dag.preprocess();
             if with_simplify {
-                dag.simplify(&mut GreedyScratch::new());
+                dag.simplify();
             }
             assert!(!dag.is_greedy_soluble(), "Figure 3 stays class C");
             let (reduced, rs, rt) = dag.into_graph();
@@ -543,6 +555,27 @@ mod tests {
         ));
         for method in FlowMethod::ALL.into_iter().filter(|m| m.is_exact()) {
             assert_close(compute_flow(&g, s, t, method).unwrap().flow, 1.0);
+        }
+    }
+
+    #[test]
+    fn huge_finite_quantities_do_not_overflow_any_exact_method() {
+        // The quantities sum past f64::MAX. Every exact method must still
+        // return the bottleneck, v→t's 1e308; the time-expanded network
+        // once panicked on its overflowed stand-in for ∞.
+        let mut b = GraphBuilder::new();
+        let s = b.add_node("s");
+        let v = b.add_node("v");
+        let t = b.add_node("t");
+        b.add_pairs(s, v, &[(1, 1e308), (2, 1e308)]).unwrap();
+        b.add_pairs(v, t, &[(3, 1e308)]).unwrap();
+        let g = b.build();
+        for method in FlowMethod::ALL.into_iter().filter(|m| m.is_exact()) {
+            assert_eq!(
+                compute_flow(&g, s, t, method).unwrap().flow,
+                1e308,
+                "{method}"
+            );
         }
     }
 

@@ -12,7 +12,8 @@
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
 //!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C
-//!   flow hot path runs on, and [`NetflowSession`] keeps one such engine
+//!   flow hot path runs on, fed arc by arc through [`Circulation`] without
+//!   an intermediate problem, and [`NetflowSession`] keeps one such engine
 //!   resident across the batches of a live flow session, repairing its
 //!   tree after each patch instead of solving again from scratch (a repair
 //!   that runs over [`netflow::DUAL_REPAIR_BUDGET`] restarts cold);
@@ -63,6 +64,8 @@ pub mod simplex;
 pub mod solution;
 pub mod sparse;
 
-pub use netflow::{McfArc, McfSolution, MinCostFlowProblem, NetflowSession, DUAL_REPAIR_BUDGET};
+pub use netflow::{
+    Circulation, McfArc, McfSolution, MinCostFlowProblem, NetflowSession, DUAL_REPAIR_BUDGET,
+};
 pub use problem::{ConstraintOp, LpProblem, Sense};
 pub use solution::{LpSolution, LpStatus};

@@ -17,6 +17,10 @@
 //!   the arc state; arcs of zero capacity are never priced, at either
 //!   bound), and the *strongly feasible tree* leaving-arc rule (last
 //!   blocking arc from the apex) that prevents cycling under degeneracy;
+//! * [`Circulation`] — a circulation written arc by arc straight into the
+//!   simplex's arrays and solved once, cold, through the same start as
+//!   [`MinCostFlowProblem::solve`], for callers that read only a flow or
+//!   two;
 //! * [`NetflowSession`] — the same engine kept resident across a stream of
 //!   solves of one evolving circulation, syncing only the patched arcs and
 //!   repairing the kept tree with worst-first dual pivots, within a work
@@ -317,14 +321,24 @@ impl MinCostFlowProblem {
         (lp, offset)
     }
 
-    /// The pivot budget for one solve: the explicit cap when set, else a
-    /// generous size-proportional default.
+    /// The pivot budget for one solve: the explicit cap when set, else
+    /// [`default_pivot_limit`].
     fn pivot_limit(&self) -> usize {
         if self.max_iterations > 0 {
             self.max_iterations
         } else {
-            200 * (self.supplies.len() + self.arcs.len()) + 2_000
+            default_pivot_limit(self.supplies.len(), self.arcs.len())
         }
+    }
+
+    /// Copies the arcs into a freshly opened simplex at their real costs,
+    /// ready for [`NetSimplex::solve_circulation`].
+    fn circulation(&self) -> NetSimplex {
+        let mut s = NetSimplex::open(self.supplies.len(), self.arcs.len());
+        for a in &self.arcs {
+            s.push_arc(a.tail, a.head, a.cost, a.upper - a.lower);
+        }
+        s
     }
 
     /// Solves the problem with the network simplex from scratch.
@@ -343,49 +357,49 @@ impl MinCostFlowProblem {
         // mean every per-node excess is exactly 0.
         let warm =
             self.supplies.iter().all(|&s| s == 0.0) && self.arcs.iter().all(|a| a.lower == 0.0);
+        let limit = self.pivot_limit();
+        if warm {
+            let mut s = self.circulation();
+            if let Err(status) = s.solve_circulation(limit) {
+                return s.outcome(status);
+            }
+            return self.extract(&s, false);
+        }
 
         // Shift lower bounds away (x = l + x′) and compute the residual
         // per-node excess the artificial arcs must initially carry.
-        let excess: Vec<f64> = if warm {
-            Vec::new()
-        } else {
-            let mut excess = self.supplies.clone();
-            for a in &self.arcs {
-                excess[a.tail] -= a.lower;
-                excess[a.head] += a.lower;
-            }
-            if excess.iter().sum::<f64>().abs() > FEAS_EPS {
-                // Total supply ≠ total demand: no flow can conserve.
-                return McfSolution::with_status(LpStatus::Infeasible);
-            }
-            excess
-        };
-        let mut s = NetSimplex::new(self, &excess, warm);
-        let limit = self.pivot_limit();
-
-        if warm {
-            s.warm_start();
-        } else {
-            // Phase 1: drain the artificial arcs (cost 1 there, 0
-            // elsewhere).
-            match s.run(limit, true) {
-                Ok(()) => {}
-                Err(LpStatus::Unbounded) => {
-                    // Phase-1 cost is bounded below by 0; an "unbounded"
-                    // step can only be a numerical artifact. Mirror the LP
-                    // engines.
-                    return s.outcome(LpStatus::Infeasible);
-                }
-                Err(status) => return s.outcome(status),
-            }
-            let art_flow: f64 = s.arcs[m..].iter().map(|a| a.flow).sum();
-            if art_flow > FEAS_EPS {
+        let mut excess = self.supplies.clone();
+        for a in &self.arcs {
+            excess[a.tail] -= a.lower;
+            excess[a.head] += a.lower;
+        }
+        if excess.iter().sum::<f64>().abs() > FEAS_EPS {
+            // Total supply ≠ total demand: no flow can conserve.
+            return McfSolution::with_status(LpStatus::Infeasible);
+        }
+        // Phase 1 prices the artificial arcs only: real arcs cost 0 for now.
+        let mut s = NetSimplex::open(n, m);
+        for a in &self.arcs {
+            s.push_arc(a.tail, a.head, 0.0, a.upper - a.lower);
+        }
+        s.start_phase1(&excess);
+        // Phase 1: drain the artificial arcs (cost 1 there, 0 elsewhere).
+        match s.run(limit, true) {
+            Ok(()) => {}
+            Err(LpStatus::Unbounded) => {
+                // Phase-1 cost is bounded below by 0; an "unbounded" step
+                // can only be a numerical artifact. Mirror the LP engines.
                 return s.outcome(LpStatus::Infeasible);
             }
-
-            // Phase 2: real costs; artificial arcs pinned to zero capacity.
-            s.enter_phase2(&self.arcs);
+            Err(status) => return s.outcome(status),
         }
+        let art_flow: f64 = s.arcs[m..].iter().map(|a| a.flow).sum();
+        if art_flow > FEAS_EPS {
+            return s.outcome(LpStatus::Infeasible);
+        }
+
+        // Phase 2: real costs; artificial arcs pinned to zero capacity.
+        s.enter_phase2(&self.arcs);
         if let Err(status) = s.run(limit, false) {
             return s.outcome(status);
         }
@@ -408,6 +422,109 @@ impl MinCostFlowProblem {
             basis_reused: reused,
             ..s.outcome(LpStatus::Optimal)
         }
+    }
+}
+
+/// The pivot budget of a solve that sets no cap of its own: a generous
+/// multiple of the network's size.
+fn default_pivot_limit(nodes: usize, arcs: usize) -> usize {
+    200 * (nodes + arcs) + 2_000
+}
+
+/// A circulation (every supply and lower bound zero) written arc by arc
+/// straight into the network simplex's recycled arrays, then solved once
+/// from scratch.
+///
+/// It is for a caller that emits a problem only to solve it and read a flow
+/// or two: no [`MinCostFlowProblem`] is built and copied, and no per-arc
+/// flow vector or objective is computed. The solve is the one a
+/// [`MinCostFlowProblem::solve`] of the same arcs runs, pivot for pivot,
+/// with the default pivot budget.
+///
+/// ```
+/// use tin_lp::{Circulation, LpStatus};
+///
+/// // Two parallel paths 0 → 1 of capacities 2 and 3, closed by a return
+/// // arc that earns 1 per unit: the circulation is the maximum flow.
+/// let mut c = Circulation::new(2, 3);
+/// c.add_arc(0, 1, 0.0, 2.0);
+/// c.add_arc(0, 1, 0.0, 3.0);
+/// let back = c.add_arc(1, 0, -1.0, f64::INFINITY);
+/// assert_eq!(c.solve(), LpStatus::Optimal);
+/// assert_eq!(c.flow(back), 5.0);
+/// ```
+pub struct Circulation {
+    s: NetSimplex,
+    solved: bool,
+}
+
+impl Circulation {
+    /// Opens an empty circulation over `nodes` nodes with room for `arcs`
+    /// arcs.
+    pub fn new(nodes: usize, arcs: usize) -> Self {
+        Circulation {
+            s: NetSimplex::open(nodes, arcs),
+            solved: false,
+        }
+    }
+
+    /// Appends the arc `tail → head` with capacity `capacity` (lower bound
+    /// 0) and cost `cost` per unit; returns its index. Debug builds check
+    /// the arguments as [`MinCostFlowProblem::add_arc`] does.
+    pub fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize {
+        debug_assert!(!self.solved, "arc added after the solve");
+        debug_assert!(
+            tail < self.s.n && head < self.s.n,
+            "arc endpoint out of range"
+        );
+        debug_assert!(cost.is_finite(), "arc cost must be finite, got {cost}");
+        debug_assert!(capacity >= 0.0, "arc capacity must be >= 0, got {capacity}");
+        self.s.push_arc(tail, head, cost, capacity)
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.s.n
+    }
+
+    /// Number of arcs added so far.
+    pub fn num_arcs(&self) -> usize {
+        if self.solved {
+            self.s.m
+        } else {
+            self.s.arcs.len()
+        }
+    }
+
+    /// Solves the circulation from scratch and returns the status.
+    ///
+    /// # Panics
+    /// Panics if called a second time.
+    pub fn solve(&mut self) -> LpStatus {
+        assert!(!self.solved, "a circulation is solved once");
+        self.solved = true;
+        let limit = default_pivot_limit(self.s.n, self.s.arcs.len());
+        match self.s.solve_circulation(limit) {
+            Ok(()) => LpStatus::Optimal,
+            Err(status) => status,
+        }
+    }
+
+    /// The flow on `arc` after an optimal [`Circulation::solve`], read as
+    /// [`McfSolution::flows`] reads it.
+    pub fn flow(&self, arc: usize) -> f64 {
+        let rec = &self.s.arcs[arc];
+        (0.0 + rec.flow).clamp(0.0, rec.cap)
+    }
+
+    /// Basis-changing or bound-flipping pivots the solve performed.
+    pub fn pivots(&self) -> usize {
+        self.s.pivots
+    }
+
+    /// Pivots whose step length was (numerically) zero.
+    pub fn degenerate_pivots(&self) -> usize {
+        self.s.degenerate
     }
 }
 
@@ -468,7 +585,7 @@ const NODE_INIT: NodeRec = NodeRec {
 /// Recycled per-thread solver buffers. A worker solving many instances back
 /// to back — the shape of the flow pipeline, one subgraph after another —
 /// pays for the backing allocations once instead of on every solve:
-/// [`NetSimplex::new`] takes the buffers out of the slot and its `Drop`
+/// [`NetSimplex::open`] takes the buffers out of the slot and its `Drop`
 /// puts them back, whatever path `solve` exits through.
 #[derive(Default)]
 struct Scratch {
@@ -486,12 +603,13 @@ struct Scratch {
     adj_start: Vec<u32>,
 }
 
-/// Returns a recycled buffer to the scratch slot, first dropping excess
+/// Returns a recycled buffer to its scratch slot, first dropping excess
 /// capacity: a long-running stream solves problems of wildly varying size
 /// on the same thread, and without a cap every buffer would pin its
 /// high-water allocation forever. Anything beyond 4× what the *current*
-/// problem needs is given back to the allocator.
-fn stash<T>(slot: &mut Vec<T>, mut buf: Vec<T>, need: usize) {
+/// problem needs (`need` elements) is given back to the allocator. The
+/// flow pipeline's own recycled buffers follow the same rule.
+pub fn stash<T>(slot: &mut Vec<T>, mut buf: Vec<T>, need: usize) {
     if buf.capacity() > 4 * need.max(1) {
         buf.truncate(need);
         buf.shrink_to(need);
@@ -501,6 +619,16 @@ fn stash<T>(slot: &mut Vec<T>, mut buf: Vec<T>, need: usize) {
 
 thread_local! {
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// Makes room in the emptied buffer `buf` for a walk of `len` tree nodes.
+/// When it must grow, it grows at once to the `n + 1` nodes any walk can
+/// take: a recycled buffer that a smaller solve shrank then grows once per
+/// solve, not by doublings as the tree deepens.
+fn make_room<T>(buf: &mut Vec<T>, len: u32, n: usize) {
+    if buf.capacity() < len as usize {
+        buf.reserve(n + 1);
+    }
 }
 
 /// Pricing block size for a network of `total` arcs, artificial ones
@@ -601,29 +729,24 @@ impl Drop for NetSimplex {
 }
 
 impl NetSimplex {
-    /// With `warm`, the caller promises the zero flow is feasible (every
-    /// excess is 0) and will build the initial basis via
-    /// [`NetSimplex::warm_start`]: real costs are installed immediately,
-    /// the artificial arcs start empty and capacity-pinned, and no
-    /// all-artificial tree is built only to be torn down again.
-    fn new(p: &MinCostFlowProblem, excess: &[f64], warm: bool) -> Self {
-        let n = p.supplies.len();
-        let m = p.arcs.len();
-        let root = n;
-        let total = m + n;
-        assert!(total < NIL as usize, "network too large for u32 indexing");
+    /// Takes the recycled buffers for a network of `n` real nodes with room
+    /// for `arcs` real arcs. The real arcs come next, through
+    /// [`NetSimplex::push_arc`]; [`NetSimplex::solve_circulation`] or
+    /// [`NetSimplex::start_phase1`] then appends the artificial ones.
+    fn open(n: usize, arcs: usize) -> Self {
+        assert!(n < NIL as usize, "network too large for u32 indexing");
         let mut sc = SCRATCH.with(|slot| slot.take());
         sc.arcs.clear();
-        sc.arcs.reserve(total);
+        sc.arcs.reserve(arcs + n);
         sc.nodes.clear();
         sc.nodes.resize(n + 1, NODE_INIT);
-        let mut s = NetSimplex {
+        NetSimplex {
             n,
-            m,
+            m: 0,
             arcs: sc.arcs,
             nodes: sc.nodes,
             cursor: 0,
-            block: pricing_block(total),
+            block: 0,
             pivots: 0,
             degenerate: 0,
             arcs_priced: 0,
@@ -640,43 +763,68 @@ impl NetSimplex {
             adj: sc.adj,
             adj_start: sc.adj_start,
             adj_valid: false,
-        };
-        for a in &p.arcs {
-            s.arcs.push(ArcRec {
-                tail: a.tail as u32,
-                head: a.head as u32,
+        }
+    }
+
+    /// Appends a real arc, nonbasic at its lower bound 0; returns its index.
+    fn push_arc(&mut self, tail: usize, head: usize, cost: f64, cap: f64) -> usize {
+        self.arcs.push(ArcRec {
+            tail: tail as u32,
+            head: head as u32,
+            state: ArcState::Lower,
+            cap,
+            cost,
+            flow: 0.0,
+        });
+        self.arcs.len() - 1
+    }
+
+    /// Ends the real arcs: fixes `m` and the pricing block.
+    fn close_real_arcs(&mut self) {
+        self.m = self.arcs.len();
+        let total = self.m + self.n;
+        assert!(total < NIL as usize, "network too large for u32 indexing");
+        self.block = pricing_block(total);
+    }
+
+    /// The cold solve of a circulation, which every from-scratch solve of
+    /// one goes through: [`MinCostFlowProblem::solve`], a restarting
+    /// [`NetflowSession`] and [`Circulation::solve`]. The zero flow is
+    /// feasible, so the artificial arcs start empty and capacity-pinned,
+    /// [`NetSimplex::warm_start`] builds the basis from real arcs, and
+    /// phase 2 runs directly.
+    fn solve_circulation(&mut self, limit: usize) -> Result<(), LpStatus> {
+        self.close_real_arcs();
+        let root = self.n;
+        for v in 0..self.n {
+            self.arcs.push(ArcRec {
+                tail: v as u32,
+                head: root as u32,
                 state: ArcState::Lower,
-                cap: a.upper - a.lower,
-                cost: if warm { a.cost } else { 0.0 },
+                cap: 0.0,
+                cost: 0.0,
                 flow: 0.0,
             });
         }
-        if warm {
-            // The caller builds the basis via `warm_start`; the artificial
-            // arcs start empty and capacity-pinned.
-            for v in 0..n {
-                s.arcs.push(ArcRec {
-                    tail: v as u32,
-                    head: root as u32,
-                    state: ArcState::Lower,
-                    cap: 0.0,
-                    cost: 0.0,
-                    flow: 0.0,
-                });
-            }
-            return s;
-        }
-        // Artificial-root initialization: every node hangs off the root by
-        // one artificial arc carrying its excess, oriented so the initial
-        // tree is strongly feasible (zero-flow arcs point toward the root).
+        self.warm_start();
+        self.run(limit, false)
+    }
+
+    /// Artificial-root initialization for phase 1: every node hangs off the
+    /// root by one artificial arc carrying its excess, oriented so the
+    /// initial tree is strongly feasible (zero-flow arcs point toward the
+    /// root).
+    fn start_phase1(&mut self, excess: &[f64]) {
+        self.close_real_arcs();
+        let (root, m) = (self.n, self.m);
         for (v, &e) in excess.iter().enumerate() {
             let (tail, head, flow) = if e >= 0.0 {
                 (v, root, e)
             } else {
                 (root, v, -e)
             };
-            s.nodes[v].pot = if e >= 0.0 { -1.0 } else { 1.0 };
-            s.arcs.push(ArcRec {
+            self.nodes[v].pot = if e >= 0.0 { -1.0 } else { 1.0 };
+            self.arcs.push(ArcRec {
                 tail: tail as u32,
                 head: head as u32,
                 state: ArcState::Tree,
@@ -684,13 +832,12 @@ impl NetSimplex {
                 cost: 1.0, // phase-1 cost; real arcs cost 0 for now
                 flow,
             });
-            s.infeasibility += flow;
-            s.nodes[v].parent = root as u32;
-            s.nodes[v].pred = (m + v) as u32;
-            s.nodes[v].depth = 1;
-            s.attach(root, v);
+            self.infeasibility += flow;
+            self.nodes[v].parent = root as u32;
+            self.nodes[v].pred = (m + v) as u32;
+            self.nodes[v].depth = 1;
+            self.attach(root, v);
         }
-        s
     }
 
     fn rc(&self, a: &ArcRec) -> f64 {
@@ -836,10 +983,11 @@ impl NetSimplex {
     }
 
     /// Builds the initial basis as a spanning tree of *real* arcs wherever
-    /// one exists (requires `warm` construction). Only valid when the zero
-    /// flow is feasible (all excesses 0): every tree arc then rests at its
-    /// lower bound, so strong feasibility requires each to point toward the
-    /// root — which a reverse BFS guarantees by hanging a node `u` below
+    /// one exists, once [`NetSimplex::solve_circulation`] has appended the
+    /// artificial arcs empty. Only valid when the zero flow is feasible (all
+    /// excesses 0): every tree arc then rests at its lower bound, so strong
+    /// feasibility requires each to point toward the root — which a reverse
+    /// BFS guarantees by hanging a node `u` below
     /// `v` exactly when an arc `u → v` exists and `v` is already attached.
     /// Each connected piece is anchored to the root by a single artificial
     /// arc (oriented `node → root`); the other artificials never enter the
@@ -876,8 +1024,10 @@ impl NetSimplex {
             }
         }
 
-        // `parent == NIL` doubles as "not yet attached".
+        // `parent == NIL` doubles as "not yet attached". Every node enters
+        // the stack once at most, here and in a subtree refresh.
         self.stack.clear();
+        self.stack.reserve(self.n + 1);
         for anchor in 0..self.n {
             if self.nodes[anchor].parent != NIL {
                 continue;
@@ -1020,8 +1170,11 @@ impl NetSimplex {
     /// recording each tree arc and whether it is aligned with the cycle
     /// orientation (the orientation runs from → enter → to → apex → from).
     fn cycle_paths(&mut self, from: usize, to: usize) {
+        // Each path is at most its end's depth long.
         self.path_from.clear();
         self.path_to.clear();
+        make_room(&mut self.path_from, self.nodes[from].depth, self.n);
+        make_room(&mut self.path_to, self.nodes[to].depth, self.n);
         let (mut u, mut v) = (from, to);
         while self.nodes[u].depth > self.nodes[v].depth {
             let a = self.nodes[u].pred as usize;
@@ -1067,6 +1220,8 @@ impl NetSimplex {
     fn rehang(&mut self, q: usize, z: usize, p_attach: usize, enter: usize) {
         self.chain.clear();
         self.chain_arcs.clear();
+        make_room(&mut self.chain, self.nodes[q].depth + 1, self.n);
+        make_room(&mut self.chain_arcs, self.nodes[q].depth, self.n);
         let mut x = q;
         loop {
             self.chain.push(x);
@@ -1491,11 +1646,10 @@ impl NetflowSession {
     /// phase 1) that leaves the finished simplex state resident.
     fn restart(&mut self, problem: &MinCostFlowProblem) -> McfSolution {
         // Dropping the stale engine first recycles its buffers through the
-        // thread-local scratch slot, where `NetSimplex::new` reclaims them.
+        // thread-local scratch slot, where `NetSimplex::open` reclaims them.
         self.engine = None;
-        let mut s = NetSimplex::new(problem, &[], true);
-        s.warm_start();
-        if let Err(status) = s.run(problem.pivot_limit(), false) {
+        let mut s = problem.circulation();
+        if let Err(status) = s.solve_circulation(problem.pivot_limit()) {
             return s.outcome(status);
         }
         let solution = problem.extract(&s, false);
@@ -1917,8 +2071,8 @@ mod tests {
         // can only enter as a zero-step bound flip.
         let mut p = MinCostFlowProblem::new(2);
         p.add_arc(0, 1, 5.0, 0.0);
-        let mut s = NetSimplex::new(&p, &[], true);
-        s.warm_start();
+        let mut s = p.circulation();
+        s.solve_circulation(0).unwrap_err();
         s.arcs[0].state = ArcState::Upper;
         assert!(s.rc(&s.arcs[0]) > EPS);
         assert_eq!(s.price(), None);

@@ -52,7 +52,8 @@ impl TimeExpandedNetwork {
     pub fn build(graph: &TemporalGraph, source: NodeId, sink: NodeId) -> Self {
         // Finite stand-in for "unbounded": no s-t flow can exceed the total
         // finite quantity in the graph, so this value never constrains an
-        // optimal solution.
+        // optimal solution. The sum of huge quantities can overflow to ∞,
+        // which no arc may carry: the stand-in saturates at `f64::MAX`.
         let finite_total: f64 = graph
             .edges()
             .iter()
@@ -65,7 +66,7 @@ impl TimeExpandedNetwork {
                 }
             })
             .sum();
-        let unbounded = finite_total + 1.0;
+        let unbounded = (finite_total + 1.0).min(f64::MAX);
 
         // Collect arrival times per vertex (excluding the flow endpoints).
         let n = graph.node_count();
@@ -329,6 +330,24 @@ mod tests {
         b.add_pairs(s, t, &[(1, 4.0), (9, 2.5)]).unwrap();
         let g = b.build();
         assert_close(time_expanded_max_flow(&g, s, t), 6.5);
+    }
+
+    #[test]
+    fn huge_quantities_keep_the_stand_in_finite() {
+        // The finite quantities sum to ∞; the holdover arc still needs a
+        // finite capacity.
+        let mut b = GraphBuilder::new();
+        let s = b.add_node("s");
+        let v = b.add_node("v");
+        let t = b.add_node("t");
+        b.add_pairs(s, v, &[(1, 1e308), (2, 1e308)]).unwrap();
+        b.add_pairs(v, t, &[(3, 1e308)]).unwrap();
+        let g = b.build();
+        assert_eq!(
+            TimeExpandedNetwork::build(&g, s, t).unbounded_capacity,
+            f64::MAX
+        );
+        assert_eq!(time_expanded_max_flow(&g, s, t), 1e308);
     }
 
     #[test]

@@ -23,6 +23,12 @@ type Record = (u8, u8, i64, f64);
 
 /// A record log over a small vertex pool; destinations are generated as a
 /// nonzero offset from the source so no record is a self-loop.
+///
+/// Times advance as a feed's do: each record comes 0–5 units after the
+/// newest time so far, so the frontier keeps moving and a batch expires
+/// interactions of edges it does not touch. One record in five is late
+/// instead, up to 19 units before the newest time (at least 0), which
+/// exercises stragglers behind the frontier.
 fn records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
     records_on(7, max_len)
 }
@@ -30,10 +36,23 @@ fn records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
 /// [`records`] over a pool of `pool` vertices.
 fn records_on(pool: u8, max_len: usize) -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(
-        (0..pool, 1..pool, 0i64..40, 0u32..9)
-            .prop_map(move |(s, off, t, q)| (s, (s + off) % pool, t, q as f64)),
+        ((0..pool, 1..pool, 0u32..9), (0i64..6, 0u32..5, 0i64..20)),
         1..max_len,
     )
+    .prop_map(move |raw| {
+        let mut newest = 0;
+        raw.into_iter()
+            .map(|((s, off, q), (step, late, back))| {
+                let t = if late == 0 {
+                    (newest - back).max(0)
+                } else {
+                    newest += step;
+                    newest
+                };
+                (s, (s + off) % pool, t, q as f64)
+            })
+            .collect()
+    })
 }
 
 fn assert_row_identical(label: &str, got: &PathTables, want: &PathTables) {
