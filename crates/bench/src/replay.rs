@@ -14,8 +14,9 @@
 //!   cold [`build_mcf`] plus network simplex solve of the same graph;
 //! * [`Regime::Durable`]: the tables through a [`DurableStore`], which
 //!   fsyncs one journal frame per batch. A snapshot lands at ~99% of the
-//!   stream; the directory is then recovered twice, through the snapshot
-//!   and its journal tail, and with the manifests hidden as a full replay.
+//!   stream; the directory is then recovered through the snapshot and its
+//!   journal tail, and with the manifests hidden as a full replay, each
+//!   timed as the fastest of [`REPEATS`] recoveries.
 //!
 //! # What the replay measures
 //!
@@ -57,6 +58,7 @@
 //! twice and returns a [`Verdict`] instead of panicking, so one missed bar
 //! does not hide the rest of the evaluation.
 
+use crate::flow_experiments::REPEATS;
 use crate::ingest_experiments::to_csv;
 use crate::workloads::Workload;
 use std::path::{Path, PathBuf};
@@ -205,9 +207,11 @@ pub struct Replay {
     pub snapshot_bytes: u64,
     /// Journal frames after the snapshot, which its recovery replays.
     pub tail_frames: u64,
-    /// Wall-clock of recovery through the snapshot and the journal tail.
+    /// Wall-clock of recovery through the snapshot and the journal tail,
+    /// the fastest of [`REPEATS`] runs.
     pub recover_snapshot_time: Duration,
-    /// Wall-clock of recovery by full journal replay.
+    /// Wall-clock of recovery by full journal replay, the fastest of
+    /// [`REPEATS`] runs.
     pub recover_replay_time: Duration,
     /// The verdict of the regime's [`Bar`], where it is armed.
     pub verdict: Option<Verdict>,
@@ -540,9 +544,10 @@ fn flow_batch(
     );
 }
 
-/// Recovers the durable directory twice, through the snapshot and its
-/// journal tail, then with the manifests hidden by a full journal replay.
-/// Each recovery must take that path and match the run's graph and tables.
+/// Recovers the durable directory through the snapshot and its journal
+/// tail, then with the manifests hidden by a full journal replay, each the
+/// fastest of [`REPEATS`] runs. Each recovery must take that path and match
+/// the run's graph and tables.
 fn restart(store: DurableStore, config: TablesConfig, snapshot_frames: u64, m: &mut Replay) {
     let dir = store.dir().to_path_buf();
     m.tail_frames = store.frames() - snapshot_frames;
@@ -552,21 +557,30 @@ fn restart(store: DurableStore, config: TablesConfig, snapshot_frames: u64, m: &
         .map(|(_, path)| file_len(path))
         .sum();
     m.snapshot_bytes = files(&dir, ".snap").iter().map(|p| file_len(p)).sum();
+    // `Recovery::run` only reads the directory, so each recovery runs
+    // `REPEATS` times and the fastest run is reported, as Tables 6–8 time
+    // their methods. Every run is checked against the run's state after its
+    // clock stops.
     let recover = || {
-        let start = Instant::now();
-        let rec = Recovery::new(&dir, config)
-            .run()
-            .expect("the durable directory recovers");
-        let took = start.elapsed();
-        assert_eq!(
-            rec.graph,
-            *store.graph(),
-            "recovery diverged from the run's graph"
-        );
-        if let Some(divergence) = store.tables().first_row_divergence(&rec.tables) {
-            panic!("recovery diverged from the run's tables: {divergence}");
-        }
-        (took, rec.report)
+        (0..REPEATS)
+            .map(|_| {
+                let start = Instant::now();
+                let rec = Recovery::new(&dir, config)
+                    .run()
+                    .expect("the durable directory recovers");
+                let took = start.elapsed();
+                assert_eq!(
+                    rec.graph,
+                    *store.graph(),
+                    "recovery diverged from the run's graph"
+                );
+                if let Some(divergence) = store.tables().first_row_divergence(&rec.tables) {
+                    panic!("recovery diverged from the run's tables: {divergence}");
+                }
+                (took, rec.report)
+            })
+            .min_by_key(|&(took, _)| took)
+            .expect("REPEATS is positive")
     };
 
     let (took, report) = recover();

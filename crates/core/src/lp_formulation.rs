@@ -254,13 +254,13 @@ pub fn lp_max_flow(
 /// The direct min-cost-flow form of the maximum-flow problem: the
 /// time-expanded network emitted straight into a
 /// [`MinCostFlowProblem`], skipping the general LP row/column assembly
-/// entirely. Balance rows become node supplies (all zero — it is a
-/// circulation), per-interaction capacities become arc capacities, and a
+/// entirely. Balance rows become the circulation's conservation
+/// constraints, per-interaction capacities become arc capacities, and a
 /// `sink → source` return arc of cost −1 makes the min-cost circulation
 /// equal minus the maximum flow.
 #[derive(Debug, Clone)]
 pub struct McfFormulation {
-    /// The min-cost-flow instance (a circulation: all supplies zero).
+    /// The min-cost circulation.
     pub problem: MinCostFlowProblem,
     /// Index of the `sink → source` return arc; its flow at the optimum is
     /// the maximum flow.
@@ -405,7 +405,7 @@ fn build_graph_mcf(
 /// for [`build_mcf`] and sessions, or the network simplex's own arrays
 /// ([`Circulation`]) for a cold solve that only reads the maximum flow.
 pub(crate) trait ArcSink {
-    /// Appends the arc `tail → head` (lower bound 0); returns its index.
+    /// Appends the arc `tail → head`; returns its index.
     fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize;
 }
 
@@ -1232,10 +1232,6 @@ mod tests {
         assert_eq!(mcf.problem.num_nodes(), 2 + net.copy_count);
         assert_eq!(mcf.skipped_interactions, net.skipped_interactions);
         assert_eq!(mcf.return_arc, mcf.problem.num_arcs() - 1);
-        // All supplies are zero: it is a circulation.
-        for v in 0..mcf.problem.num_nodes() {
-            assert_eq!(mcf.problem.supply(v), 0.0);
-        }
     }
 
     #[test]

@@ -861,19 +861,11 @@ mod tests {
         ]
     }
 
-    fn arcs(f: &McfFormulation) -> Vec<(usize, usize, u64, u64, u64)> {
+    fn arcs(f: &McfFormulation) -> Vec<(usize, usize, u64, u64)> {
         f.problem
             .arcs()
             .iter()
-            .map(|a| {
-                (
-                    a.tail,
-                    a.head,
-                    a.lower.to_bits(),
-                    a.upper.to_bits(),
-                    a.cost.to_bits(),
-                )
-            })
+            .map(|a| (a.tail, a.head, a.upper.to_bits(), a.cost.to_bits()))
             .collect()
     }
 

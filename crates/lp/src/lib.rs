@@ -7,8 +7,10 @@
 //! library; this crate provides an equivalent exact solver implemented from
 //! scratch, with one solver per problem type:
 //!
-//! * [`netflow`] — a **network simplex** over min-cost-flow structure
-//!   ([`MinCostFlowProblem::solve`]): the basis is an explicit spanning
+//! * [`netflow`] — a **network simplex** for min-cost circulations
+//!   ([`MinCostFlowProblem::solve`]): no node supplies, so the zero flow
+//!   is feasible and every solve starts from a reverse-BFS tree of real
+//!   arcs with no phase 1. The basis is an explicit spanning
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
 //!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C

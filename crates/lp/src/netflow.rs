@@ -1,22 +1,26 @@
-//! Network simplex for min-cost flow.
+//! Network simplex for min-cost circulations.
 //!
 //! The class C flow LPs are pure min-cost-flow problems on a time-expanded
 //! network, so they do not need a general simplex at all: a basis of a
 //! min-cost-flow problem is a spanning tree of the network, and a pivot is
 //! a walk around the single cycle the entering arc closes — O(tree depth)
 //! work with no basis factorization, no eta file and no refactorization.
+//! Every such problem is a circulation (no node supplies, every flow
+//! between zero and its arc's capacity), so the zero flow is feasible and
+//! the simplex needs no phase 1.
 //!
 //! This module provides:
 //!
-//! * [`MinCostFlowProblem`] — node supplies plus arcs with cost, capacity
-//!   and lower bound;
+//! * [`MinCostFlowProblem`] — a min-cost circulation: arcs with a cost and
+//!   a capacity over a node count;
 //! * a **network simplex** ([`MinCostFlowProblem::solve`]) over an explicit
 //!   spanning-tree basis: parent/depth arrays plus a child/sibling thread
-//!   for subtree traversal, an artificial-root initial tree, block pricing
-//!   (blocks of `⌊√(m+n)⌋` arcs, at least 16, scanned without branching on
-//!   the arc state; arcs of zero capacity are never priced, at either
-//!   bound), and the *strongly feasible tree* leaving-arc rule (last
-//!   blocking arc from the apex) that prevents cycling under degeneracy;
+//!   for subtree traversal, a start tree of real arcs built by reverse BFS
+//!   and anchored to an artificial root, block pricing (blocks of
+//!   `⌊√(m+n)⌋` arcs, at least 16, scanned without branching on the arc
+//!   state; arcs of zero capacity are never priced, at either bound), and
+//!   the *strongly feasible tree* leaving-arc rule (last blocking arc from
+//!   the apex) that prevents cycling under degeneracy;
 //! * [`Circulation`] — a circulation written arc by arc straight into the
 //!   simplex's arrays and solved once, cold, through the same start as
 //!   [`MinCostFlowProblem::solve`], for callers that read only a flow or
@@ -28,16 +32,17 @@
 //! * [`MinCostFlowProblem::to_lp`] — a lossless bridge to the general
 //!   [`LpProblem`] form, used by the engine-equivalence proptests.
 //!
-//! Infeasibility is detected in phase 1 (artificial arcs keep positive
-//! flow at the phase-1 optimum), unboundedness in phase 2 (the entering
-//! arc closes a negative-cost cycle with unlimited residual capacity).
+//! A solve ends optimal, unbounded (the entering arc closes a negative-cost
+//! cycle with unlimited residual capacity) or at the pivot limit; with the
+//! zero flow feasible, no circulation is infeasible.
 
 use crate::problem::{LpProblem, Sense};
 use crate::solution::LpStatus;
 
 /// Reduced-cost / residual tolerance (same scale as the LP engines).
 const EPS: f64 = 1e-9;
-/// Feasibility tolerance for the phase-1 verdict.
+/// How far outside its bounds a tree arc's flow may sit before the dual
+/// repair pivots it out.
 const FEAS_EPS: f64 = 1e-6;
 /// Sentinel for "no node" in the tree arrays.
 const NONE: usize = usize::MAX;
@@ -45,27 +50,31 @@ const NONE: usize = usize::MAX;
 /// Null link in the solver's u32-indexed tree/arc records.
 const NIL: u32 = u32::MAX;
 
-/// One directed arc of a min-cost-flow problem.
+/// One directed arc of a min-cost circulation.
 #[derive(Debug, Clone, Copy)]
 pub struct McfArc {
     /// Node the arc leaves.
     pub tail: usize,
     /// Node the arc enters.
     pub head: usize,
-    /// Minimum flow the arc must carry (finite, `≤ upper`).
-    pub lower: f64,
-    /// Maximum flow the arc may carry (`+∞` for uncapacitated arcs).
+    /// The arc's capacity, the most flow it may carry (`≥ 0`, `+∞` for
+    /// uncapacitated arcs); the least is 0.
     pub upper: f64,
     /// Cost per unit of flow.
     pub cost: f64,
 }
 
-/// A min-cost-flow problem: find arc flows `lᵃ ≤ xᵃ ≤ uᵃ` satisfying
-/// `Σ out(v) − Σ in(v) = supply(v)` at every node `v` while minimizing
-/// `Σ costᵃ · xᵃ`.
+/// A min-cost circulation: find arc flows `0 ≤ xᵃ ≤ uᵃ` that conserve flow
+/// at every node (`Σ out(v) = Σ in(v)`) while minimizing `Σ costᵃ · xᵃ`.
+///
+/// A negative-cost arc is what draws flow: a capped `t → s` return arc of
+/// cost `−c` stands in for a supply of its capacity at `s` and a demand of
+/// it at `t`, routed at up to `c` per unit. A return arc of cost −1 and
+/// unlimited capacity makes the minimum cost minus the maximum `s → t`
+/// flow, which is how the flow pipeline uses it.
 #[derive(Debug, Clone)]
 pub struct MinCostFlowProblem {
-    supplies: Vec<f64>,
+    nodes: usize,
     arcs: Vec<McfArc>,
     /// Maximum network-simplex pivots before giving up (0 = automatic,
     /// scaled with problem size — the same safety valve as
@@ -77,22 +86,22 @@ pub struct MinCostFlowProblem {
 /// [`LpSolution`](crate::LpSolution): pivot and degenerate-pivot counts.
 #[derive(Debug, Clone)]
 pub struct McfSolution {
-    /// Termination status ([`LpStatus::NumericalFailure`] is never
-    /// produced: there is no factorized basis to go singular).
+    /// Termination status: [`LpStatus::Optimal`],
+    /// [`LpStatus::Unbounded`] or [`LpStatus::IterationLimit`]. A
+    /// circulation is never infeasible (the zero flow is feasible), and
+    /// there is no factorized basis to go singular.
     pub status: LpStatus,
     /// Total cost `Σ costᵃ · xᵃ` (0 unless optimal).
     pub objective: f64,
-    /// Per-arc flows in the original (unshifted) space (empty unless
-    /// optimal).
+    /// Per-arc flows (empty unless optimal).
     pub flows: Vec<f64>,
-    /// Basis-changing or bound-flipping pivots performed across both
-    /// phases.
+    /// Basis-changing or bound-flipping pivots performed.
     pub pivots: usize,
     /// Pivots whose step length was (numerically) zero.
     pub degenerate_pivots: usize,
-    /// Arcs primal pricing read across both phases (every arc of every
-    /// block scanned, the final full wrap that proves optimality
-    /// included): a deterministic measure of pricing work.
+    /// Arcs primal pricing read (every arc of every block scanned, the
+    /// final full wrap that proves optimality included): a deterministic
+    /// measure of pricing work.
     pub arcs_priced: usize,
     /// Work a [`NetflowSession`]'s dual repair did on this solve, in the
     /// unit of [`DUAL_REPAIR_BUDGET`]: two per node of every cut a dual
@@ -144,11 +153,10 @@ impl McfSolution {
 }
 
 impl MinCostFlowProblem {
-    /// Creates a problem over `num_nodes` nodes with zero supplies and no
-    /// arcs.
+    /// Creates a circulation over `num_nodes` nodes with no arcs.
     pub fn new(num_nodes: usize) -> Self {
         MinCostFlowProblem {
-            supplies: vec![0.0; num_nodes],
+            nodes: num_nodes,
             arcs: Vec::new(),
             max_iterations: 0,
         }
@@ -156,7 +164,7 @@ impl MinCostFlowProblem {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.supplies.len()
+        self.nodes
     }
 
     /// Number of arcs.
@@ -171,57 +179,21 @@ impl MinCostFlowProblem {
         self.arcs.reserve(additional);
     }
 
-    /// Sets the supply of `node` (positive = source, negative = demand).
+    /// Adds the arc `tail → head` with cost `cost` per unit and capacity
+    /// `capacity`; returns its index.
     ///
     /// # Panics
-    /// Panics if `node` is out of range or `supply` is not finite.
-    pub fn set_supply(&mut self, node: usize, supply: f64) {
-        assert!(node < self.supplies.len(), "node index {node} out of range");
-        assert!(supply.is_finite(), "supply must be finite, got {supply}");
-        self.supplies[node] = supply;
-    }
-
-    /// The supply of `node`.
-    pub fn supply(&self, node: usize) -> f64 {
-        self.supplies[node]
-    }
-
-    /// Adds an arc with lower bound 0; returns its index.
+    /// Panics if an endpoint is out of range, `cost` is not finite, or
+    /// `capacity` is negative or NaN.
     pub fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize {
-        self.add_arc_bounded(tail, head, cost, 0.0, capacity)
-    }
-
-    /// Adds an arc with an explicit `lower ≤ flow ≤ upper` band; returns
-    /// its index.
-    ///
-    /// # Panics
-    /// Panics if an endpoint is out of range, `cost` or `lower` is not
-    /// finite, or the band is empty (`lower > upper`).
-    pub fn add_arc_bounded(
-        &mut self,
-        tail: usize,
-        head: usize,
-        cost: f64,
-        lower: f64,
-        upper: f64,
-    ) -> usize {
-        let n = self.supplies.len();
-        assert!(tail < n, "arc tail {tail} out of range");
-        assert!(head < n, "arc head {head} out of range");
+        assert!(tail < self.nodes, "arc tail {tail} out of range");
+        assert!(head < self.nodes, "arc head {head} out of range");
         assert!(cost.is_finite(), "arc cost must be finite, got {cost}");
-        assert!(
-            lower.is_finite(),
-            "arc lower bound must be finite, got {lower}"
-        );
-        assert!(
-            !upper.is_nan() && lower <= upper,
-            "arc bounds must satisfy lower <= upper, got [{lower}, {upper}]"
-        );
+        assert_capacity(capacity);
         self.arcs.push(McfArc {
             tail,
             head,
-            lower,
-            upper,
+            upper: capacity,
             cost,
         });
         self.arcs.len() - 1
@@ -232,41 +204,35 @@ impl MinCostFlowProblem {
         &self.arcs
     }
 
-    /// Appends a node with supply 0; returns its index. Used by streaming
-    /// emitters that grow a problem in place (new vertex copies of the
-    /// time-expanded network) — existing arc indices are unaffected.
+    /// Appends a node; returns its index. Used by streaming emitters that
+    /// grow a problem in place (new vertex copies of the time-expanded
+    /// network) — existing arc indices are unaffected.
     pub fn add_node(&mut self) -> usize {
-        self.supplies.push(0.0);
-        self.supplies.len() - 1
+        self.nodes += 1;
+        self.nodes - 1
     }
 
-    /// Changes the capacity (upper bound) of an existing arc in place.
-    /// Setting it to the arc's lower bound tombstones the arc: it can never
-    /// carry flow again but keeps its index, which is what lets streaming
-    /// callers patch a problem without renumbering.
+    /// Changes the capacity of an existing arc in place. Setting it to 0
+    /// tombstones the arc: it can never carry flow again but keeps its
+    /// index, which is what lets streaming callers patch a problem without
+    /// renumbering.
     ///
     /// # Panics
-    /// Panics if `arc` is out of range or the band would be empty.
-    pub fn set_capacity(&mut self, arc: usize, upper: f64) {
-        let a = &mut self.arcs[arc];
-        assert!(
-            !upper.is_nan() && a.lower <= upper,
-            "arc bounds must satisfy lower <= upper, got [{}, {upper}]",
-            a.lower
-        );
-        a.upper = upper;
+    /// Panics if `arc` is out of range or `capacity` is negative or NaN.
+    pub fn set_capacity(&mut self, arc: usize, capacity: f64) {
+        assert_capacity(capacity);
+        self.arcs[arc].upper = capacity;
     }
 
     /// Moves an existing arc to new endpoints in place (same cost and
-    /// bounds). Streaming emitters use this when a patched network inserts
-    /// a node "between" an arc's old tail and its timestamp.
+    /// capacity). Streaming emitters use this when a patched network
+    /// inserts a node "between" an arc's old tail and its timestamp.
     ///
     /// # Panics
     /// Panics if `arc` or an endpoint is out of range.
     pub fn retarget(&mut self, arc: usize, tail: usize, head: usize) {
-        let n = self.supplies.len();
-        assert!(tail < n, "arc tail {tail} out of range");
-        assert!(head < n, "arc head {head} out of range");
+        assert!(tail < self.nodes, "arc tail {tail} out of range");
+        assert!(head < self.nodes, "arc head {head} out of range");
         let a = &mut self.arcs[arc];
         a.tail = tail;
         a.head = head;
@@ -282,9 +248,9 @@ impl MinCostFlowProblem {
         if flows.len() != self.arcs.len() {
             return false;
         }
-        let mut balance: Vec<f64> = self.supplies.iter().map(|&s| -s).collect();
+        let mut balance = vec![0.0; self.nodes];
         for (a, &x) in self.arcs.iter().zip(flows) {
-            if x.is_nan() || x < a.lower - tol || x > a.upper + tol {
+            if x.is_nan() || x < -tol || x > a.upper + tol {
                 return false;
             }
             balance[a.tail] += x;
@@ -293,32 +259,26 @@ impl MinCostFlowProblem {
         balance.iter().all(|&b| b.abs() <= tol)
     }
 
-    /// Rewrites the problem as a general [`LpProblem`] (minimize sense, one
-    /// equality row per node, one variable per arc shifted by its lower
-    /// bound). Returns the program and the constant objective offset:
-    /// `mcf objective = lp objective + offset`.
-    pub fn to_lp(&self) -> (LpProblem, f64) {
+    /// Rewrites the circulation as a general [`LpProblem`]: minimize sense,
+    /// one variable per arc bounded by its capacity, one equality row per
+    /// node with right-hand side 0. The two optima are equal.
+    pub fn to_lp(&self) -> LpProblem {
         let mut lp = LpProblem::new(self.arcs.len());
         lp.set_sense(Sense::Minimize);
         lp.max_iterations = self.max_iterations;
-        let mut offset = 0.0;
-        let mut rhs: Vec<f64> = self.supplies.clone();
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.supplies.len()];
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.nodes];
         for (j, a) in self.arcs.iter().enumerate() {
             lp.set_objective_coefficient(j, a.cost);
-            offset += a.cost * a.lower;
             if a.upper.is_finite() {
-                lp.set_upper_bound(j, a.upper - a.lower);
+                lp.set_upper_bound(j, a.upper);
             }
-            rhs[a.tail] -= a.lower;
-            rhs[a.head] += a.lower;
             rows[a.tail].push((j, 1.0));
             rows[a.head].push((j, -1.0));
         }
-        for (v, coeffs) in rows.iter().enumerate() {
-            lp.add_eq_constraint(coeffs, rhs[v]);
+        for coeffs in &rows {
+            lp.add_eq_constraint(coeffs, 0.0);
         }
-        (lp, offset)
+        lp
     }
 
     /// The pivot budget for one solve: the explicit cap when set, else
@@ -327,80 +287,27 @@ impl MinCostFlowProblem {
         if self.max_iterations > 0 {
             self.max_iterations
         } else {
-            default_pivot_limit(self.supplies.len(), self.arcs.len())
+            default_pivot_limit(self.nodes, self.arcs.len())
         }
     }
 
-    /// Copies the arcs into a freshly opened simplex at their real costs,
-    /// ready for [`NetSimplex::solve_circulation`].
+    /// Copies the arcs into a freshly opened simplex, ready for
+    /// [`NetSimplex::solve_circulation`].
     fn circulation(&self) -> NetSimplex {
-        let mut s = NetSimplex::open(self.supplies.len(), self.arcs.len());
+        let mut s = NetSimplex::open(self.nodes, self.arcs.len());
         for a in &self.arcs {
-            s.push_arc(a.tail, a.head, a.cost, a.upper - a.lower);
+            s.push_arc(a.tail, a.head, a.cost, a.upper);
         }
         s
     }
 
-    /// Solves the problem with the network simplex from scratch.
+    /// Solves the circulation with the network simplex from scratch.
     pub fn solve(&self) -> McfSolution {
-        let n = self.supplies.len();
-        let m = self.arcs.len();
-        if n == 0 {
+        if self.nodes == 0 {
             return McfSolution::with_status(LpStatus::Optimal);
         }
-
-        // The zero flow is already feasible for circulation problems (the
-        // entire flow hot path): skip phase 1 and seed the basis with a
-        // spanning tree of real arcs instead of making phase 2 evict the
-        // capacity-pinned artificials one degenerate pivot at a time. The
-        // check is allocation-free: zero supplies and zero lower bounds
-        // mean every per-node excess is exactly 0.
-        let warm =
-            self.supplies.iter().all(|&s| s == 0.0) && self.arcs.iter().all(|a| a.lower == 0.0);
-        let limit = self.pivot_limit();
-        if warm {
-            let mut s = self.circulation();
-            if let Err(status) = s.solve_circulation(limit) {
-                return s.outcome(status);
-            }
-            return self.extract(&s, false);
-        }
-
-        // Shift lower bounds away (x = l + x′) and compute the residual
-        // per-node excess the artificial arcs must initially carry.
-        let mut excess = self.supplies.clone();
-        for a in &self.arcs {
-            excess[a.tail] -= a.lower;
-            excess[a.head] += a.lower;
-        }
-        if excess.iter().sum::<f64>().abs() > FEAS_EPS {
-            // Total supply ≠ total demand: no flow can conserve.
-            return McfSolution::with_status(LpStatus::Infeasible);
-        }
-        // Phase 1 prices the artificial arcs only: real arcs cost 0 for now.
-        let mut s = NetSimplex::open(n, m);
-        for a in &self.arcs {
-            s.push_arc(a.tail, a.head, 0.0, a.upper - a.lower);
-        }
-        s.start_phase1(&excess);
-        // Phase 1: drain the artificial arcs (cost 1 there, 0 elsewhere).
-        match s.run(limit, true) {
-            Ok(()) => {}
-            Err(LpStatus::Unbounded) => {
-                // Phase-1 cost is bounded below by 0; an "unbounded" step
-                // can only be a numerical artifact. Mirror the LP engines.
-                return s.outcome(LpStatus::Infeasible);
-            }
-            Err(status) => return s.outcome(status),
-        }
-        let art_flow: f64 = s.arcs[m..].iter().map(|a| a.flow).sum();
-        if art_flow > FEAS_EPS {
-            return s.outcome(LpStatus::Infeasible);
-        }
-
-        // Phase 2: real costs; artificial arcs pinned to zero capacity.
-        s.enter_phase2(&self.arcs);
-        if let Err(status) = s.run(limit, false) {
+        let mut s = self.circulation();
+        if let Err(status) = s.solve_circulation(self.pivot_limit()) {
             return s.outcome(status);
         }
         self.extract(&s, false)
@@ -413,7 +320,7 @@ impl MinCostFlowProblem {
             .arcs
             .iter()
             .zip(&s.arcs)
-            .map(|(a, rec)| (a.lower + rec.flow).clamp(a.lower, a.upper))
+            .map(|(a, rec)| rec.flow.clamp(0.0, a.upper))
             .collect();
         let objective = self.flow_cost(&flows);
         McfSolution {
@@ -425,15 +332,19 @@ impl MinCostFlowProblem {
     }
 }
 
+/// Panics unless `capacity` is a valid arc capacity: `≥ 0`, possibly `+∞`.
+fn assert_capacity(capacity: f64) {
+    assert!(capacity >= 0.0, "arc capacity must be >= 0, got {capacity}");
+}
+
 /// The pivot budget of a solve that sets no cap of its own: a generous
 /// multiple of the network's size.
 fn default_pivot_limit(nodes: usize, arcs: usize) -> usize {
     200 * (nodes + arcs) + 2_000
 }
 
-/// A circulation (every supply and lower bound zero) written arc by arc
-/// straight into the network simplex's recycled arrays, then solved once
-/// from scratch.
+/// A circulation written arc by arc straight into the network simplex's
+/// recycled arrays, then solved once from scratch.
 ///
 /// It is for a caller that emits a problem only to solve it and read a flow
 /// or two: no [`MinCostFlowProblem`] is built and copied, and no per-arc
@@ -468,9 +379,9 @@ impl Circulation {
         }
     }
 
-    /// Appends the arc `tail → head` with capacity `capacity` (lower bound
-    /// 0) and cost `cost` per unit; returns its index. Debug builds check
-    /// the arguments as [`MinCostFlowProblem::add_arc`] does.
+    /// Appends the arc `tail → head` with capacity `capacity` and cost
+    /// `cost` per unit; returns its index. Debug builds check the arguments
+    /// as [`MinCostFlowProblem::add_arc`] does.
     pub fn add_arc(&mut self, tail: usize, head: usize, cost: f64, capacity: f64) -> usize {
         debug_assert!(!self.solved, "arc added after the solve");
         debug_assert!(
@@ -514,7 +425,7 @@ impl Circulation {
     /// [`McfSolution::flows`] reads it.
     pub fn flow(&self, arc: usize) -> f64 {
         let rec = &self.s.arcs[arc];
-        (0.0 + rec.flow).clamp(0.0, rec.cap)
+        rec.flow.clamp(0.0, rec.cap)
     }
 
     /// Basis-changing or bound-flipping pivots the solve performed.
@@ -535,7 +446,7 @@ impl Circulation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(i8)]
 enum ArcState {
-    /// Nonbasic at its (shifted) lower bound 0.
+    /// Nonbasic at its lower bound 0.
     Lower = -1,
     /// In the spanning-tree basis.
     Tree = 0,
@@ -663,14 +574,12 @@ struct NetSimplex {
     // (`pricing_block`).
     cursor: usize,
     block: usize,
-    // Telemetry and the running artificial-flow total (phase-1 early exit).
-    // `repair_work` is the dual repair's budgeted count (only a session's
-    // incremental path runs dual pivots).
+    // Telemetry. `repair_work` is the dual repair's budgeted count (only a
+    // session's incremental path runs dual pivots).
     pivots: usize,
     degenerate: usize,
     arcs_priced: usize,
     repair_work: usize,
-    infeasibility: f64,
     // Reusable pivot scratch: the two tree paths to the apex
     // (node, pred arc, arc aligned with the cycle orientation) and the
     // parent chain being reversed.
@@ -731,8 +640,8 @@ impl Drop for NetSimplex {
 impl NetSimplex {
     /// Takes the recycled buffers for a network of `n` real nodes with room
     /// for `arcs` real arcs. The real arcs come next, through
-    /// [`NetSimplex::push_arc`]; [`NetSimplex::solve_circulation`] or
-    /// [`NetSimplex::start_phase1`] then appends the artificial ones.
+    /// [`NetSimplex::push_arc`]; [`NetSimplex::solve_circulation`] then
+    /// appends the artificial ones.
     fn open(n: usize, arcs: usize) -> Self {
         assert!(n < NIL as usize, "network too large for u32 indexing");
         let mut sc = SCRATCH.with(|slot| slot.take());
@@ -751,7 +660,6 @@ impl NetSimplex {
             degenerate: 0,
             arcs_priced: 0,
             repair_work: 0,
-            infeasibility: 0.0,
             path_from: sc.path_from,
             path_to: sc.path_to,
             chain: sc.chain,
@@ -779,22 +687,18 @@ impl NetSimplex {
         self.arcs.len() - 1
     }
 
-    /// Ends the real arcs: fixes `m` and the pricing block.
-    fn close_real_arcs(&mut self) {
+    /// The cold solve, which every from-scratch solve goes through:
+    /// [`MinCostFlowProblem::solve`], a restarting [`NetflowSession`] and
+    /// [`Circulation::solve`]. It ends the real arcs (fixing `m` and the
+    /// pricing block) and appends the artificial arcs, empty and
+    /// capacity-pinned, since the zero flow is feasible;
+    /// [`NetSimplex::warm_start`] builds the basis from real arcs, and the
+    /// primal pivots run from there.
+    fn solve_circulation(&mut self, limit: usize) -> Result<(), LpStatus> {
         self.m = self.arcs.len();
         let total = self.m + self.n;
         assert!(total < NIL as usize, "network too large for u32 indexing");
         self.block = pricing_block(total);
-    }
-
-    /// The cold solve of a circulation, which every from-scratch solve of
-    /// one goes through: [`MinCostFlowProblem::solve`], a restarting
-    /// [`NetflowSession`] and [`Circulation::solve`]. The zero flow is
-    /// feasible, so the artificial arcs start empty and capacity-pinned,
-    /// [`NetSimplex::warm_start`] builds the basis from real arcs, and
-    /// phase 2 runs directly.
-    fn solve_circulation(&mut self, limit: usize) -> Result<(), LpStatus> {
-        self.close_real_arcs();
         let root = self.n;
         for v in 0..self.n {
             self.arcs.push(ArcRec {
@@ -807,37 +711,7 @@ impl NetSimplex {
             });
         }
         self.warm_start();
-        self.run(limit, false)
-    }
-
-    /// Artificial-root initialization for phase 1: every node hangs off the
-    /// root by one artificial arc carrying its excess, oriented so the
-    /// initial tree is strongly feasible (zero-flow arcs point toward the
-    /// root).
-    fn start_phase1(&mut self, excess: &[f64]) {
-        self.close_real_arcs();
-        let (root, m) = (self.n, self.m);
-        for (v, &e) in excess.iter().enumerate() {
-            let (tail, head, flow) = if e >= 0.0 {
-                (v, root, e)
-            } else {
-                (root, v, -e)
-            };
-            self.nodes[v].pot = if e >= 0.0 { -1.0 } else { 1.0 };
-            self.arcs.push(ArcRec {
-                tail: tail as u32,
-                head: head as u32,
-                state: ArcState::Tree,
-                cap: f64::INFINITY,
-                cost: 1.0, // phase-1 cost; real arcs cost 0 for now
-                flow,
-            });
-            self.infeasibility += flow;
-            self.nodes[v].parent = root as u32;
-            self.nodes[v].pred = (m + v) as u32;
-            self.nodes[v].depth = 1;
-            self.attach(root, v);
-        }
+        self.run(limit)
     }
 
     fn rc(&self, a: &ArcRec) -> f64 {
@@ -928,13 +802,6 @@ impl NetSimplex {
         self.nodes[x].next_sib = NIL;
     }
 
-    fn set_flow(&mut self, a: usize, x: f64) {
-        if a >= self.m {
-            self.infeasibility += x - self.arcs[a].flow;
-        }
-        self.arcs[a].flow = x;
-    }
-
     /// Recomputes depth and potential for the subtree rooted at `start`
     /// from its (already final) parent, walking the child/sibling thread.
     fn refresh_subtree(&mut self, start: usize) {
@@ -957,41 +824,16 @@ impl NetSimplex {
         }
     }
 
-    /// Switches to phase-2 costs: real arc costs return, artificial arcs
-    /// are pinned at zero capacity (they may linger in the tree,
-    /// degenerate, but can never carry flow again).
-    fn enter_phase2(&mut self, arcs: &[McfArc]) {
-        for (rec, arc) in self.arcs.iter_mut().zip(arcs) {
-            rec.cost = arc.cost;
-        }
-        let mut drained = 0.0;
-        for rec in &mut self.arcs[self.m..] {
-            rec.cost = 0.0;
-            rec.cap = 0.0;
-            drained += rec.flow;
-            rec.flow = 0.0;
-        }
-        self.infeasibility -= drained;
-        let root = self.n;
-        self.nodes[root].pot = 0.0;
-        let mut c = self.nodes[root].first_child;
-        while c != NIL {
-            self.refresh_subtree(c as usize);
-            c = self.nodes[c as usize].next_sib;
-        }
-        self.cursor = 0;
-    }
-
     /// Builds the initial basis as a spanning tree of *real* arcs wherever
     /// one exists, once [`NetSimplex::solve_circulation`] has appended the
-    /// artificial arcs empty. Only valid when the zero flow is feasible (all
-    /// excesses 0): every tree arc then rests at its lower bound, so strong
-    /// feasibility requires each to point toward the root — which a reverse
-    /// BFS guarantees by hanging a node `u` below
-    /// `v` exactly when an arc `u → v` exists and `v` is already attached.
-    /// Each connected piece is anchored to the root by a single artificial
-    /// arc (oriented `node → root`); the other artificials never enter the
-    /// basis instead of being pivoted out one degenerate step at a time.
+    /// artificial arcs empty. The start flow is zero, so every tree arc
+    /// rests at its lower bound, and strong feasibility requires each to
+    /// point toward the root — which a reverse BFS guarantees by hanging a
+    /// node `u` below `v` exactly when an arc `u → v` exists and `v` is
+    /// already attached. Each connected piece is anchored to the root by a
+    /// single artificial arc (oriented `node → root`); the other
+    /// artificials never enter the basis, so no pivot is spent evicting
+    /// them.
     fn warm_start(&mut self) {
         let root = self.n;
         // Bucket real arcs by head for the reverse BFS (zero-capacity arcs
@@ -1062,11 +904,12 @@ impl NetSimplex {
         }
     }
 
-    fn run(&mut self, limit: usize, phase1: bool) -> Result<(), LpStatus> {
+    /// Primal pivots until pricing finds no violation (`Ok`), the entering
+    /// arc closes an uncapacitated negative-cost cycle
+    /// ([`LpStatus::Unbounded`]) or the pivots reach `limit`
+    /// ([`LpStatus::IterationLimit`]).
+    fn run(&mut self, limit: usize) -> Result<(), LpStatus> {
         loop {
-            if phase1 && self.infeasibility <= EPS {
-                return Ok(());
-            }
             if self.pivots >= limit {
                 return Err(LpStatus::IterationLimit);
             }
@@ -1137,7 +980,7 @@ impl NetSimplex {
                 _ => (ArcState::Lower, 0.0),
             };
             self.arcs[enter].state = next;
-            self.set_flow(enter, x);
+            self.arcs[enter].flow = x;
             return Ok(());
         };
 
@@ -1147,10 +990,10 @@ impl NetSimplex {
             ArcState::Lower => delta,
             _ => erec.cap - delta,
         };
-        self.set_flow(enter, x);
+        self.arcs[enter].flow = x;
         self.arcs[enter].state = ArcState::Tree;
         let snap = if lfwd { self.arcs[larc].cap } else { 0.0 };
-        self.set_flow(larc, snap);
+        self.arcs[larc].flow = snap;
         self.arcs[larc].state = if lfwd {
             ArcState::Upper
         } else {
@@ -1200,15 +1043,11 @@ impl NetSimplex {
     /// [`NetSimplex::cycle_paths`] (the entering arc itself is the
     /// caller's to update).
     fn apply_cycle(&mut self, delta: f64) {
-        for i in 0..self.path_from.len() {
-            let (_, a, fwd) = self.path_from[i];
-            let x = self.arcs[a].flow + if fwd { delta } else { -delta };
-            self.set_flow(a, x);
+        for &(_, a, fwd) in &self.path_from {
+            self.arcs[a].flow += if fwd { delta } else { -delta };
         }
-        for i in 0..self.path_to.len() {
-            let (_, a, fwd) = self.path_to[i];
-            let x = self.arcs[a].flow + if fwd { delta } else { -delta };
-            self.set_flow(a, x);
+        for &(_, a, fwd) in &self.path_to {
+            self.arcs[a].flow += if fwd { delta } else { -delta };
         }
     }
 
@@ -1485,7 +1324,7 @@ impl NetSimplex {
             ArcState::Lower => violation,
             _ => erec.cap - violation,
         };
-        self.set_flow(enter, xf);
+        self.arcs[enter].flow = xf;
         self.arcs[enter].state = ArcState::Tree;
         let (snap, state) = if over && self.arcs[t].cap > EPS {
             (self.arcs[t].cap, ArcState::Upper)
@@ -1494,7 +1333,7 @@ impl NetSimplex {
             // `Lower` keeps the arc exempt from pricing.
             (0.0, ArcState::Lower)
         };
-        self.set_flow(t, snap);
+        self.arcs[t].flow = snap;
         self.arcs[t].state = state;
         self.rehang(q, x, p_attach, enter);
         Ok(enter)
@@ -1531,7 +1370,7 @@ impl Abandoned {
 }
 
 /// A network-simplex engine that stays *resident* across a stream of solves
-/// of one evolving min-cost-flow problem.
+/// of one evolving circulation.
 ///
 /// Rebuilding the solver state — arc records, spanning tree, potentials —
 /// on every call is an `O(n + m)` reconstruction that costs as much as
@@ -1553,18 +1392,13 @@ impl Abandoned {
 /// The caller must list in `touched` every pre-existing arc it mutated
 /// since the previous solve (appended arcs are picked up automatically;
 /// duplicates are fine) — debug builds verify the sync against the problem.
-/// Whenever the resident state cannot be reused (first solve, shrunk
-/// problem, non-circulation shape, a re-costed tree arc, a dual repair over
-/// its work budget [`DUAL_REPAIR_BUDGET`], a dual stall, the pivot limit),
-/// the session
-/// transparently solves from scratch — keeping the fresh state resident —
+/// Whenever the resident state cannot be reused (a shrunk problem, a
+/// re-costed tree arc, a dual repair over its work budget
+/// [`DUAL_REPAIR_BUDGET`], a dual stall, the pivot limit), the session
+/// transparently solves from scratch through the start
+/// [`MinCostFlowProblem::solve`] takes — keeping the fresh state resident —
 /// and reports it via [`McfSolution::fallback_cold`] (and, for the budget,
-/// [`McfSolution::budget_restart`]).
-///
-/// The incremental path covers exactly the warm-start shape of
-/// [`MinCostFlowProblem::solve`]: all-zero supplies and lower bounds (a
-/// circulation), which is the only shape the streaming flow emitters
-/// produce. Other problems are solved cold on every call.
+/// [`McfSolution::budget_restart`]). The first solve takes that start too.
 #[derive(Default)]
 pub struct NetflowSession {
     engine: Option<NetSimplex>,
@@ -1610,20 +1444,17 @@ impl NetflowSession {
     /// previous solve can absorb the patch. `touched` lists the index of
     /// every pre-existing arc whose capacity, cost or endpoints changed
     /// since the previous solve; it is ignored on a non-incremental solve.
+    ///
+    /// # Panics
+    /// Panics if the problem's nodes and arcs together reach `u32::MAX`.
     pub fn solve(&mut self, problem: &MinCostFlowProblem, touched: &[u32]) -> McfSolution {
-        let n = problem.supplies.len();
+        let n = problem.nodes;
         let m = problem.arcs.len();
         if n == 0 {
             self.engine = None;
             return McfSolution::with_status(LpStatus::Optimal);
         }
-        let circulation = problem.supplies.iter().all(|&s| s == 0.0)
-            && problem.arcs.iter().all(|a| a.lower == 0.0);
-        if !circulation || m + n >= NIL as usize {
-            // Outside the resident shape: plain cold solve, nothing kept.
-            self.engine = None;
-            return problem.solve();
-        }
+        assert!(m + n < NIL as usize, "network too large for u32 indexing");
         let abandoned = if self.engine.is_some() {
             match self.solve_incremental(problem, touched) {
                 Ok(solution) => return solution,
@@ -1642,8 +1473,9 @@ impl NetflowSession {
         solution
     }
 
-    /// From-scratch solve of a circulation (warm spanning-tree start, no
-    /// phase 1) that leaves the finished simplex state resident.
+    /// From-scratch solve (the reverse-BFS start of
+    /// [`NetSimplex::solve_circulation`]) that leaves the finished simplex
+    /// state resident.
     fn restart(&mut self, problem: &MinCostFlowProblem) -> McfSolution {
         // Dropping the stale engine first recycles its buffers through the
         // thread-local scratch slot, where `NetSimplex::open` reclaims them.
@@ -1675,7 +1507,7 @@ impl NetflowSession {
         problem: &MinCostFlowProblem,
         touched: &[u32],
     ) -> Result<McfSolution, Abandoned> {
-        let n = problem.supplies.len();
+        let n = problem.nodes;
         let m = problem.arcs.len();
         // Take the engine out: every bail-out path simply drops it (its
         // buffers recycle through the scratch slot for the restart).
@@ -1716,7 +1548,7 @@ impl NetflowSession {
                     tail: a.tail as u32,
                     head: a.head as u32,
                     state: ArcState::Lower,
-                    cap: a.upper - a.lower,
+                    cap: a.upper,
                     cost: a.cost,
                     flow: 0.0,
                 }),
@@ -1778,7 +1610,6 @@ impl NetflowSession {
         s.degenerate = 0;
         s.arcs_priced = 0;
         s.repair_work = 0;
-        s.infeasibility = 0.0;
         s.adj_valid = false;
         let root = n;
         let limit = problem.pivot_limit();
@@ -1793,7 +1624,7 @@ impl NetflowSession {
         for &t in &touched {
             let i = t as usize;
             let a = &problem.arcs[i];
-            let new_cap = a.upper - a.lower;
+            let new_cap = a.upper;
             let rec = &mut s.arcs[i];
             let moved = rec.tail as usize != a.tail || rec.head as usize != a.head;
             match rec.state {
@@ -1903,13 +1734,13 @@ impl NetflowSession {
                     rec.tail as usize == a.tail
                         && rec.head as usize == a.head
                         && rec.cost == a.cost
-                        && rec.cap == a.upper - a.lower,
+                        && rec.cap == a.upper,
                     "arc {i} was patched but not listed in `touched`"
                 );
             }
         }
 
-        if s.run(limit, false).is_err() {
+        if s.run(limit).is_err() {
             // Includes `Unbounded`: restart and let the from-scratch solve
             // render the authoritative verdict.
             return Err(Abandoned::of(&s, false));
@@ -1952,57 +1783,49 @@ mod tests {
         assert_eq!(s.pivots, 0);
     }
 
+    /// The cost of the capped return arcs below. It outweighs every path's
+    /// cost, so a return arc `t → s` of capacity `q` routes exactly `q`
+    /// units from `s` to `t` whenever the network can carry them: the
+    /// circulation's stand-in for a supply of `q` at `s` and a demand of
+    /// `q` at `t`.
+    const RETURN_COST: f64 = -100.0;
+
     #[test]
     fn single_arc_transportation() {
         let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
         p.add_arc(0, 1, 2.0, 5.0);
-        let s = assert_optimal(&p, 6.0);
-        assert_eq!(s.flows, vec![3.0]);
+        p.add_arc(1, 0, RETURN_COST, 3.0);
+        let s = assert_optimal(&p, 3.0 * 2.0 + 3.0 * RETURN_COST);
+        assert_eq!(s.flows, vec![3.0, 3.0]);
     }
 
     #[test]
     fn cheaper_path_is_preferred() {
         // 0 -> 2 directly (cost 5) vs 0 -> 1 -> 2 (cost 1 + 1).
         let mut p = MinCostFlowProblem::new(3);
-        p.set_supply(0, 4.0);
-        p.set_supply(2, -4.0);
         p.add_arc(0, 2, 5.0, f64::INFINITY);
         p.add_arc(0, 1, 1.0, f64::INFINITY);
         p.add_arc(1, 2, 1.0, f64::INFINITY);
-        let s = assert_optimal(&p, 8.0);
-        assert_eq!(s.flows, vec![0.0, 4.0, 4.0]);
+        p.add_arc(2, 0, RETURN_COST, 4.0);
+        let s = assert_optimal(&p, 8.0 + 4.0 * RETURN_COST);
+        assert_eq!(s.flows, vec![0.0, 4.0, 4.0, 4.0]);
     }
 
     #[test]
     fn capacity_forces_a_split() {
         // Cheap path capped at 3, remainder takes the expensive arc.
         let mut p = MinCostFlowProblem::new(3);
-        p.set_supply(0, 5.0);
-        p.set_supply(2, -5.0);
         p.add_arc(0, 2, 5.0, f64::INFINITY);
         p.add_arc(0, 1, 1.0, 3.0);
         p.add_arc(1, 2, 1.0, f64::INFINITY);
-        let s = assert_optimal(&p, 3.0 * 2.0 + 2.0 * 5.0);
-        assert_eq!(s.flows, vec![2.0, 3.0, 3.0]);
-    }
-
-    #[test]
-    fn lower_bounds_are_respected() {
-        // The expensive arc must carry at least 2 units.
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 5.0);
-        p.set_supply(1, -5.0);
-        p.add_arc_bounded(0, 1, 10.0, 2.0, 10.0);
-        p.add_arc(0, 1, 1.0, f64::INFINITY);
-        let s = assert_optimal(&p, 2.0 * 10.0 + 3.0);
-        assert_eq!(s.flows, vec![2.0, 3.0]);
+        p.add_arc(2, 0, RETURN_COST, 5.0);
+        let s = assert_optimal(&p, 3.0 * 2.0 + 2.0 * 5.0 + 5.0 * RETURN_COST);
+        assert_eq!(s.flows, vec![2.0, 3.0, 3.0, 5.0]);
     }
 
     #[test]
     fn max_flow_as_min_cost_circulation() {
-        // Classic: all supplies 0, return arc sink->source at cost -1;
+        // Classic: return arc sink->source at cost -1;
         // optimal cost = -(max flow). Two disjoint paths of caps 3 and 2.
         let mut p = MinCostFlowProblem::new(4);
         p.add_arc(0, 1, 0.0, 3.0);
@@ -2012,24 +1835,6 @@ mod tests {
         p.add_arc(3, 0, -1.0, 100.0);
         let s = assert_optimal(&p, -5.0);
         assert_eq!(s.flows[4], 5.0);
-    }
-
-    #[test]
-    fn imbalanced_supplies_are_infeasible() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -1.0);
-        p.add_arc(0, 1, 1.0, 10.0);
-        assert_eq!(p.solve().status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn insufficient_capacity_is_infeasible() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 1.0, 2.0);
-        assert_eq!(p.solve().status, LpStatus::Infeasible);
     }
 
     #[test]
@@ -2055,12 +1860,11 @@ mod tests {
     #[test]
     fn zero_capacity_arcs_are_inert() {
         let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 1.0);
-        p.set_supply(1, -1.0);
         p.add_arc(0, 1, -100.0, 0.0); // attractive but unusable
         p.add_arc(0, 1, 3.0, 2.0);
-        let s = assert_optimal(&p, 3.0);
-        assert_eq!(s.flows, vec![0.0, 1.0]);
+        p.add_arc(1, 0, RETURN_COST, 1.0);
+        let s = assert_optimal(&p, 3.0 + RETURN_COST);
+        assert_eq!(s.flows, vec![0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -2137,51 +1941,48 @@ mod tests {
 
     #[test]
     fn degenerate_pivots_are_counted_not_looped() {
-        // A diamond where every arc has the same capacity as the demand:
-        // plenty of ties, still terminates (strongly feasible trees).
+        // A diamond where every arc has the same capacity as the return
+        // arc: plenty of ties, still terminates (strongly feasible trees).
         let mut p = MinCostFlowProblem::new(4);
-        p.set_supply(0, 2.0);
-        p.set_supply(3, -2.0);
         p.add_arc(0, 1, 1.0, 2.0);
         p.add_arc(0, 2, 1.0, 2.0);
         p.add_arc(1, 3, 1.0, 2.0);
         p.add_arc(2, 3, 1.0, 2.0);
         p.add_arc(1, 2, 0.0, 2.0);
-        let s = assert_optimal(&p, 4.0);
+        p.add_arc(3, 0, RETURN_COST, 2.0);
+        let s = assert_optimal(&p, 4.0 + 2.0 * RETURN_COST);
         assert!(s.pivots >= 1);
     }
 
     #[test]
     fn iteration_limit_is_reported() {
         let mut p = MinCostFlowProblem::new(3);
-        p.set_supply(0, 4.0);
-        p.set_supply(2, -4.0);
         p.add_arc(0, 1, 1.0, 10.0);
         p.add_arc(1, 2, 1.0, 10.0);
+        p.add_arc(2, 0, RETURN_COST, 4.0);
         p.max_iterations = 1;
         assert_eq!(p.solve().status, LpStatus::IterationLimit);
     }
 
     #[test]
-    fn to_lp_carries_lower_bound_offsets() {
+    fn to_lp_has_the_same_optimum() {
+        // Two parallel arcs of different costs, the cheap one capped below
+        // the return arc's capacity.
         let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 5.0);
-        p.set_supply(1, -5.0);
-        p.add_arc_bounded(0, 1, 10.0, 2.0, 10.0);
-        p.add_arc(0, 1, 1.0, f64::INFINITY);
-        let (lp, offset) = p.to_lp();
-        assert_eq!(offset, 20.0);
-        let lp_sol = lp.solve();
+        p.add_arc(0, 1, 10.0, 10.0);
+        p.add_arc(0, 1, 1.0, 3.0);
+        p.add_arc(1, 0, RETURN_COST, 5.0);
+        let lp_sol = p.to_lp().solve();
         assert_eq!(lp_sol.status, LpStatus::Optimal);
-        let direct = p.solve();
-        assert!((lp_sol.objective + offset - direct.objective).abs() < 1e-6);
+        let direct = assert_optimal(&p, 2.0 * 10.0 + 3.0 + 5.0 * RETURN_COST);
+        assert!((lp_sol.objective - direct.objective).abs() < 1e-6);
     }
 
     #[test]
-    #[should_panic(expected = "lower <= upper")]
-    fn empty_bound_band_panics() {
+    #[should_panic(expected = "capacity must be >= 0")]
+    fn negative_capacity_panics() {
         let mut p = MinCostFlowProblem::new(2);
-        p.add_arc_bounded(0, 1, 0.0, 3.0, 1.0);
+        p.add_arc(0, 1, 0.0, -1.0);
     }
 
     /// A small max-flow circulation (the shape the streaming pipeline
@@ -2427,22 +2228,6 @@ mod tests {
         assert_warm_matches_cold(&p, &sol);
         assert!(sol.basis_reused && !sol.fallback_cold, "{sol:?}");
         assert!(sol.repair_work > 0 && sol.pivots <= 10, "{sol:?}");
-    }
-
-    #[test]
-    fn resident_session_solves_non_circulations_cold() {
-        let mut p = MinCostFlowProblem::new(2);
-        p.set_supply(0, 3.0);
-        p.set_supply(1, -3.0);
-        p.add_arc(0, 1, 1.0, 5.0);
-        let mut session = NetflowSession::new();
-        let sol = session.solve(&p, &[]);
-        assert!(sol.is_optimal());
-        assert!((sol.objective - 3.0).abs() < 1e-9);
-        assert!(
-            !session.is_resident(),
-            "supply/demand problems stay outside the resident shape"
-        );
     }
 
     #[test]

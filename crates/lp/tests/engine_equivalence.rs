@@ -7,15 +7,20 @@
 //! sharing only the problem representations. On randomized flow-shaped LPs
 //! the sparse engine must agree with the dense tableau on status and, when
 //! optimal, on the objective value with both returned points feasible. On
-//! randomized bounded min-cost-flow instances all **three** are held to the
-//! same bar: the network simplex solves the instance directly while the two
-//! LP solvers solve its [`MinCostFlowProblem::to_lp`] image, and status,
+//! randomized min-cost circulations all **three** are held to the same bar:
+//! the network simplex solves the instance directly while the two LP
+//! solvers solve its [`MinCostFlowProblem::to_lp`] image, and status,
 //! optimal value and primal feasibility must line up — including
-//! degenerate/zero-capacity, infeasible and unbounded instances. Directed
-//! tests pin those corners explicitly.
+//! degenerate/zero-capacity and unbounded instances (a circulation is never
+//! infeasible). The same instances also go through the network simplex's
+//! other two cold entries, [`Circulation`] and a fresh [`NetflowSession`],
+//! which must repeat [`MinCostFlowProblem::solve`] pivot for pivot. Directed
+//! tests pin the corners explicitly.
 
 use proptest::prelude::*;
-use tin_lp::{dense, LpProblem, LpSolution, LpStatus, MinCostFlowProblem};
+use tin_lp::{
+    dense, Circulation, LpProblem, LpSolution, LpStatus, MinCostFlowProblem, NetflowSession,
+};
 
 /// A deterministic pseudo-random LP description derived from a seed, shaped
 /// like the flow formulation: every variable is upper-bounded, and each
@@ -115,20 +120,19 @@ proptest! {
     }
 }
 
-// --- Three-way oracle on random min-cost-flow instances -------------------
+// --- Three-way oracle on random min-cost circulations ---------------------
 
-/// A deterministic pseudo-random bounded MCF instance derived from a seed.
-/// Capacities include exact zeros (degenerate pivots), `imbalance` skews
-/// total supply away from total demand (infeasible), and `allow_infinite`
-/// mixes in uncapacitated arcs with signed costs (unbounded rays become
-/// possible).
+/// A deterministic pseudo-random min-cost circulation derived from a seed.
+/// Capped return arcs of a large negative cost stand in for supply and
+/// demand pairs, capacities include exact zeros (degenerate pivots), and
+/// `allow_infinite` mixes in uncapacitated arcs with signed costs
+/// (unbounded rays become possible).
 #[derive(Debug, Clone)]
 struct RandomMcf {
     nodes: usize,
     arcs: usize,
     seed: u64,
     allow_infinite: bool,
-    imbalance: bool,
 }
 
 fn random_mcf(max_nodes: usize, max_arcs: usize) -> impl Strategy<Value = RandomMcf> {
@@ -138,10 +142,14 @@ fn random_mcf(max_nodes: usize, max_arcs: usize) -> impl Strategy<Value = Random
             arcs,
             seed,
             allow_infinite: pct < 30,
-            imbalance: pct >= 85,
         }
     })
 }
+
+/// The cost of the generator's return arcs: below minus the cost of any
+/// simple path, so each return arc `v → u` of capacity `q` pulls up to `q`
+/// units from `u` to `v` whatever the route costs.
+const RETURN_COST: f64 = -100.0;
 
 fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
     let mut state = desc.seed | 1;
@@ -153,19 +161,14 @@ fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
     };
     let n = desc.nodes;
     let mut p = MinCostFlowProblem::new(n);
-    // Balanced supply/demand pairs (plus an optional deliberate imbalance).
+    // Return arcs in place of supply/demand pairs.
     for _ in 0..n / 2 {
         let u = (next() * n as f64) as usize % n;
         let v = (next() * n as f64) as usize % n;
         if u != v {
             let q = (next() * 4.0).floor();
-            p.set_supply(u, p.supply(u) + q);
-            p.set_supply(v, p.supply(v) - q);
+            p.add_arc(v, u, RETURN_COST, q);
         }
-    }
-    if desc.imbalance {
-        let u = (next() * n as f64) as usize % n;
-        p.set_supply(u, p.supply(u) + 1.0);
     }
     for _ in 0..desc.arcs {
         let tail = (next() * n as f64) as usize % n;
@@ -185,14 +188,34 @@ fn build_mcf(desc: &RandomMcf) -> MinCostFlowProblem {
             _ if desc.allow_infinite => f64::INFINITY,
             _ => 4.0,
         };
-        let lower = if cap.is_finite() && cap >= 1.0 && next() < 0.25 {
-            1.0
-        } else {
-            0.0
-        };
-        p.add_arc_bounded(tail, head, cost, lower, cap);
+        p.add_arc(tail, head, cost, cap);
     }
     p
+}
+
+/// Status, pivots, degenerate pivots and the bits of every arc's flow:
+/// what each cold entry of the network simplex must repeat exactly.
+type ColdRun = (LpStatus, usize, usize, Vec<u64>);
+
+fn cold_run(status: LpStatus, pivots: usize, degenerate: usize, flows: &[f64]) -> ColdRun {
+    let bits = flows.iter().map(|x| x.to_bits()).collect();
+    (status, pivots, degenerate, bits)
+}
+
+/// `p` solved through [`Circulation`], arc by arc into the simplex's
+/// arrays; its flows are read only when optimal, as
+/// [`tin_lp::McfSolution::flows`] are.
+fn through_circulation(p: &MinCostFlowProblem) -> ColdRun {
+    let mut c = Circulation::new(p.num_nodes(), p.num_arcs());
+    for a in p.arcs() {
+        c.add_arc(a.tail, a.head, a.cost, a.upper);
+    }
+    let status = c.solve();
+    let flows: Vec<f64> = match status {
+        LpStatus::Optimal => (0..p.num_arcs()).map(|a| c.flow(a)).collect(),
+        _ => Vec::new(),
+    };
+    cold_run(status, c.pivots(), c.degenerate_pivots(), &flows)
 }
 
 proptest! {
@@ -202,11 +225,14 @@ proptest! {
     /// solvers (solving its `to_lp` image) agree on the verdict; on optimal
     /// instances they agree on the optimal cost, and the network simplex
     /// returns a primal-feasible flow whose cost matches its objective.
+    /// [`Circulation`] and a fresh [`NetflowSession`] take the same cold
+    /// start: same status, pivots and degenerate pivots, and bit-equal
+    /// flows.
     #[test]
     fn three_engines_agree_on_random_mcf_instances(desc in random_mcf(6, 14)) {
         let p = build_mcf(&desc);
         let net = p.solve();
-        let (lp, offset) = p.to_lp();
+        let lp = p.to_lp();
         let sparse = lp.solve();
         let dense = dense::solve(&lp);
         prop_assert_eq!(sparse.status, dense.status,
@@ -214,19 +240,24 @@ proptest! {
         prop_assert_eq!(net.status, sparse.status,
             "netflow {:?} vs LP engines {:?}", net.status, sparse.status);
         if net.status == LpStatus::Optimal {
-            prop_assert!(close(net.objective, sparse.objective + offset),
-                "cost: netflow {} vs sparse {}", net.objective, sparse.objective + offset);
-            prop_assert!(close(net.objective, dense.objective + offset),
-                "cost: netflow {} vs dense {}", net.objective, dense.objective + offset);
+            prop_assert!(close(net.objective, sparse.objective),
+                "cost: netflow {} vs sparse {}", net.objective, sparse.objective);
+            prop_assert!(close(net.objective, dense.objective),
+                "cost: netflow {} vs dense {}", net.objective, dense.objective);
             prop_assert!(p.is_feasible(&net.flows, 1e-6),
                 "netflow point infeasible: {:?}", net.flows);
             prop_assert!(close(p.flow_cost(&net.flows), net.objective));
         }
+
+        let want = cold_run(net.status, net.pivots, net.degenerate_pivots, &net.flows);
+        prop_assert_eq!(&through_circulation(&p), &want, "Circulation");
+        let fresh = NetflowSession::new().solve(&p, &[]);
+        prop_assert!(!fresh.basis_reused && !fresh.fallback_cold);
+        let got = cold_run(fresh.status, fresh.pivots, fresh.degenerate_pivots, &fresh.flows);
+        prop_assert_eq!(&got, &want, "fresh NetflowSession");
     }
 
-    /// With every capacity finite the instance can never be unbounded, and
-    /// whenever supplies balance the zero point argument applies: lower
-    /// bounds of zero make the instance trivially feasible.
+    /// With every capacity finite the instance can never be unbounded.
     #[test]
     fn finite_capacity_instances_are_never_unbounded(desc in random_mcf(6, 12)) {
         let p = build_mcf(&RandomMcf { allow_infinite: false, ..desc });
@@ -343,7 +374,7 @@ fn equality_with_fixed_variables_is_solved_exactly() {
 /// all return `expect` for the given instance.
 fn assert_three_way_status(p: &MinCostFlowProblem, expect: LpStatus) {
     assert_eq!(p.solve().status, expect, "netflow");
-    let (lp, _) = p.to_lp();
+    let lp = p.to_lp();
     for (engine, solve) in engines() {
         assert_eq!(solve(&lp).status, expect, "{engine}");
     }
@@ -352,42 +383,24 @@ fn assert_three_way_status(p: &MinCostFlowProblem, expect: LpStatus) {
 #[test]
 fn zero_capacity_arcs_are_degenerate_not_wrong() {
     // A cheap but zero-capacity shortcut must not attract flow; the costly
-    // detour carries the single unit on all three engines.
+    // detour carries the single unit the return arc pulls, on all three
+    // engines.
     let mut p = MinCostFlowProblem::new(3);
-    p.set_supply(0, 1.0);
-    p.set_supply(2, -1.0);
     p.add_arc(0, 2, 1.0, 0.0); // direct but capacity 0
     p.add_arc(0, 1, 2.0, 5.0);
     p.add_arc(1, 2, 2.0, 5.0);
+    p.add_arc(2, 0, RETURN_COST, 1.0);
+    let want = 4.0 + RETURN_COST;
     let net = p.solve();
     assert_eq!(net.status, LpStatus::Optimal);
-    assert!((net.objective - 4.0).abs() < 1e-6, "{}", net.objective);
+    assert!((net.objective - want).abs() < 1e-6, "{}", net.objective);
     assert_eq!(net.flows[0], 0.0);
-    let (lp, offset) = p.to_lp();
+    let lp = p.to_lp();
     for (engine, solve) in engines() {
         let s = solve(&lp);
         assert_eq!(s.status, LpStatus::Optimal, "{engine}");
-        assert!((s.objective + offset - 4.0).abs() < 1e-6, "{engine}");
+        assert!((s.objective - want).abs() < 1e-6, "{engine}");
     }
-}
-
-#[test]
-fn imbalanced_supplies_are_infeasible_on_all_three_engines() {
-    let mut p = MinCostFlowProblem::new(2);
-    p.set_supply(0, 2.0);
-    p.set_supply(1, -1.0); // total supply 1 ≠ 0
-    p.add_arc(0, 1, 1.0, 5.0);
-    assert_three_way_status(&p, LpStatus::Infeasible);
-}
-
-#[test]
-fn capacity_cut_infeasibility_matches_on_all_three_engines() {
-    // Balanced supplies, but the only connecting arc is one unit short.
-    let mut p = MinCostFlowProblem::new(2);
-    p.set_supply(0, 3.0);
-    p.set_supply(1, -3.0);
-    p.add_arc(0, 1, 1.0, 2.0);
-    assert_three_way_status(&p, LpStatus::Infeasible);
 }
 
 #[test]

@@ -1,35 +1,28 @@
 //! Property-based equivalence of warm re-optimization with cold solves.
 //!
-//! A random bounded min-cost-flow instance evolves through a random delta
-//! sequence — arc additions, capacity raises and cuts, removals
-//! (capacity → 0), endpoint retargets, cost changes, node additions and
-//! (in the second family) supply-preserving supply churn. After **every**
-//! step three independent answers must agree on status and, when optimal,
-//! on the optimal cost:
+//! A random finite-capacity min-cost circulation evolves through a random
+//! delta sequence — arc additions, capacity raises and cuts, removals
+//! (capacity → 0), endpoint retargets, cost changes and node additions.
+//! After **every** step three independent answers must agree on status
+//! and, when optimal, on the optimal cost:
 //!
 //! * the cold network simplex on the patched instance;
 //! * the warm path — a resident [`NetflowSession`] fed the in-place
 //!   touched-arc ids;
 //! * the sparse revised simplex on the instance's
-//!   [`MinCostFlowProblem::to_lp`] image (minding the constant objective
-//!   offset lower bounds introduce).
-//!
-//! The supply-churn family mostly leaves the circulation shape the session
-//! keeps state for; outside it the session solves from scratch, and must
-//! still agree, on infeasible steps included.
+//!   [`MinCostFlowProblem::to_lp`] image.
 //!
 //! Instances of at most 5 nodes never run the dual repair over its work
-//! budget ([`tin_lp::DUAL_REPAIR_BUDGET`]): none of the 674 incremental
-//! solves of the two families (613 and 61) restarts for it, so the
-//! three-way oracle here covers the repair, not the budget's warm-to-cold
-//! switch. The netflow unit tests and `tests/solver_properties.rs`'s large
-//! circulations force that switch.
+//! budget ([`tin_lp::DUAL_REPAIR_BUDGET`]): none of the 613 incremental
+//! solves restarts for it, so the three-way oracle here covers the repair,
+//! not the budget's warm-to-cold switch. The netflow unit tests and
+//! `tests/solver_properties.rs`'s large circulations force that switch.
 //!
 //! The re-cost delta does send solves cold: a re-costed tree arc restarts
-//! the session from scratch. 117 of the 674 incremental solves follow a
-//! re-cost (105 and 12), and 40 of them restart cold (37 and 3); the other
-//! 77 changed no tree arc's cost, and the sparse sync absorbs them. No
-//! other incremental solve restarts.
+//! the session from scratch. 105 of the 613 incremental solves follow a
+//! re-cost, and 37 of them restart cold; the other 68 changed no tree
+//! arc's cost, and the sparse sync absorbs them. No other incremental
+//! solve restarts.
 
 use proptest::prelude::*;
 use tin_lp::{LpStatus, MinCostFlowProblem, NetflowSession};
@@ -61,51 +54,27 @@ impl Lcg {
     }
 }
 
-/// A random finite-capacity instance. With `circulation`, supplies and
-/// lower bounds stay zero (the shape the resident session keeps state
-/// for); otherwise balanced supply pairs and occasional lower bounds are
-/// mixed in. Finite capacities keep every instance bounded, so the only
-/// statuses in play are `Optimal` and `Infeasible`.
-fn seed_problem(rng: &mut Lcg, nodes: usize, arcs: usize, circulation: bool) -> MinCostFlowProblem {
+/// A random finite-capacity circulation. Finite capacities keep every
+/// instance bounded, and the zero flow is feasible, so every solve is
+/// `Optimal`.
+fn seed_problem(rng: &mut Lcg, nodes: usize, arcs: usize) -> MinCostFlowProblem {
     let mut p = MinCostFlowProblem::new(nodes);
-    if !circulation {
-        for _ in 0..nodes / 2 {
-            let u = rng.below(nodes);
-            let v = rng.below(nodes);
-            if u != v {
-                let q = (rng.next() * 3.0).floor();
-                p.set_supply(u, p.supply(u) + q);
-                p.set_supply(v, p.supply(v) - q);
-            }
-        }
-    }
     for _ in 0..arcs {
         let tail = rng.below(nodes);
         let head = (tail + 1 + rng.below(nodes - 1)) % nodes;
         let cost = (rng.next() * 7.0).floor() - 3.0;
         let cap = (rng.next() * 6.0).floor();
-        let lower = if !circulation && cap >= 1.0 && rng.next() < 0.2 {
-            1.0
-        } else {
-            0.0
-        };
-        p.add_arc_bounded(tail, head, cost, lower, cap);
+        p.add_arc(tail, head, cost, cap);
     }
     p
 }
 
 /// Applies one random delta to `p`, recording in-place mutations in
 /// `touched` (the contract [`NetflowSession::solve`] relies on).
-fn apply_random_delta(
-    p: &mut MinCostFlowProblem,
-    rng: &mut Lcg,
-    touched: &mut Vec<u32>,
-    allow_churn: bool,
-) {
+fn apply_random_delta(p: &mut MinCostFlowProblem, rng: &mut Lcg, touched: &mut Vec<u32>) {
     let n = p.num_nodes();
     let m = p.num_arcs();
-    let kind = rng.below(if allow_churn { 7 } else { 6 });
-    match kind {
+    match rng.below(6) {
         0 => {
             // Append an arc.
             let tail = rng.below(n);
@@ -128,7 +97,7 @@ fn apply_random_delta(
             } else {
                 (p.arcs()[a].upper - 2.0).max(0.0)
             };
-            p.set_capacity(a, p.arcs()[a].lower + cut);
+            p.set_capacity(a, cut);
             touched.push(a as u32);
         }
         3 if m > 0 => {
@@ -153,27 +122,12 @@ fn apply_random_delta(
             let a = rng.below(m);
             let cost = (rng.next() * 7.0).floor() - 3.0;
             let mut q = MinCostFlowProblem::new(n);
-            for v in 0..n {
-                q.set_supply(v, p.supply(v));
-            }
             for (i, arc) in p.arcs().iter().enumerate() {
                 let c = if i == a { cost } else { arc.cost };
-                q.add_arc_bounded(arc.tail, arc.head, c, arc.lower, arc.upper);
+                q.add_arc(arc.tail, arc.head, c, arc.upper);
             }
             *p = q;
             touched.push(a as u32);
-        }
-        6 => {
-            // Supply-preserving churn: move a unit of supply between two
-            // nodes (the total stays balanced).
-            let u = rng.below(n);
-            let v = rng.below(n);
-            if u == v {
-                return;
-            }
-            let q = 1.0 + (rng.next() * 2.0).floor();
-            p.set_supply(u, p.supply(u) + q);
-            p.set_supply(v, p.supply(v) - q);
         }
         _ => {}
     }
@@ -188,8 +142,7 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
         "{context}: warm {:?} vs cold {:?}",
         warm.status, cold.status
     );
-    let (lp, offset) = p.to_lp();
-    let oracle = lp.solve();
+    let oracle = p.to_lp().solve();
     assert_eq!(
         cold.status, oracle.status,
         "{context}: cold {:?} vs LP oracle {:?}",
@@ -203,10 +156,10 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
             cold.objective
         );
         assert!(
-            close(cold.objective, oracle.objective + offset),
+            close(cold.objective, oracle.objective),
             "{context}: cold cost {} vs LP oracle {}",
             cold.objective,
-            oracle.objective + offset
+            oracle.objective
         );
         assert!(
             p.is_feasible(&warm.flows, 1e-6),
@@ -229,38 +182,13 @@ proptest! {
         steps in 4usize..12,
     ) {
         let mut rng = Lcg::new(seed);
-        let mut p = seed_problem(&mut rng, nodes, arcs, true);
+        let mut p = seed_problem(&mut rng, nodes, arcs);
         let mut session = NetflowSession::new();
         let mut touched: Vec<u32> = Vec::new();
         for step in 0..steps {
             // Solve the seed instance as-is first.
             if step > 0 {
-                apply_random_delta(&mut p, &mut rng, &mut touched, false);
-            }
-            let warm = session.solve(&p, &touched);
-            touched.clear();
-            assert_three_way(&p, &warm, &format!("step {step}"));
-        }
-    }
-
-    /// Supply-carrying instances with churn: outside the circulation shape
-    /// the session keeps no state and solves each step from scratch, and
-    /// must still agree with the cold solve and the LP oracle, on
-    /// infeasible steps included.
-    #[test]
-    fn session_tracks_supply_churn(
-        seed in any::<u64>(),
-        nodes in 2usize..6,
-        arcs in 1usize..10,
-        steps in 4usize..10,
-    ) {
-        let mut rng = Lcg::new(seed);
-        let mut p = seed_problem(&mut rng, nodes, arcs, false);
-        let mut session = NetflowSession::new();
-        let mut touched: Vec<u32> = Vec::new();
-        for step in 0..steps {
-            if step > 0 {
-                apply_random_delta(&mut p, &mut rng, &mut touched, true);
+                apply_random_delta(&mut p, &mut rng, &mut touched);
             }
             let warm = session.solve(&p, &touched);
             touched.clear();
