@@ -65,18 +65,34 @@
 //! whose closing edge changed in the same delta: work per changed edge
 //! proportional to `min(in(u), out(v))` plus the delta's own changed pairs.
 //! Neither is ever the O(deg²) of rebuilding a whole anchor, which is what
-//! keeps hub-heavy appends cheap. Replaced rows leave their delivered
-//! profiles behind as arena garbage, which is reclaimed by an amortized
-//! compaction once it outweighs the live data.
+//! keeps hub-heavy appends cheap.
+//!
+//! Each piece of that work is done once. The 3-cycles through a changed
+//! edge are found once per patch, each with the two edges that close it,
+//! and every group carries the live edges its rows run over, so the kernel
+//! looks no edge up. Those edges also fix each group's new row count, so
+//! the splice comes first: every table opens a gap of the right size per
+//! group inside its one row vector, moving each unchanged run once and
+//! shifting its offset index by each anchor's change in row count. The
+//! kernel then walks the groups in key order and writes each fresh row
+//! straight into its gap; only a block's own rows are sorted, by their
+//! third vertex. The working memory (the groups, the cycles, the splice
+//! spans, the kernel's buffers) stays in the tables between patches and
+//! holds no table rows. Replaced rows leave their delivered profiles
+//! behind as arena garbage, which an amortized compaction reclaims: at the
+//! latest once it outweighs the live data, and already at a third of the
+//! arena when a patch starts, so that an arena about to shed its garbage
+//! does not first grow to hold more.
 //! [`LazyPathTables::apply`] is the cache-side analogue at its natural
 //! (anchor) granularity: it evicts the anchors named by
 //! [`invalidated_anchors`] (`{u, v} ∪ in(u)` per touched edge) and lets the
 //! next query rebuild them.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tin_flow::ChainScratch;
-use tin_graph::{AppliedDelta, Interaction, NodeId, Quantity, TemporalGraph};
+use tin_graph::{AppliedDelta, EdgeId, Interaction, NodeId, Quantity, TemporalGraph};
 use tin_parallel::{effective_threads, parallel_map};
 
 /// Which tables to build and how large they may grow.
@@ -140,6 +156,25 @@ impl PathRow {
     pub fn anchor(&self) -> NodeId {
         self.verts[0]
     }
+
+    /// The vertex sequence packed into one integer ([`pack`]; a 2-vertex
+    /// row has third vertex 0). Within one table, where every row has the
+    /// same length, packed keys sort exactly like [`PathRow::vertices`].
+    #[inline]
+    fn packed(&self) -> u128 {
+        let third = if self.len == 3 {
+            self.verts[2]
+        } else {
+            NodeId(0)
+        };
+        pack(self.verts[0], self.verts[1], third)
+    }
+}
+
+/// Packs a vertex sequence into one integer that sorts like the sequence.
+#[inline]
+fn pack(a: NodeId, b: NodeId, c: NodeId) -> u128 {
+    (u128::from(a.0) << 64) | (u128::from(b.0) << 32) | u128::from(c.0)
 }
 
 /// One precomputed table: compact rows, their shared delivered-interaction
@@ -236,73 +271,166 @@ impl PathTable {
             .map(|(i, _)| NodeId::from_index(self.first_anchor + i))
     }
 
-    /// Replaces the row groups named by `keys` (ascending, deduplicated,
-    /// non-overlapping) with the matching rows of `repl_rows` (sorted by
-    /// vertex sequence; every row must match exactly one key), appending
-    /// `repl_arena` to this table's arena.
+    /// Opens the splice of one patch: replaces the row groups named by
+    /// `keys` (ascending, non-overlapping, each with the number of rows it
+    /// will hold) with gaps of exactly that size, which a [`GapWriter`]
+    /// over the same `spans` then fills in key order. `spans` is cleared
+    /// and receives one [`Span`] per key that changes the table.
     ///
-    /// Keys, replacement rows and the table's rows are all sorted, so one
-    /// forward merge splices them: a cursor walks the old rows once and, per
-    /// key, copies the rows below it, skips the rows it names and pushes its
-    /// replacements, then copies the tail — no per-key search. The rows stay
-    /// one flat sorted vector, written into a fresh allocation per call so
-    /// no row buffer outlives the patch.
+    /// The splice works inside the one row vector. A forward pass finds
+    /// each key's old rows by comparing packed integer keys
+    /// ([`PathRow::packed`]), galloping from the previous key. Each
+    /// unchanged run between two keys then moves once, with `copy_within`,
+    /// by the net rows the keys before it added: runs that move towards the
+    /// front go first, front to back, and runs that move towards the back
+    /// go next, back to front, so no run overwrites one that has not moved
+    /// yet. The vector grows only when the table outgrows its capacity, and
+    /// no second row buffer is ever made. The offset index moves with the
+    /// rows ([`PathTable::shift_offsets`]).
     ///
     /// Stale profiles become garbage, tracked in [`PathTable::dead`] and
     /// compacted away once they exceed the live data — so long-running
     /// streams do amortized O(1) arena work per replaced row instead of an
-    /// O(table) rebuild per batch.
-    fn patch_keys(&mut self, keys: &[PatchKey], repl_rows: &[PathRow], repl_arena: &[Interaction]) {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "patch keys must be ascending and deduplicated"
-        );
-        // The shifted replacement offsets must stay within u32; compact
-        // eagerly if garbage alone would push them over.
-        if self.arena.len() + repl_arena.len() > u32::MAX as usize {
+    /// O(table) rebuild per batch. A third of garbage already triggers the
+    /// compaction here, before the fresh profiles are appended: an arena
+    /// that is about to shed its garbage should not first grow to hold it.
+    fn open_gaps(&mut self, keys: impl Iterator<Item = (KeyRange, usize)>, spans: &mut Vec<Span>) {
+        if self.dead > 0 && 2 * self.dead >= self.arena.len() - self.dead {
             self.compact();
         }
-        let base = u32::try_from(self.arena.len()).expect("patched arena exceeds u32 offsets");
-        self.arena.extend_from_slice(repl_arena);
-        let old = &self.rows;
-        let mut out = Vec::with_capacity(old.len() + repl_rows.len());
-        let mut at = 0usize;
-        let mut next_repl = 0usize;
-        for key in keys {
-            let below = at;
-            while old.get(at).is_some_and(|r| key.locate(r).is_lt()) {
-                at += 1;
+        let old_len = self.rows.len();
+        spans.clear();
+        let index = |i: usize| u32::try_from(i).expect("row count exceeds u32 offsets");
+        let (mut at, mut shift) = (0usize, 0i64);
+        let mut last_lo = 0;
+        for (key, fresh) in keys {
+            debug_assert!(key.lo >= last_lo, "patch keys must be ascending");
+            last_lo = key.hi;
+            let start = gallop(&self.rows, at, |r| r.packed() < key.lo);
+            let end = gallop(&self.rows, start, |r| r.packed() < key.hi);
+            if end > start || fresh > 0 {
+                for r in &self.rows[start..end] {
+                    self.dead += r.delivered_len as usize;
+                }
+                let span = Span {
+                    old: (index(start), index(end)),
+                    fresh: index(fresh),
+                    anchor: key.anchor(),
+                };
+                shift += span.change();
+                spans.push(span);
             }
-            out.extend_from_slice(&old[below..at]);
-            while let Some(r) = old.get(at).filter(|r| key.locate(r).is_eq()) {
-                self.dead += r.delivered_len as usize;
-                at += 1;
+            at = end;
+        }
+
+        let new_len = usize::try_from(old_len as i64 + shift)
+            .expect("a splice removes only rows the table has");
+        let rows = &mut self.rows;
+        if new_len > old_len {
+            if new_len > rows.capacity() {
+                // A sixteenth of headroom, so a table that creeps upwards
+                // does not reallocate on every patch.
+                rows.reserve_exact(new_len + new_len / 16 - old_len);
             }
-            while let Some(r) = repl_rows.get(next_repl).filter(|r| key.locate(r).is_eq()) {
-                let mut r = *r;
-                r.delivered_start = base
-                    .checked_add(r.delivered_start)
-                    .expect("patched arena exceeds u32 offsets");
-                out.push(r);
-                next_repl += 1;
+            // Placeholders: the gaps are written by the `GapWriter`.
+            rows.resize(new_len, GAP);
+        }
+        // The unchanged run after span `j`, old rows `[end of j, start of
+        // j + 1)`, moves by the net change of spans `0..=j`.
+        let mut moves = |j: usize, by: i64| {
+            let from = spans[j].old.1 as usize;
+            let to = spans.get(j + 1).map_or(old_len, |s| s.old.0 as usize);
+            rows.copy_within(from..to, (from as i64 + by) as usize);
+        };
+        let mut by = 0;
+        for (j, span) in spans.iter().enumerate() {
+            by += span.change();
+            if by < 0 {
+                moves(j, by);
             }
         }
-        out.extend_from_slice(&old[at..]);
-        debug_assert_eq!(
-            next_repl,
-            repl_rows.len(),
-            "every replacement row must match a key"
-        );
-        self.rows = out;
-        if self.dead > self.arena.len() - self.dead {
-            self.compact();
+        for (j, span) in spans.iter().enumerate().rev() {
+            if by > 0 {
+                moves(j, by);
+            }
+            by -= span.change();
         }
-        self.build_offsets();
+        rows.truncate(new_len);
+        self.shift_offsets(spans, old_len);
     }
 
-    /// Rewrites the arena keeping only the profiles live rows reference.
+    /// Moves the offset index along with [`PathTable::open_gaps`], which
+    /// turned `old_len` rows into the current ones: the first row of an
+    /// anchor moves by the net rows that the spans of lower anchors added.
+    /// This costs one pass over the index, not a recount of every row, and
+    /// it reads only the spans, so it runs while the gaps are still open.
+    /// The index widens to cover the anchors of the spans, and narrows when
+    /// the anchors at either end are left with no rows.
+    fn shift_offsets(&mut self, spans: &[Span], old_len: usize) {
+        let (Some(first_span), Some(last_span)) = (spans.first(), spans.last()) else {
+            return;
+        };
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+            self.first_anchor = first_span.anchor as usize;
+        }
+        // Cover every anchor a span touches: no old row sits below the
+        // covered range, and all `old_len` sit below any anchor above it.
+        let (first, last) = (first_span.anchor as usize, last_span.anchor as usize);
+        if first < self.first_anchor {
+            let missing = self.first_anchor - first;
+            self.offsets.splice(0..0, std::iter::repeat_n(0, missing));
+            self.first_anchor = first;
+        }
+        let covered = last + 2 - self.first_anchor;
+        if covered > self.offsets.len() {
+            let old_len = u32::try_from(old_len).expect("row count exceeds u32 offsets");
+            self.offsets.resize(covered, old_len);
+        }
+        let offsets = &mut self.offsets;
+        // `offsets[i]` starts anchor `first_anchor + i`: it moves by the net
+        // change of the spans whose anchors are below that one.
+        let mut i = first - self.first_anchor + 1;
+        let mut carry = 0i64;
+        for s in spans {
+            let above = s.anchor as usize - self.first_anchor + 1;
+            while i < above {
+                offsets[i] = (i64::from(offsets[i]) + carry) as u32;
+                i += 1;
+            }
+            carry += s.change();
+        }
+        for o in &mut offsets[i..] {
+            *o = (i64::from(*o) + carry) as u32;
+        }
+        // Anchors left with no rows at either end leave the index.
+        let empty_front = offsets.iter().skip(1).take_while(|&&o| o == 0).count();
+        if empty_front + 1 == offsets.len() {
+            offsets.clear();
+            self.first_anchor = 0;
+            return;
+        }
+        let total = *offsets.last().expect("the index is not empty");
+        let empty_back = offsets
+            .iter()
+            .rev()
+            .skip(1)
+            .take_while(|&&o| o == total)
+            .count();
+        offsets.truncate(offsets.len() - empty_back);
+        offsets.drain(..empty_front);
+        self.first_anchor += empty_front;
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(self.rows.len()));
+    }
+
+    /// Rewrites the arena keeping only the profiles live rows reference,
+    /// with room for half as much again: the garbage a patch may add before
+    /// the next compaction starts ([`PathTable::open_gaps`]), so that the
+    /// arena does not reallocate in between unless the live data grows.
     fn compact(&mut self) {
-        let mut arena = Vec::with_capacity(self.arena.len() - self.dead);
+        let live = self.arena.len() - self.dead;
+        let mut arena = Vec::with_capacity(live + live / 2);
         for row in &mut self.rows {
             let start = row.delivered_start as usize;
             let end = start + row.delivered_len as usize;
@@ -519,6 +647,8 @@ pub struct PathTables {
     /// maintenance, which is defined against full coverage.
     partial: bool,
     kernel_calls: u64,
+    /// Working memory of [`PathTables::apply`], recycled between calls.
+    scratch: ApplyScratch,
 }
 
 /// What one [`PathTables::apply`] call did. A caller that replaces the
@@ -537,36 +667,149 @@ pub struct TablesUpdate {
     pub kernel_calls: u64,
 }
 
-/// Names one group of table rows for [`PathTable::patch_keys`]: the rows
-/// whose vertex sequence starts with `verts[..len]`. A 2-vertex key is an
-/// exact cycle row in `L2` and a whole `[a, b, *]` block in `L3`/`C2`; a
-/// 3-vertex key is a single row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PatchKey {
-    verts: [NodeId; 3],
-    len: u8,
+/// Names one group of table rows for [`PathTable::open_gaps`]: the rows whose
+/// packed key ([`PathRow::packed`]) lies in `lo..hi`. A pair key `[a, b]`
+/// is an exact cycle row in `L2` and a whole `[a, b, *]` block in
+/// `L3`/`C2`; a triple key is a single row.
+#[derive(Debug, Clone, Copy)]
+struct KeyRange {
+    lo: u128,
+    hi: u128,
 }
 
-impl PatchKey {
-    /// Where `row` sorts relative to the group this key names: `Less` below
-    /// it, `Equal` inside it (the row's vertex sequence starts with the
-    /// key), `Greater` above it.
-    #[inline]
-    fn locate(&self, row: &PathRow) -> std::cmp::Ordering {
-        let n = (self.len as usize).min(row.vertices().len());
-        row.vertices()[..n].cmp(&self.verts[..n])
-    }
-
+impl KeyRange {
     fn pair(a: NodeId, b: NodeId) -> Self {
-        PatchKey {
-            verts: [a, b, NodeId::from_index(0)],
-            len: 2,
+        let lo = pack(a, b, NodeId(0));
+        KeyRange {
+            lo,
+            hi: lo + (1 << 32),
         }
     }
 
-    fn triple(verts: [NodeId; 3]) -> Self {
-        PatchKey { verts, len: 3 }
+    fn triple([a, b, c]: [NodeId; 3]) -> Self {
+        let lo = pack(a, b, c);
+        KeyRange { lo, hi: lo + 1 }
     }
+
+    /// The anchor of every row the key names.
+    fn anchor(&self) -> u32 {
+        (self.lo >> 64) as u32
+    }
+}
+
+/// What one patch key changes in a [`PathTable::open_gaps`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// The key's rows in the table before the splice, as an index range.
+    old: (u32, u32),
+    /// How many rows the key holds after it: the size of its gap.
+    fresh: u32,
+    /// The anchor of the key's rows.
+    anchor: u32,
+}
+
+impl Span {
+    /// Rows the key adds, net.
+    fn change(&self) -> i64 {
+        i64::from(self.fresh) - i64::from(self.old.1 - self.old.0)
+    }
+}
+
+/// The placeholder in a gap of [`PathTable::open_gaps`] until a
+/// [`GapWriter`] fills it.
+const GAP: PathRow = PathRow {
+    verts: [NodeId(0); MAX_PATH_VERTICES],
+    len: 0,
+    delivered_start: 0,
+    delivered_len: 0,
+    flow: 0.0,
+};
+
+/// Writes fresh rows into the gaps [`PathTable::open_gaps`] opened, in key
+/// order, and their profiles onto the end of the table's arena. The gap of
+/// a span starts where the span's old rows started, moved by the net change
+/// of the spans before it.
+struct GapWriter<'a> {
+    table: &'a mut PathTable,
+    spans: &'a [Span],
+    /// The next span whose gap is not reached yet, and the net change of
+    /// the spans before it.
+    next: usize,
+    shift: i64,
+    /// Where the next row goes, and where its gap ends.
+    at: usize,
+    end: usize,
+}
+
+impl<'a> GapWriter<'a> {
+    fn new(table: &'a mut PathTable, spans: &'a [Span]) -> Self {
+        GapWriter {
+            table,
+            spans,
+            next: 0,
+            shift: 0,
+            at: 0,
+            end: 0,
+        }
+    }
+
+    /// Moves on to the next gap that takes rows, once the current one is
+    /// full.
+    fn reach_gap(&mut self) {
+        while self.at == self.end && self.next < self.spans.len() {
+            let span = self.spans[self.next];
+            self.at = (i64::from(span.old.0) + self.shift) as usize;
+            self.end = self.at + span.fresh as usize;
+            self.shift += span.change();
+            self.next += 1;
+        }
+    }
+
+    fn push(
+        &mut self,
+        verts: [NodeId; MAX_PATH_VERTICES],
+        len: u8,
+        delivered: &[Interaction],
+        flow: Quantity,
+    ) {
+        self.reach_gap();
+        debug_assert!(self.at < self.end, "more fresh rows than the gaps hold");
+        self.table.rows[self.at] = new_row(&mut self.table.arena, verts, len, delivered, flow);
+        self.at += 1;
+    }
+
+    /// The last `n` rows written, which must all lie in one gap.
+    fn last_rows(&mut self, n: usize) -> &mut [PathRow] {
+        &mut self.table.rows[self.at - n..self.at]
+    }
+
+    /// Closes the splice: checks that every gap is full, and compacts the
+    /// arena if the patch left more garbage than live data.
+    fn finish(mut self) {
+        self.reach_gap();
+        debug_assert!(self.at == self.end, "fewer fresh rows than the gaps hold");
+        let table = self.table;
+        if table.dead > table.arena.len() - table.dead {
+            table.compact();
+        }
+    }
+}
+
+/// The first index at or after `from` whose row is not `below`, where
+/// `below` holds for a prefix of `rows[from..]`: probes `from`, then
+/// steps 1, 2, 4, … further, and binary-searches the last step. A short
+/// step costs a few comparisons, a long one `O(log)`.
+fn gallop(rows: &[PathRow], from: usize, below: impl Fn(&PathRow) -> bool) -> usize {
+    // Every row of `rows[from..lo]` is below; `rows[hi]` is not (or `hi`
+    // is past the end).
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < rows.len() && below(&rows[hi]) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(rows.len());
+    lo + rows[lo..hi].partition_point(below)
 }
 
 impl PathTables {
@@ -655,6 +898,7 @@ impl PathTables {
             config,
             partial: false,
             kernel_calls: 0,
+            scratch: ApplyScratch::default(),
         }
     }
 
@@ -722,13 +966,20 @@ impl PathTables {
     /// flow recomputation scales with the changed edges' endpoint degrees,
     /// not with the graph.
     ///
-    /// The fresh rows are spliced in by one forward merge per table: keys,
-    /// fresh rows and table rows are all sorted, so a single cursor copies
-    /// the unchanged runs, drops the stale groups and inserts their
-    /// replacements without searching for any key.
-    /// The merge still writes every row of a patched table into a new
-    /// vector and rebuilds its offset index: no kernel work, but memory
-    /// traffic proportional to the table, not to the delta.
+    /// Each piece of the patch is done once, in the order its consumer
+    /// reads it. Collecting the groups finds every 3-cycle through a
+    /// changed edge once, with the edges that close it, and keeps those
+    /// edges with the groups, so the kernel runs on edge slices with no
+    /// pair lookup of its own. The collected edges also tell how many rows
+    /// each group will hold, so every table first opens a gap of exactly
+    /// that size per group, in place: each unchanged run between two groups
+    /// moves once, within the one row vector, and the offset index moves by
+    /// each anchor's change in row count. The kernel then walks the groups
+    /// in key order and writes every fresh row straight into its gap;
+    /// nothing sorts more than one block's rows. The working memory of all
+    /// this lives in the tables between calls, so a steady stream of patches
+    /// does not allocate per batch, and it never holds a second copy of a
+    /// table's rows.
     ///
     /// Removals are handled symmetrically: a sliding-window delta's
     /// evictions ([`AppliedDelta::shrunk_edges`] /
@@ -771,13 +1022,19 @@ impl PathTables {
         if self.truncated {
             return self.rebuild(graph, &config, 0);
         }
-        let groups = collect_groups(graph, &config, applied);
-        let refreshed_groups = groups.len();
-        let mut scratch = ChainScratch::new();
-        let bufs = recompute_groups(graph, &config, &groups, &mut scratch);
-        self.splice_groups(&groups, &bufs);
+        let PathTables {
+            l2,
+            l3,
+            c2,
+            scratch,
+            ..
+        } = self;
+        scratch.collect(graph, &config, applied);
+        let refreshed_groups = scratch.group_count();
+        let calls_before = scratch.chain.kernel_calls();
+        scratch.patch(graph, &config, [l2, l3, c2]);
+        let kernel_calls = scratch.chain.kernel_calls() - calls_before;
 
-        let kernel_calls = scratch.kernel_calls();
         if config.max_rows > 0 && self.over_cap(config.max_rows) {
             return self.rebuild(graph, &config, kernel_calls);
         }
@@ -786,30 +1043,6 @@ impl PathTables {
             refreshed_groups,
             rebuilt: false,
             kernel_calls,
-        }
-    }
-
-    /// Splices freshly recomputed rows ([`recompute_groups`]) over the stale
-    /// row groups ([`collect_groups`]), table by table.
-    fn splice_groups(&mut self, groups: &InvalidationGroups, bufs: &[TableBuf; 3]) {
-        let config = self.config;
-        let pair_key = |&(a, b): &(NodeId, NodeId)| PatchKey::pair(a, b);
-        if config.build_l2 {
-            let mut keys: Vec<PatchKey> = groups.blocks.iter().map(pair_key).collect();
-            keys.extend(groups.l2_extra.iter().map(pair_key));
-            keys.sort_unstable();
-            self.l2.patch_keys(&keys, &bufs[L2].rows, &bufs[L2].arena);
-        }
-        if config.build_l3 || config.build_c2 {
-            let mut keys: Vec<PatchKey> = groups.blocks.iter().map(pair_key).collect();
-            keys.extend(groups.points.iter().map(|&p| PatchKey::triple(p)));
-            keys.sort_unstable();
-            if config.build_l3 {
-                self.l3.patch_keys(&keys, &bufs[L3].rows, &bufs[L3].arena);
-            }
-            if config.build_c2 {
-                self.c2.patch_keys(&keys, &bufs[C2].rows, &bufs[C2].arena);
-            }
         }
     }
 
@@ -827,7 +1060,9 @@ impl PathTables {
         wasted: u64,
     ) -> TablesUpdate {
         let prior = self.kernel_calls;
+        let scratch = std::mem::take(&mut self.scratch);
         *self = PathTables::build(graph, config);
+        self.scratch = scratch;
         let this_update = self.kernel_calls + wasted;
         self.kernel_calls = prior + this_update;
         TablesUpdate {
@@ -875,131 +1110,468 @@ fn auto_parallel(graph: &TemporalGraph) -> bool {
     graph.node_count() >= 512 && effective_threads() > 1
 }
 
-/// The row groups one applied delta invalidates, as named by
-/// [`collect_groups`]: `blocks` are whole `[u, v, *]` first-edge blocks,
-/// `l2_extra` are closing `[v, u]` cycle rows whose block is not already
-/// collected, `points` are single `[a, b, c]` rows. All three lists are
-/// ascending, deduplicated and non-overlapping, which is what
-/// [`PathTables::splice_groups`] requires of its patch keys.
-#[derive(Debug, Default)]
-struct InvalidationGroups {
-    blocks: Vec<(NodeId, NodeId)>,
-    l2_extra: Vec<(NodeId, NodeId)>,
-    points: Vec<[NodeId; 3]>,
+/// The third vertex `w` of a 3-cycle `u → v → w → u` through the edge
+/// `u → v`, with the cycle's two other edges, as
+/// [`for_each_cycle_vertex`] found them.
+#[derive(Debug, Clone, Copy)]
+struct Triangle {
+    w: NodeId,
+    /// The edge `v → w`.
+    vw: EdgeId,
+    /// The edge `w → u`.
+    wu: EdgeId,
 }
 
-impl InvalidationGroups {
-    /// Total number of row groups across the three kinds.
-    fn len(&self) -> usize {
-        self.blocks.len() + self.l2_extra.len() + self.points.len()
+/// A changed pair `u → v`: the `[u, v, *]` first-edge block of
+/// [`PathTables::apply`], with the edges its rows run over.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    u: NodeId,
+    v: NodeId,
+    /// The live edge `u → v`; `None` once it was evicted (or an added edge
+    /// whose every interaction immediately expired): the block keeps its
+    /// key but holds no rows, so the patch deletes the group — removal is
+    /// just "recompute to empty".
+    edge: Option<EdgeId>,
+    /// The live return edge `v → u`, looked up only when `L2` or `C2` is
+    /// built.
+    back: Option<EdgeId>,
+    /// The block's 3-cycles: `triangles[cycles.0..cycles.1]` of its
+    /// [`ApplyScratch`].
+    cycles: (u32, u32),
+}
+
+impl Block {
+    /// How many rows the block holds in table `t` after the patch, as
+    /// [`enumerate_first_edge`] emits them: none once `u → v` is gone; in
+    /// `L2` the cycle `[u, v]` when `v → u` is live; in `L3` one row per
+    /// 3-cycle; in `C2` one per out-neighbor of `v` other than `u`.
+    fn rows(&self, graph: &TemporalGraph, t: usize) -> usize {
+        match (self.edge, t) {
+            (None, _) => 0,
+            (_, L2) => usize::from(self.back.is_some()),
+            (_, L3) => (self.cycles.1 - self.cycles.0) as usize,
+            _ => graph.out_degree(self.v) - usize::from(self.back.is_some()),
+        }
     }
 }
 
-/// Collects the row groups a delta can invalidate — only for the tables
-/// `config` actually builds. For each changed edge `u → v` (touched by
-/// additions, shrunk by eviction, or tombstoned — the sets are exactly
-/// symmetric): the `[u, v, *]` block (first-edge rows), the middle-edge
-/// point rows `[a, u, v]`, and the closing-edge rows `[v, u]` / `[v, w, u]`.
-///
-/// Which middle points are collected depends on the tables. With `C2`
-/// every chain `a → u → v` is a row, so every in-neighbor `a` of `u` is
-/// a point: O(`in(u)`) per changed edge. Without `C2` only 3-cycles hold
-/// rows, and the middle and closing points are both the cycle vertices
-/// `out(v) ∩ in(u)` ([`for_each_cycle_vertex`]), plus the middle points
-/// whose closing pair `(v, a)` is itself changed in this delta — a cycle
-/// that lost its `v → a` edge along with `u → v` is visible from neither
-/// edge's post-delta neighborhood. That is `min(in(u), out(v))` pair
-/// probes plus a binary search over the delta's own changed pairs, never
-/// a scan of a hub's whole neighborhood, and never the O(deg²) of a whole
-/// anchor rebuild.
-///
-/// Tombstones keep their endpoints, so the keys of a removed edge are
-/// collected the same way; its neighborhood walks run over the
-/// post-eviction adjacency, where companion edges removed by the same delta
-/// are already gone — those contribute their own keys through their own
-/// changed pairs (and the closing-pair lookup above).
-fn collect_groups(
-    graph: &TemporalGraph,
-    config: &TablesConfig,
-    applied: &AppliedDelta,
-) -> InvalidationGroups {
-    // The changed pairs are exactly the first-edge blocks; sorted, they
-    // also answer the closing-pair lookup by binary search.
-    let mut blocks: Vec<(NodeId, NodeId)> = applied
-        .changed_edges()
-        .map(|e| {
+/// A closing `L2` row `[a, b]` whose return edge `b → a` changed while its
+/// own block `[a, b]` did not.
+#[derive(Debug, Clone, Copy)]
+struct ClosingPair {
+    a: NodeId,
+    b: NodeId,
+    /// The live edge `a → b`.
+    first: EdgeId,
+    /// The changed edge `b → a`; `None` once it was evicted, which deletes
+    /// the row.
+    back: Option<EdgeId>,
+}
+
+/// A single `L3`/`C2` row `[a, b, c]` outside the blocks, with the live
+/// edges of its hops `a → b`, `b → c` and `c → a`: none where the pair has
+/// no live edge, and for `c → a` also when `L3` is not built.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    verts: [NodeId; 3],
+    hops: [Hop; 3],
+}
+
+impl Point {
+    fn new(verts: [NodeId; 3], hops: [Option<EdgeId>; 3]) -> Self {
+        Point {
+            verts,
+            hops: hops.map(Hop::new),
+        }
+    }
+
+    /// Whether the point holds a row in table `t` after the patch: a `C2`
+    /// row needs its first two hops live, an `L3` row all three.
+    fn rows(&self, t: usize) -> usize {
+        let hops = if t == L3 { 3 } else { 2 };
+        usize::from(self.hops[..hops].iter().all(|h| h.0.is_some()))
+    }
+}
+
+/// An optional edge in four bytes, where `Option<EdgeId>` takes eight: the
+/// id plus one, so that zero is no edge. Points are sorted on every patch
+/// and their buffer stays resident between patches, so their size counts.
+#[derive(Debug, Clone, Copy)]
+struct Hop(Option<NonZeroU32>);
+
+impl Hop {
+    fn new(edge: Option<EdgeId>) -> Self {
+        Hop(edge.map(|e| {
+            NonZeroU32::MIN
+                .checked_add(e.0)
+                .expect("edge id overflows a hop")
+        }))
+    }
+
+    fn edge(self) -> Option<EdgeId> {
+        self.0.map(|h| EdgeId(h.get() - 1))
+    }
+}
+
+/// Working memory of [`PathTables::apply`], kept in the tables between
+/// calls so that a stream of patches reuses the buffers of the ones before
+/// it instead of allocating its own. It holds the invalidated row groups
+/// and the splices' spans — never a row of a table: fresh rows go straight
+/// into the gaps the splices open. A clone starts empty.
+#[derive(Default)]
+struct ApplyScratch {
+    chain: ChainScratch,
+    /// First-edge blocks, ascending and deduplicated.
+    blocks: Vec<Block>,
+    /// Closing `L2` rows outside the blocks, ascending.
+    closing: Vec<ClosingPair>,
+    /// Single `L3`/`C2` rows outside the blocks, ascending and
+    /// deduplicated.
+    points: Vec<Point>,
+    /// The blocks' 3-cycles, block by block.
+    triangles: Vec<Triangle>,
+    /// Each table's splice ([`PathTable::open_gaps`]).
+    spans: [Vec<Span>; 3],
+}
+
+impl Clone for ApplyScratch {
+    fn clone(&self) -> Self {
+        ApplyScratch::default()
+    }
+}
+
+impl std::fmt::Debug for ApplyScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ApplyScratch").finish_non_exhaustive()
+    }
+}
+
+impl ApplyScratch {
+    /// Collects the row groups a delta can invalidate — only for the tables
+    /// `config` actually builds — each with the live edges its rows run
+    /// over. For each changed edge `u → v` (touched by additions, shrunk by
+    /// eviction, or tombstoned — the sets are exactly symmetric): the
+    /// `[u, v, *]` block (first-edge rows), the middle-edge point rows
+    /// `[a, u, v]`, and the closing-edge rows `[v, u]` / `[v, w, u]`.
+    ///
+    /// Which middle points are collected depends on the tables. With `C2`
+    /// every chain `a → u → v` is a row, so every in-neighbor `a` of `u` is
+    /// a point: O(`in(u)`) per changed edge. Without `C2` only 3-cycles hold
+    /// rows, and the middle and closing points are both the cycle vertices
+    /// `out(v) ∩ in(u)` ([`for_each_cycle_vertex`]), plus the middle points
+    /// whose closing pair `(v, a)` is itself changed in this delta — a cycle
+    /// that lost its `v → a` edge along with `u → v` is visible from neither
+    /// edge's post-delta neighborhood. That is `min(in(u), out(v))` pair
+    /// probes plus a binary search over the delta's own changed pairs, never
+    /// a scan of a hub's whole neighborhood, and never the O(deg²) of a whole
+    /// anchor rebuild.
+    ///
+    /// Each block's 3-cycles are listed here, once, and kept: they name the
+    /// block's middle and closing points, count its `L3` rows, and
+    /// [`ApplyScratch::patch`] runs those rows over them. Every edge a
+    /// group's rows need is found here too, from the adjacency it scans or
+    /// the probe that found the cycle, so the patch looks nothing up.
+    ///
+    /// Tombstones keep their endpoints, so the keys of a removed edge are
+    /// collected the same way; its neighborhood walks run over the
+    /// post-eviction adjacency, where companion edges removed by the same
+    /// delta are already gone — those contribute their own keys through
+    /// their own changed pairs (and the closing-pair lookup above).
+    fn collect(&mut self, graph: &TemporalGraph, config: &TablesConfig, applied: &AppliedDelta) {
+        let ApplyScratch {
+            blocks,
+            closing,
+            points,
+            triangles,
+            ..
+        } = self;
+        blocks.clear();
+        closing.clear();
+        points.clear();
+        triangles.clear();
+        // The changed pairs are exactly the first-edge blocks; sorted, they
+        // also answer the closing-pair lookup by binary search.
+        blocks.extend(applied.changed_edges().map(|e| {
             let edge = graph.edge(e);
-            (edge.src, edge.dst)
-        })
-        .collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    let mut l2_extra: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut points: Vec<[NodeId; 3]> = Vec::new();
-    for &(u, v) in &blocks {
-        if config.build_c2 {
-            for a in graph.in_neighbors(u) {
-                if a != v && a != u {
-                    points.push([a, u, v]);
-                }
+            Block {
+                u: edge.src,
+                v: edge.dst,
+                edge: None,
+                back: None,
+                cycles: (0, 0),
+            }
+        }));
+        blocks.sort_unstable_by_key(|b| (b.u, b.v));
+        blocks.dedup_by_key(|b| (b.u, b.v));
+        for b in blocks.iter_mut() {
+            b.edge = graph.find_edge(b.u, b.v);
+            if config.build_l2 || config.build_c2 {
+                b.back = graph.find_edge(b.v, b.u);
             }
         }
-        if config.build_l3 {
-            for_each_cycle_vertex(graph, u, v, &mut |w| {
-                if !config.build_c2 {
-                    points.push([w, u, v]);
-                }
-                points.push([v, w, u]);
-            });
-            if !config.build_c2 {
-                // Middle points whose closing pair `(v, a)` changed too.
-                let from = blocks.partition_point(|&(x, _)| x < v);
-                for &(_, a) in blocks[from..].iter().take_while(|&&(x, _)| x == v) {
-                    if a != u && graph.has_edge(a, u) {
-                        points.push([a, u, v]);
+        let index = |i: usize| u32::try_from(i).expect("3-cycle count exceeds u32");
+        for i in 0..blocks.len() {
+            let Block {
+                u, v, edge, back, ..
+            } = blocks[i];
+            if config.build_c2 {
+                for &au in graph.in_edges(u) {
+                    let a = graph.edge(au).src;
+                    if a != v && a != u {
+                        let close = if config.build_l3 {
+                            graph.find_edge(v, a)
+                        } else {
+                            None
+                        };
+                        points.push(Point::new([a, u, v], [Some(au), edge, close]));
                     }
                 }
             }
+            if config.build_l3 {
+                let start = triangles.len();
+                for_each_cycle_vertex(graph, u, v, &mut |t| triangles.push(t));
+                blocks[i].cycles = (index(start), index(triangles.len()));
+                for t in &triangles[start..] {
+                    if !config.build_c2 {
+                        points.push(Point::new([t.w, u, v], [Some(t.wu), edge, Some(t.vw)]));
+                    }
+                    points.push(Point::new([v, t.w, u], [Some(t.vw), Some(t.wu), edge]));
+                }
+                if !config.build_c2 {
+                    // Middle points whose closing pair `(v, a)` changed too.
+                    let from = blocks.partition_point(|b| b.u < v);
+                    for c in blocks[from..].iter().take_while(|b| b.u == v) {
+                        if c.v != u {
+                            if let Some(au) = graph.find_edge(c.v, u) {
+                                points.push(Point::new([c.v, u, v], [Some(au), edge, c.edge]));
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(back) = back.filter(|_| config.build_l2) {
+                closing.push(ClosingPair {
+                    a: v,
+                    b: u,
+                    first: back,
+                    back: edge,
+                });
+            }
         }
-        if config.build_l2 && graph.has_edge(v, u) {
-            l2_extra.push((v, u));
-        }
+        // One closing pair per block, so they need no deduplication.
+        closing.sort_unstable_by_key(|c| (c.a, c.b));
+        retain_outside_blocks(closing, blocks, |c| (c.a, c.b));
+        points.sort_unstable_by_key(|p| p.verts);
+        points.dedup_by_key(|p| p.verts);
+        retain_outside_blocks(points, blocks, |p| (p.verts[0], p.verts[1]));
     }
-    l2_extra.sort_unstable();
-    l2_extra.dedup();
-    l2_extra.retain(|k| blocks.binary_search(k).is_err());
-    points.sort_unstable();
-    points.dedup();
-    points.retain(|p| blocks.binary_search(&(p[0], p[1])).is_err());
-    InvalidationGroups {
-        blocks,
-        l2_extra,
-        points,
+
+    /// Total number of row groups across the three kinds.
+    fn group_count(&self) -> usize {
+        self.blocks.len() + self.closing.len() + self.points.len()
+    }
+
+    /// Splices the collected groups into the built tables (`tables` in
+    /// [`L2`], [`L3`], [`C2`] order). The edges each group's rows run over
+    /// are live exactly when those rows exist, so every group's new row
+    /// count is known before any kernel pass: each table first opens a gap
+    /// of that size per group ([`PathTable::open_gaps`]). Then the chain
+    /// kernel runs for exactly the collected groups, over the collected
+    /// edges, and writes every row straight into its gap ([`GapWriter`]).
+    /// Blocks, closing pairs and points are each ascending and never
+    /// overlap, so one walk over them in key order meets every table's gaps
+    /// in order; only a block's own rows are sorted, by their third vertex.
+    fn patch(
+        &mut self,
+        graph: &TemporalGraph,
+        config: &TablesConfig,
+        mut tables: [&mut PathTable; 3],
+    ) {
+        let ApplyScratch {
+            chain,
+            blocks,
+            closing,
+            points,
+            triangles,
+            spans,
+        } = self;
+        let built = [config.build_l2, config.build_l3, config.build_c2];
+        for (t, table) in tables.iter_mut().enumerate() {
+            spans[t].clear();
+            if built[t] {
+                // The keys of `L2` are the blocks and the closing pairs;
+                // those of `L3` and `C2` are the blocks and the points.
+                let (closing, points) = if t == L2 {
+                    (&closing[..], &[][..])
+                } else {
+                    (&[][..], &points[..])
+                };
+                let keys = merge_keys(
+                    blocks
+                        .iter()
+                        .map(|b| (KeyRange::pair(b.u, b.v), b.rows(graph, t))),
+                    closing
+                        .iter()
+                        .map(|c| (KeyRange::pair(c.a, c.b), usize::from(c.back.is_some())))
+                        .chain(
+                            points
+                                .iter()
+                                .map(|p| (KeyRange::triple(p.verts), p.rows(t))),
+                        ),
+                );
+                table.open_gaps(keys, &mut spans[t]);
+            }
+        }
+
+        let [l2, l3, c2] = tables;
+        let mut out = [
+            GapWriter::new(l2, &spans[L2]),
+            GapWriter::new(l3, &spans[L3]),
+            GapWriter::new(c2, &spans[C2]),
+        ];
+        let slice = |e: EdgeId| graph.edge(e).interactions.as_slice();
+        let (mut bi, mut ci, mut pi) = (0, 0, 0);
+        loop {
+            let at_block = blocks
+                .get(bi)
+                .map_or(u128::MAX, |b| pack(b.u, b.v, NodeId(0)));
+            let at_closing = closing
+                .get(ci)
+                .map_or(u128::MAX, |c| pack(c.a, c.b, NodeId(0)));
+            let at_point = points
+                .get(pi)
+                .map_or(u128::MAX, |p| pack(p.verts[0], p.verts[1], p.verts[2]));
+            let next = at_block.min(at_closing).min(at_point);
+            if next == u128::MAX {
+                break;
+            }
+            if next == at_block {
+                let b = blocks[bi];
+                bi += 1;
+                let Some(edge) = b.edge else {
+                    continue;
+                };
+                let first = FirstEdge {
+                    u: b.u,
+                    v: b.v,
+                    first: slice(edge),
+                    back: b.back.map(slice),
+                    cycles: &triangles[b.cycles.0 as usize..b.cycles.1 as usize],
+                };
+                let mut emitted = [0usize; 3];
+                enumerate_first_edge(
+                    graph,
+                    config,
+                    &first,
+                    chain,
+                    &mut |table, verts, len, delivered, flow| {
+                        out[table].push(verts, len, delivered, flow);
+                        emitted[table] += 1;
+                        true
+                    },
+                );
+                for t in [L3, C2] {
+                    out[t]
+                        .last_rows(emitted[t])
+                        .sort_unstable_by_key(|r| r.verts[2]);
+                }
+            } else if next == at_closing {
+                let c = closing[ci];
+                ci += 1;
+                if let Some(back) = c.back {
+                    let flow = chain.reduce_pair(slice(c.first), slice(back));
+                    out[L2].push([c.a, c.b, c.a], 2, chain.delivered(), flow);
+                }
+            } else {
+                let p = points[pi];
+                pi += 1;
+                // Any of the three hops can be a changed edge, and a changed
+                // edge can be a tombstone: a dead hop deletes the point's
+                // rows.
+                let [Some(first), Some(mid), close] = p.hops.map(Hop::edge) else {
+                    continue;
+                };
+                if close.is_none() && !config.build_c2 {
+                    continue;
+                }
+                let mid_flow = chain.reduce_pair(slice(first), slice(mid));
+                if config.build_c2 {
+                    out[C2].push(p.verts, 3, chain.delivered(), mid_flow);
+                }
+                if let Some(close) = close {
+                    let flow = chain.extend_through(slice(close));
+                    out[L3].push(p.verts, 3, chain.extended_delivered(), flow);
+                }
+            }
+        }
+        for writer in out {
+            writer.finish();
+        }
     }
 }
 
-/// Calls `f(w)` for every third vertex of a 3-cycle through the edge
-/// `u → v`: `w ∈ out(v) ∩ in(u)`, `w ∉ {u, v}`, in any order. The same set
-/// names the edge's first-edge `L3` rows `[u, v, w]`, its middle-edge rows
-/// `[w, u, v]` and its closing rows `[v, w, u]`, so the eager build and
-/// [`PathTables::apply`] enumerate cycles through this one function.
+/// Merges two ascending, non-overlapping key sequences into one.
+fn merge_keys(
+    a: impl Iterator<Item = (KeyRange, usize)>,
+    b: impl Iterator<Item = (KeyRange, usize)>,
+) -> impl Iterator<Item = (KeyRange, usize)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0.lo < x.0.lo => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// Drops the `items` (ascending by `prefix`) whose `prefix` pair is a
+/// block: the block's key already covers their rows.
+fn retain_outside_blocks<T>(
+    items: &mut Vec<T>,
+    blocks: &[Block],
+    prefix: impl Fn(&T) -> (NodeId, NodeId),
+) {
+    let mut at = 0;
+    items.retain(|item| {
+        let p = prefix(item);
+        while blocks.get(at).is_some_and(|b| (b.u, b.v) < p) {
+            at += 1;
+        }
+        blocks.get(at).is_none_or(|b| (b.u, b.v) != p)
+    });
+}
+
+/// Calls `f` for every 3-cycle through the edge `u → v`: every third vertex
+/// `w ∈ out(v) ∩ in(u)`, `w ∉ {u, v}`, with the edges `v → w` and `w → u`,
+/// in any order. The same set names the edge's first-edge `L3` rows
+/// `[u, v, w]`, its middle-edge rows `[w, u, v]` and its closing rows
+/// `[v, w, u]`, so the eager build and [`PathTables::apply`] enumerate
+/// cycles through this one function.
 ///
 /// Scans the smaller of `in(u)` and `out(v)` and probes the other side
 /// with one pair lookup per neighbor — the lower-degree rule of triangle
 /// listing (Chiba & Nishizeki, "Arboricity and subgraph listing
 /// algorithms", SIAM J. Comput. 1985) — so a hub endpoint costs nothing
-/// when the other side is small.
-fn for_each_cycle_vertex(graph: &TemporalGraph, u: NodeId, v: NodeId, f: &mut dyn FnMut(NodeId)) {
+/// when the other side is small. The edge the scan walked and the edge the
+/// probe found are handed over with `w`, so no caller looks either up
+/// again.
+fn for_each_cycle_vertex(graph: &TemporalGraph, u: NodeId, v: NodeId, f: &mut dyn FnMut(Triangle)) {
     if graph.in_degree(u) <= graph.out_degree(v) {
-        for w in graph.in_neighbors(u) {
-            if w != u && w != v && graph.has_edge(v, w) {
-                f(w);
+        for &wu in graph.in_edges(u) {
+            let w = graph.edge(wu).src;
+            if w != u && w != v {
+                if let Some(vw) = graph.find_edge(v, w) {
+                    f(Triangle { w, vw, wu });
+                }
             }
         }
     } else {
-        for w in graph.out_neighbors(v) {
-            if w != u && w != v && graph.has_edge(w, u) {
-                f(w);
+        for &vw in graph.out_edges(v) {
+            let w = graph.edge(vw).dst;
+            if w != u && w != v {
+                if let Some(wu) = graph.find_edge(w, u) {
+                    f(Triangle { w, vw, wu });
+                }
             }
         }
     }
@@ -1011,87 +1583,6 @@ fn pair(graph: &TemporalGraph, src: NodeId, dst: NodeId) -> Option<&[Interaction
     graph
         .find_edge(src, dst)
         .map(|e| graph.edge(e).interactions.as_slice())
-}
-
-/// Re-runs the chain kernel for exactly the groups in `groups`, returning
-/// per-table replacement buffers with rows sorted by vertex sequence —
-/// ready for [`PathTables::splice_groups`].
-fn recompute_groups(
-    graph: &TemporalGraph,
-    config: &TablesConfig,
-    groups: &InvalidationGroups,
-    scratch: &mut ChainScratch,
-) -> [TableBuf; 3] {
-    let mut bufs: [TableBuf; 3] = Default::default();
-    for &(u, v) in &groups.blocks {
-        // A `None` here means the edge was evicted (or an added edge whose
-        // every interaction immediately expired): the block keeps its key
-        // but contributes no replacement rows, so the patch deletes the
-        // group — removal is just "recompute to empty".
-        let Some(first) = pair(graph, u, v) else {
-            continue;
-        };
-        enumerate_first_edge(
-            graph,
-            config,
-            u,
-            v,
-            first,
-            scratch,
-            &mut |table, verts, len, delivered, flow| {
-                bufs[table].push(verts, len, delivered, flow);
-                true
-            },
-        );
-    }
-    if config.build_l2 {
-        for &(a, b) in &groups.l2_extra {
-            // `(a, b)` was seen live when the key was collected; the
-            // changed edge `(b, a)` may have been evicted, in which case
-            // the cycle row `[a, b]` is deleted by the empty recompute.
-            let first = pair(graph, a, b).expect("checked at collection");
-            let Some(back) = pair(graph, b, a) else {
-                continue;
-            };
-            let flow = scratch.reduce_pair(first, back);
-            bufs[L2].push([a, b, a], 2, scratch.delivered(), flow);
-        }
-    }
-    if config.build_l3 || config.build_c2 {
-        for &[a, b, c] in &groups.points {
-            // Any of the three hops can be a changed edge, and a changed
-            // edge can be a tombstone: a dead hop deletes the point's rows.
-            let Some(first) = pair(graph, a, b) else {
-                continue;
-            };
-            let Some(mid) = pair(graph, b, c) else {
-                continue;
-            };
-            let close = if config.build_l3 {
-                pair(graph, c, a)
-            } else {
-                None
-            };
-            if close.is_none() && !config.build_c2 {
-                continue;
-            }
-            let mid_flow = scratch.reduce_pair(first, mid);
-            if config.build_c2 {
-                bufs[C2].push([a, b, c], 3, scratch.delivered(), mid_flow);
-            }
-            if let Some(close) = close {
-                let flow = scratch.extend_through(close);
-                bufs[L3].push([a, b, c], 3, scratch.extended_delivered(), flow);
-            }
-        }
-    }
-    // Enumeration order is arbitrary; patching consumes replacement rows
-    // in key order.
-    for buf in &mut bufs {
-        buf.rows
-            .sort_unstable_by(|a, b| a.vertices().cmp(b.vertices()));
-    }
-    bufs
 }
 
 /// Index of each table in the per-build bookkeeping arrays.
@@ -1114,16 +1605,28 @@ impl TableBuf {
         delivered: &[Interaction],
         flow: Quantity,
     ) {
-        let start = u32::try_from(self.arena.len()).expect("delivered arena exceeds u32 offsets");
-        let dlen = u32::try_from(delivered.len()).expect("delivered profile exceeds u32 length");
-        self.arena.extend_from_slice(delivered);
-        self.rows.push(PathRow {
-            verts,
-            len,
-            delivered_start: start,
-            delivered_len: dlen,
-            flow,
-        });
+        let row = new_row(&mut self.arena, verts, len, delivered, flow);
+        self.rows.push(row);
+    }
+}
+
+/// Appends `delivered` to `arena` and returns the row that points at it.
+fn new_row(
+    arena: &mut Vec<Interaction>,
+    verts: [NodeId; MAX_PATH_VERTICES],
+    len: u8,
+    delivered: &[Interaction],
+    flow: Quantity,
+) -> PathRow {
+    let start = u32::try_from(arena.len()).expect("delivered arena exceeds u32 offsets");
+    let dlen = u32::try_from(delivered.len()).expect("delivered profile exceeds u32 length");
+    arena.extend_from_slice(delivered);
+    PathRow {
+        verts,
+        len,
+        delivered_start: start,
+        delivered_len: dlen,
+        flow,
     }
 }
 
@@ -1184,12 +1687,28 @@ impl ChunkOut {
     }
 }
 
+/// A first edge `u → v` with the edges its rows close through, found once
+/// by the caller: the return edge `v → u` (the `L2` row) and the 3-cycles
+/// through `u → v` (the `L3` rows of cycle-only tables).
+struct FirstEdge<'a> {
+    u: NodeId,
+    v: NodeId,
+    /// The interactions of `u → v`.
+    first: &'a [Interaction],
+    /// The interactions of `v → u`, when that edge exists; read only when
+    /// `L2` is built.
+    back: Option<&'a [Interaction]>,
+    /// Every 3-cycle through `u → v` ([`for_each_cycle_vertex`]); read only
+    /// when `L3` is built without `C2`.
+    cycles: &'a [Triangle],
+}
+
 /// Emits every table row whose path starts with the single edge `u → v`:
 /// the `L2` cycle `[u, v]` (when the return edge exists) and, per closing
 /// vertex `w`, the shared-prefix `C2`/`L3` rows `[u, v, w]`. With `C2`
 /// every out-neighbor of `v` is a row, so the pass scans `out(v)`;
-/// cycle-only tables visit just the cycle vertices `out(v) ∩ in(u)`
-/// through [`for_each_cycle_vertex`], `min(in(u), out(v))` pair probes.
+/// cycle-only tables run over the 3-cycles the caller listed through
+/// [`for_each_cycle_vertex`], with no lookup of their own.
 ///
 /// `emit(table, verts, len, delivered, flow)` returns `false` to stop early
 /// (row-cap pressure); the function then returns `false` too. Shared by the
@@ -1198,15 +1717,20 @@ impl ChunkOut {
 fn enumerate_first_edge<F>(
     graph: &TemporalGraph,
     config: &TablesConfig,
-    u: NodeId,
-    v: NodeId,
-    first: &[Interaction],
+    edge: &FirstEdge<'_>,
     scratch: &mut ChainScratch,
     emit: &mut F,
 ) -> bool
 where
     F: FnMut(usize, [NodeId; 3], u8, &[Interaction], Quantity) -> bool,
 {
+    let FirstEdge {
+        u,
+        v,
+        first,
+        back,
+        cycles,
+    } = *edge;
     if v == u {
         return true;
     }
@@ -1214,14 +1738,13 @@ where
     // into `v` is the edge's interaction list itself (`first`) — the shared
     // prefix of every path through `u → v` costs nothing to "compute".
     if config.build_l2 {
-        if let Some(back) = pair(graph, v, u) {
+        if let Some(back) = back {
             let flow = scratch.reduce_pair(first, back);
             if !emit(L2, [u, v, u], 2, scratch.delivered(), flow) {
                 return false;
             }
         }
     }
-    let mut keep_going = true;
     if config.build_c2 {
         for &e in graph.out_edges(v) {
             let edge = graph.edge(e);
@@ -1249,27 +1772,26 @@ where
         }
     } else if config.build_l3 {
         // Without C2 only the 3-cycles through `u → v` hold rows.
-        for_each_cycle_vertex(graph, u, v, &mut |w| {
-            if !keep_going {
-                return;
+        for t in cycles {
+            scratch.reduce_pair(first, &graph.edge(t.vw).interactions);
+            let flow = scratch.extend_through(&graph.edge(t.wu).interactions);
+            if !emit(L3, [u, v, t.w], 3, scratch.extended_delivered(), flow) {
+                return false;
             }
-            let mid = pair(graph, v, w).expect("cycle vertex has a v → w edge");
-            let close = pair(graph, w, u).expect("cycle vertex has a w → u edge");
-            scratch.reduce_pair(first, mid);
-            let flow = scratch.extend_through(close);
-            keep_going = emit(L3, [u, v, w], 3, scratch.extended_delivered(), flow);
-        });
+        }
     }
-    keep_going
+    true
 }
 
 /// Builds every row anchored at `u` into `out`, using the chain kernel on
-/// the graph's interaction slices directly.
+/// the graph's interaction slices directly; `cycles` is working memory for
+/// each out-edge's 3-cycles.
 fn build_anchor(
     graph: &TemporalGraph,
     config: &TablesConfig,
     u: NodeId,
     scratch: &mut ChainScratch,
+    cycles: &mut Vec<Triangle>,
     out: &mut ChunkOut,
     caps: &CapState,
 ) {
@@ -1279,21 +1801,37 @@ fn build_anchor(
         out.tables[C2].rows.len(),
     ];
     for &e in graph.out_edges(u) {
+        if out.hit_cap {
+            break;
+        }
         let edge = graph.edge(e);
-        if out.hit_cap
-            || !enumerate_first_edge(
-                graph,
-                config,
-                u,
-                edge.dst,
-                &edge.interactions,
-                scratch,
-                &mut |table, verts, len, delivered, flow| {
-                    out.try_push(caps, table, verts, len, delivered, flow);
-                    !out.hit_cap
-                },
-            )
-        {
+        let v = edge.dst;
+        cycles.clear();
+        if config.build_l3 && !config.build_c2 {
+            for_each_cycle_vertex(graph, u, v, &mut |t| cycles.push(t));
+        }
+        let first = FirstEdge {
+            u,
+            v,
+            first: &edge.interactions,
+            back: if config.build_l2 {
+                pair(graph, v, u)
+            } else {
+                None
+            },
+            cycles,
+        };
+        let complete = enumerate_first_edge(
+            graph,
+            config,
+            &first,
+            scratch,
+            &mut |table, verts, len, delivered, flow| {
+                out.try_push(caps, table, verts, len, delivered, flow);
+                !out.hit_cap
+            },
+        );
+        if !complete {
             break;
         }
     }
@@ -1323,12 +1861,13 @@ fn build_for_anchor_list(
     };
     let run_chunk = |chunk: &&[NodeId]| -> ChunkOut {
         let mut scratch = ChainScratch::new();
+        let mut cycles = Vec::new();
         let mut out = ChunkOut::default();
         for &u in *chunk {
             if out.hit_cap {
                 break;
             }
-            build_anchor(graph, config, u, &mut scratch, &mut out, &caps);
+            build_anchor(graph, config, u, &mut scratch, &mut cycles, &mut out, &caps);
         }
         out.kernel_calls = scratch.kernel_calls();
         out

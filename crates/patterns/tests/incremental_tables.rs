@@ -25,6 +25,26 @@ fn assert_row_identical(label: &str, got: &PathTables, want: &PathTables) {
     if let Some(divergence) = got.first_row_divergence(want) {
         panic!("{label}: incremental tables diverge from rebuild: {divergence}");
     }
+    // The per-anchor offset index moves with the rows instead of being
+    // recounted, so it is compared too: the rows are identical, so equal
+    // anchors with equally long slices mean equal slices.
+    for (name, g, w) in [
+        ("L2", &got.l2, &want.l2),
+        ("L3", &got.l3, &want.l3),
+        ("C2", &got.c2, &want.c2),
+    ] {
+        assert!(
+            g.anchors().eq(w.anchors()),
+            "{label}: {name} anchors differ from rebuild"
+        );
+        for a in w.anchors() {
+            assert_eq!(
+                g.rows_for(a).len(),
+                w.rows_for(a).len(),
+                "{label}: {name} rows_for({a:?}) differs from rebuild"
+            );
+        }
+    }
 }
 
 /// Feeds `records` through an append builder in batches cut at `splits`,

@@ -13,6 +13,19 @@
 //! compaction. A last property folds runs of consecutive batches with
 //! [`AppliedDelta::absorb`] and applies each fold once, the way recovery
 //! catches up after replaying a journal tail.
+//!
+//! The logs of most properties draw both ends of a record uniformly from a
+//! few vertices, so a changed edge's two sides have similar degrees and its
+//! first-edge block few 3-cycles. `hub_churn_is_row_identical_at_every_boundary`
+//! puts one vertex in about half the records instead. Counted with an
+//! instrumented copy of `PathTables::apply`'s group collection, over the
+//! 48 cases at the shim's fixed seed: in `every_windowed_boundary_is_row_identical`
+//! 28 of 1,826 cycle listings (1.5%) met one side at least four times the
+//! other, the smaller side was `in(u)` 1,284 times and `out(v)` 542 times,
+//! and no block held more than 2 of its 166 3-cycles; under the hub, 2,190
+//! of 13,480 listings (16%) met such a skew, the smaller side was `in(u)`
+//! 8,266 times and `out(v)` 5,214 times, and blocks held up to 8 3-cycles,
+//! 976 of them at least 4 (15,540 3-cycles in all).
 
 use proptest::prelude::*;
 use tin_graph::{AppliedDelta, GraphBuilder, GraphDelta, Interaction, TemporalGraph};
@@ -55,9 +68,63 @@ fn records_on(pool: u8, max_len: usize) -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// A record log with a hub: vertex `v0` is one end of about half the
+/// records, sending as often as receiving, and the other end is drawn from
+/// a pool of 12 vertices; the other records draw both ends from that pool.
+/// Times advance as in [`records`].
+fn hub_records(max_len: usize) -> impl Strategy<Value = Vec<Record>> {
+    const POOL: u8 = 12;
+    proptest::collection::vec(
+        (
+            (0u8..4, 1..POOL, 1..POOL),
+            (0u32..9, 0i64..6, 0u32..5, 0i64..20),
+        ),
+        1..max_len,
+    )
+    .prop_map(|raw| {
+        let mut newest = 0;
+        raw.into_iter()
+            .map(|((role, a, off), (q, step, late, back))| {
+                let t = if late == 0 {
+                    (newest - back).max(0)
+                } else {
+                    newest += step;
+                    newest
+                };
+                let (s, d) = match role {
+                    0 => (0, a),
+                    1 => (a, 0),
+                    _ => (a, (a + off) % POOL),
+                };
+                (s, d, t, q as f64)
+            })
+            .collect()
+    })
+}
+
 fn assert_row_identical(label: &str, got: &PathTables, want: &PathTables) {
     if let Some(divergence) = got.first_row_divergence(want) {
         panic!("{label}: windowed incremental tables diverge from rebuild: {divergence}");
+    }
+    // The per-anchor offset index moves with the rows instead of being
+    // recounted, so it is compared too: the rows are identical, so equal
+    // anchors with equally long slices mean equal slices.
+    for (name, g, w) in [
+        ("L2", &got.l2, &want.l2),
+        ("L3", &got.l3, &want.l3),
+        ("C2", &got.c2, &want.c2),
+    ] {
+        assert!(
+            g.anchors().eq(w.anchors()),
+            "{label}: {name} anchors differ from rebuild"
+        );
+        for a in w.anchors() {
+            assert_eq!(
+                g.rows_for(a).len(),
+                w.rows_for(a).len(),
+                "{label}: {name} rows_for({a:?}) differs from rebuild"
+            );
+        }
     }
 }
 
@@ -166,6 +233,29 @@ proptest! {
             let mut tables = PathTables::build(&TemporalGraph::new(), &config);
             run_windowed(&records, &splits, window, &mut tables, |g, t| {
                 assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
+            });
+        }
+    }
+
+    /// A hub in about half the records keeps the tables row-identical to a
+    /// rebuild at every windowed boundary. The uniform logs above rarely
+    /// make one side of a changed edge much smaller than the other, so the
+    /// cycle listing's scan of the smaller side and blocks of many 3-cycles
+    /// get their exercise here (see the module docs for the counts).
+    #[test]
+    fn hub_churn_is_row_identical_at_every_boundary(
+        records in hub_records(200),
+        step in 1usize..8,
+        window in 0i64..400,
+    ) {
+        let splits: Vec<usize> = (0..200).step_by(step).collect();
+        for config in [
+            TablesConfig::default(),
+            TablesConfig { build_c2: false, ..TablesConfig::default() },
+        ] {
+            let mut tables = PathTables::build(&TemporalGraph::new(), &config);
+            run_windowed(&records, &splits, window, &mut tables, |g, t| {
+                assert_row_identical("hub churn", t, &PathTables::build_serial(g, &config));
             });
         }
     }
