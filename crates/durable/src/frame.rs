@@ -45,6 +45,32 @@
 //! bytes than the stream holds is indistinguishable from a torn write, so
 //! it is conservatively treated as a torn tail (the WAL convention — the
 //! checksum cannot be consulted before the payload is complete).
+//!
+//! ## Trailing zeros are unwritten space
+//!
+//! The journal sets a segment's length ahead of its writes (see
+//! [`crate::journal`]), so an open segment, or one a kill left behind, ends
+//! in zero bytes nothing has written yet. [`scan_segment`] strips them: a
+//! segment's data ends at its last nonzero byte. That turns a presized
+//! segment into exactly the file an append-only writer would have left,
+//! because
+//!
+//! * every frame ends with its payload's final newline, so stripping never
+//!   cuts into a whole frame; and
+//! * an all-zero header never passes its checksum (the CRC-32 of four zero
+//!   length bytes is not zero), so zeros can never read as a frame.
+//!
+//! Every verdict above therefore stays as the append-only layout has it:
+//!
+//! * a frame torn inside the presized region, its tail still zeros, is a
+//!   torn tail. Stripping may also take zero bytes the torn frame did
+//!   write (the high bytes of a short length), which leaves a shorter piece
+//!   of the same frame: still torn, with the same recoverable prefix;
+//! * a zeroed header followed by later frames is corruption;
+//! * a segment zeroed back to a frame boundary reads as ending there, and
+//!   a segment of nothing but zeros reads as an empty one. The append-only
+//!   layout cannot tell a truncation at a frame boundary from a clean end
+//!   either: in both, the frames past the cut are gone without a trace.
 
 use crate::crc::{crc32, Crc32};
 use crate::error::DurabilityError;
@@ -61,40 +87,73 @@ pub const FRAME_HEADER_BYTES: u64 = 8;
 /// Serializes a delta into a frame payload. Fails (typed, no panic) when a
 /// vertex name cannot survive the line-oriented format.
 pub fn encode_delta(delta: &GraphDelta) -> Result<Vec<u8>, DurabilityError> {
-    let mut out = String::new();
-    let expiry = match delta.expiry() {
-        Some(t) => t.to_string(),
-        None => "-".to_string(),
-    };
-    out.push_str(&format!(
-        "delta {} {} {} {expiry}\n",
+    let mut out = Vec::new();
+    encode_payload(delta, &mut out)?;
+    Ok(out)
+}
+
+/// Builds one whole frame (header and payload) for `delta` in `frame`,
+/// replacing its contents: the bytes [`write_frame`] would write for
+/// [`encode_delta`]'s payload, built in a buffer the caller reuses.
+pub(crate) fn encode_frame(delta: &GraphDelta, frame: &mut Vec<u8>) -> Result<(), DurabilityError> {
+    frame.clear();
+    frame.extend_from_slice(&[0; FRAME_HEADER_BYTES as usize]);
+    encode_payload(delta, frame)?;
+    let header = frame_header(&frame[FRAME_HEADER_BYTES as usize..]).map_err(|e| {
+        DurabilityError::Unencodable {
+            reason: e.to_string(),
+        }
+    })?;
+    frame[..FRAME_HEADER_BYTES as usize].copy_from_slice(&header);
+    Ok(())
+}
+
+/// Appends `delta`'s payload to `out`.
+fn encode_payload(delta: &GraphDelta, out: &mut Vec<u8>) -> Result<(), DurabilityError> {
+    if let Some(node) = delta
+        .new_nodes()
+        .iter()
+        .find(|n| n.name.contains(['\n', '\r']))
+    {
+        return Err(DurabilityError::Unencodable {
+            reason: format!(
+                "vertex name {:?} contains a line break and cannot be framed",
+                node.name
+            ),
+        });
+    }
+    write_payload(delta, out).expect("writing into a Vec cannot fail");
+    Ok(())
+}
+
+fn write_payload(delta: &GraphDelta, out: &mut Vec<u8>) -> io::Result<()> {
+    write!(
+        out,
+        "delta {} {} {} ",
         delta.base_nodes(),
         delta.new_nodes().len(),
         delta.interactions().len()
-    ));
+    )?;
+    match delta.expiry() {
+        Some(t) => writeln!(out, "{t}")?,
+        None => out.extend_from_slice(b"-\n"),
+    }
     for node in delta.new_nodes() {
-        if node.name.contains(['\n', '\r']) {
-            return Err(DurabilityError::Unencodable {
-                reason: format!(
-                    "vertex name {:?} contains a line break and cannot be framed",
-                    node.name
-                ),
-            });
-        }
-        out.push_str(&node.name);
-        out.push('\n');
+        out.extend_from_slice(node.name.as_bytes());
+        out.push(b'\n');
     }
     for &(src, dst, i) in delta.interactions() {
         if i.quantity.is_infinite() {
-            out.push_str(&format!(
-                "{} {} {} {INFINITE_QUANTITY_TOKEN}\n",
+            writeln!(
+                out,
+                "{} {} {} {INFINITE_QUANTITY_TOKEN}",
                 src.0, dst.0, i.time
-            ));
+            )?;
         } else {
-            out.push_str(&format!("{} {} {} {}\n", src.0, dst.0, i.time, i.quantity));
+            writeln!(out, "{} {} {} {}", src.0, dst.0, i.time, i.quantity)?;
         }
     }
-    Ok(out.into_bytes())
+    Ok(())
 }
 
 /// Deserializes a frame payload back into a validated delta. The error is a
@@ -166,18 +225,26 @@ pub fn decode_delta(payload: &[u8]) -> Result<GraphDelta, String> {
 /// written. The write is a single `write_all`, so a fault-injected writer
 /// sees the frame as one contiguous span of the stream.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
+    frame.extend_from_slice(&frame_header(payload)?);
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
+    Ok(frame.len() as u64)
+}
+
+/// The header of `payload`'s frame: its length, then the CRC-32 of the
+/// length bytes and the payload.
+fn frame_header(payload: &[u8]) -> io::Result<[u8; FRAME_HEADER_BYTES as usize]> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
     let len_bytes = len.to_le_bytes();
     let mut crc = Crc32::new();
     crc.update(&len_bytes);
     crc.update(payload);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
-    frame.extend_from_slice(&len_bytes);
-    frame.extend_from_slice(&crc.finish().to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    Ok(frame.len() as u64)
+    let mut header = [0; FRAME_HEADER_BYTES as usize];
+    header[..4].copy_from_slice(&len_bytes);
+    header[4..].copy_from_slice(&crc.finish().to_le_bytes());
+    Ok(header)
 }
 
 /// A torn (incomplete) frame at the end of a segment — the signature a kill
@@ -209,13 +276,20 @@ pub struct SegmentScan {
 /// Scans a segment's bytes from `start` (0 means "verify the magic first";
 /// positions recorded by the journal are always past the magic), decoding
 /// every frame. `file` labels errors. See the [module docs](self) for the
-/// torn-tail / corruption split `tolerate_torn_tail` controls.
+/// torn-tail / corruption split `tolerate_torn_tail` controls, and for why
+/// the trailing zero bytes are stripped before the scan.
 pub fn scan_segment(
     bytes: &[u8],
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
 ) -> Result<SegmentScan, DurabilityError> {
+    let from = (start as usize).min(bytes.len());
+    let data_end = bytes[from..]
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(from, |last| from + last + 1);
+    let bytes = &bytes[..data_end];
     let mut offset;
     if start < SEGMENT_MAGIC.len() as u64 {
         let have = bytes.len().min(SEGMENT_MAGIC.len());

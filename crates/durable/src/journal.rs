@@ -1,4 +1,4 @@
-//! The write-ahead delta journal: append-only segment files of CRC-framed
+//! The write-ahead delta journal: segment files of CRC-framed
 //! [`GraphDelta`]s (see [`crate::frame`]), with an fsync-on-batch policy,
 //! size-based rotation, and multi-segment replay.
 //!
@@ -8,13 +8,35 @@
 //! truncates a torn tail (the leftovers of a kill mid-write) off the newest
 //! segment — the frames before it are untouched, exactly the recoverable
 //! prefix [`crate::frame::scan_segment`] reports.
+//!
+//! ## Presized segments
+//!
+//! Frames are written in place at the segment's data end, not appended:
+//! when a frame would cross the file's length, the file first grows by
+//! whole 64 KiB steps (`File::set_len`). An appending write changes the
+//! file's size, and `fdatasync` must then commit that size as metadata on
+//! every frame; in place, the per-frame sync flushes the frame's block and
+//! commits a size change only once per step. (Allocating blocks past the
+//! end without moving the size, as `fallocate`'s `KEEP_SIZE` does, leaves
+//! the per-frame size commit in place.)
+//!
+//! The unwritten rest of a step reads as zeros, which the scanner strips
+//! (see [`crate::frame`]). A rotation and a clean close ([`Journal`]'s
+//! `Drop`) trim the segment to its data end, so a finished segment is
+//! byte-identical to an append-only one. A killed writer leaves at most one
+//! step of zeros, and [`Journal::open`] cuts them, along with any torn
+//! frame, before it appends.
 
 use crate::error::DurabilityError;
 use crate::frame::{self, SEGMENT_MAGIC};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tin_graph::GraphDelta;
+
+/// A segment's length grows in whole steps of this many bytes; see the
+/// [module docs](self).
+const GROWTH_STEP: u64 = 64 * 1024;
 
 /// Journal tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,10 +117,17 @@ pub struct Journal {
     dir: PathBuf,
     config: JournalConfig,
     seg_seq: u64,
+    /// The current segment, its cursor at the data end.
     file: File,
+    /// The data end: where the next frame goes.
     offset: u64,
+    /// The segment file's length: the data end plus the unwritten rest of
+    /// the last step.
+    len: u64,
     unsynced: u32,
     durable: JournalPos,
+    /// The frame being appended, kept to reuse its allocation.
+    frame: Vec<u8>,
 }
 
 /// Path of segment `seq` under `dir`.
@@ -137,82 +166,79 @@ impl Journal {
     /// If the newest segment ends in a torn frame — the leftovers of a kill
     /// mid-write — the file is truncated back to its last whole valid frame
     /// before appends resume, so the torn bytes can never shadow a later
-    /// frame. Corruption *before* the tail is a hard error: appending after
-    /// it would strand the corrupt region between valid frames forever.
+    /// frame. The same cut removes the unwritten zeros a killed writer's
+    /// presized segment ends in. Corruption *before* the tail is a hard
+    /// error: appending after it would strand the corrupt region between
+    /// valid frames forever.
     pub fn open(dir: &Path, config: JournalConfig) -> Result<Self, DurabilityError> {
         fs::create_dir_all(dir).map_err(|e| DurabilityError::from_io(dir, e))?;
         let segments = list_segments(dir)?;
-        let (seg_seq, path, offset) = match segments.last() {
-            None => {
-                let path = segment_path(dir, 0);
-                let mut file =
-                    File::create(&path).map_err(|e| DurabilityError::from_io(&path, e))?;
-                file.write_all(SEGMENT_MAGIC)
-                    .and_then(|()| file.sync_all())
-                    .map_err(|e| DurabilityError::from_io(&path, e))?;
-                sync_dir(dir)?;
-                (0, path, SEGMENT_MAGIC.len() as u64)
-            }
+        let (seg_seq, file, offset) = match segments.last() {
+            None => (0, create_segment(dir, 0)?, SEGMENT_MAGIC.len() as u64),
             Some(&(seq, ref path)) => {
-                let bytes = fs::read(path).map_err(|e| DurabilityError::from_io(path, e))?;
-                let name = file_name(path);
-                let scan = frame::scan_segment(&bytes, 0, true, &name)?;
+                let io = |e| DurabilityError::from_io(path, e);
+                let bytes = fs::read(path).map_err(io)?;
+                let scan = frame::scan_segment(&bytes, 0, true, &file_name(path))?;
+                let mut file = OpenOptions::new().write(true).open(path).map_err(io)?;
                 if scan.valid_bytes < bytes.len() as u64 {
-                    let f = OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .map_err(|e| DurabilityError::from_io(path, e))?;
-                    f.set_len(scan.valid_bytes)
-                        .and_then(|()| f.sync_all())
-                        .map_err(|e| DurabilityError::from_io(path, e))?;
+                    file.set_len(scan.valid_bytes)
+                        .and_then(|()| file.sync_all())
+                        .map_err(io)?;
                 }
                 // A segment cut inside its magic recovers to 0 bytes; give
                 // it its magic back so it is a valid empty segment.
                 let offset = if scan.valid_bytes == 0 {
-                    let mut f = OpenOptions::new()
-                        .write(true)
-                        .open(path)
-                        .map_err(|e| DurabilityError::from_io(path, e))?;
-                    f.write_all(SEGMENT_MAGIC)
-                        .and_then(|()| f.sync_all())
-                        .map_err(|e| DurabilityError::from_io(path, e))?;
+                    file.write_all(SEGMENT_MAGIC)
+                        .and_then(|()| file.sync_all())
+                        .map_err(io)?;
                     SEGMENT_MAGIC.len() as u64
                 } else {
+                    file.seek(SeekFrom::Start(scan.valid_bytes)).map_err(io)?;
                     scan.valid_bytes
                 };
-                (seq, path.clone(), offset)
+                (seq, file, offset)
             }
         };
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| DurabilityError::from_io(&path, e))?;
         Ok(Journal {
             dir: dir.to_path_buf(),
             config,
             seg_seq,
             file,
             offset,
+            len: offset,
             unsynced: 0,
             durable: JournalPos {
                 segment: seg_seq,
                 offset,
             },
+            frame: Vec::new(),
         })
     }
 
     /// Appends one delta as a frame, returning the durable position *after*
     /// it. Rotates to a fresh segment first when the current one is full;
     /// fsyncs according to [`JournalConfig::sync_every`].
+    ///
+    /// The frame is built in a buffer the journal keeps and written with
+    /// one call at the data end. When it would cross the segment's length,
+    /// the file first grows by whole 64 KiB steps, so only the sync after a
+    /// step commits a size change (see the [module docs](self)).
     pub fn append(&mut self, delta: &GraphDelta) -> Result<JournalPos, DurabilityError> {
         if self.offset >= self.config.segment_max_bytes && self.offset > SEGMENT_MAGIC.len() as u64
         {
             self.rotate()?;
         }
-        let payload = frame::encode_delta(delta)?;
-        let written = frame::write_frame(&mut self.file, &payload)
-            .map_err(|e| DurabilityError::from_io(&segment_path(&self.dir, self.seg_seq), e))?;
-        self.offset += written;
+        frame::encode_frame(delta, &mut self.frame)?;
+        let end = self.offset + self.frame.len() as u64;
+        if end > self.len {
+            let len = self.len + (end - self.len).div_ceil(GROWTH_STEP) * GROWTH_STEP;
+            self.file.set_len(len).map_err(|e| self.io_error(e))?;
+            self.len = len;
+        }
+        self.file
+            .write_all(&self.frame)
+            .map_err(|e| self.io_error(e))?;
+        self.offset = end;
         self.unsynced += 1;
         if self.config.sync_every > 0 && self.unsynced >= self.config.sync_every {
             self.sync()?;
@@ -223,32 +249,40 @@ impl Journal {
     /// Forces everything appended so far to stable storage, closing the
     /// open commit group.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        self.file
-            .sync_data()
-            .map_err(|e| DurabilityError::from_io(&segment_path(&self.dir, self.seg_seq), e))?;
+        self.file.sync_data().map_err(|e| self.io_error(e))?;
         self.unsynced = 0;
         self.durable = self.position();
         Ok(())
     }
 
-    /// Closes the current segment (fsynced) and starts the next one.
+    /// Closes the current segment and starts the next one. The finished
+    /// segment is trimmed to its data end and synced, so its frames and
+    /// its final size are durable before the next segment exists.
     pub fn rotate(&mut self) -> Result<(), DurabilityError> {
+        self.trim()?;
         self.sync()?;
         let seq = self.seg_seq + 1;
-        let path = segment_path(&self.dir, seq);
-        let mut file = File::create(&path).map_err(|e| DurabilityError::from_io(&path, e))?;
-        file.write_all(SEGMENT_MAGIC)
-            .and_then(|()| file.sync_all())
-            .map_err(|e| DurabilityError::from_io(&path, e))?;
-        sync_dir(&self.dir)?;
+        self.file = create_segment(&self.dir, seq)?;
         self.seg_seq = seq;
-        self.file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| DurabilityError::from_io(&path, e))?;
         self.offset = SEGMENT_MAGIC.len() as u64;
+        self.len = self.offset;
         self.durable = self.position();
         Ok(())
+    }
+
+    /// Cuts the unwritten rest of the last step off the current segment.
+    fn trim(&mut self) -> Result<(), DurabilityError> {
+        if self.len > self.offset {
+            self.file
+                .set_len(self.offset)
+                .map_err(|e| self.io_error(e))?;
+            self.len = self.offset;
+        }
+        Ok(())
+    }
+
+    fn io_error(&self, e: io::Error) -> DurabilityError {
+        DurabilityError::from_io(&segment_path(&self.dir, self.seg_seq), e)
     }
 
     /// The current end position (after the last appended frame). With
@@ -283,13 +317,17 @@ impl Journal {
 
 impl Drop for Journal {
     /// Clean shutdown loses nothing: a drop flushes the open commit group
-    /// so group commit only ever risks the tail on a *kill*. Best-effort —
-    /// a drop cannot surface errors; call [`Journal::sync`] first when the
+    /// so group commit only ever risks the tail on a *kill*. It then trims
+    /// the segment to its data end, so a cleanly closed segment holds the
+    /// same bytes an append-only one would; the trim is not synced, since
+    /// the zeros it cuts read as unwritten space anyway. Best-effort — a
+    /// drop cannot surface errors; call [`Journal::sync`] first when the
     /// flush must be checked.
     fn drop(&mut self) {
         if self.unsynced > 0 {
             let _ = self.file.sync_data();
         }
+        let _ = self.trim();
     }
 }
 
@@ -392,6 +430,19 @@ pub fn compact_before(dir: &Path, pos: JournalPos) -> Result<usize, DurabilityEr
     Ok(removed)
 }
 
+/// Creates segment `seq` under `dir` holding only its magic, durably (the
+/// file and its directory entry are both synced), and returns it with the
+/// cursor after the magic.
+fn create_segment(dir: &Path, seq: u64) -> Result<File, DurabilityError> {
+    let path = segment_path(dir, seq);
+    let mut file = File::create(&path).map_err(|e| DurabilityError::from_io(&path, e))?;
+    file.write_all(SEGMENT_MAGIC)
+        .and_then(|()| file.sync_all())
+        .map_err(|e| DurabilityError::from_io(&path, e))?;
+    sync_dir(dir)?;
+    Ok(file)
+}
+
 /// Best-effort directory fsync so renames and creations are themselves
 /// durable (a no-op on platforms where directories cannot be opened).
 pub(crate) fn sync_dir(dir: &Path) -> Result<(), DurabilityError> {
@@ -458,6 +509,49 @@ mod tests {
         let tail = replay_from(&dir, positions[2]).unwrap();
         assert_eq!(tail.deltas.len(), 2);
         assert_eq!(tail.deltas[0].0, delta(3));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The presizing mechanism: while a journal is open, its segment's
+    /// length moves only by whole steps and always covers the data end;
+    /// a rotation and a drop leave the length at the data end.
+    #[test]
+    fn segments_grow_in_whole_steps_and_close_at_the_data_end() {
+        let dir = temp_dir("steps");
+        let config = JournalConfig {
+            segment_max_bytes: 2 * GROWTH_STEP,
+            // No per-frame fsync: thousands of frames cross the steps, and
+            // the length moves the same way whatever the sync policy.
+            sync_every: 0,
+            ..JournalConfig::default()
+        };
+        let len = |seq| fs::metadata(segment_path(&dir, seq)).unwrap().len();
+        let mut j = Journal::open(&dir, config).unwrap();
+        let mut before = len(0);
+        let mut steps = 0;
+        let mut last_in_first = j.position();
+        let mut i = 0;
+        while j.position().segment == 0 {
+            let pos = j.append(&delta(i)).unwrap();
+            i += 1;
+            if pos.segment == 0 {
+                let after = len(0);
+                assert_eq!((after - before) % GROWTH_STEP, 0, "frame {i}");
+                assert!(after >= pos.offset, "frame {i}: {after} < {pos:?}");
+                steps += (after - before) / GROWTH_STEP;
+                before = after;
+                last_in_first = pos;
+            }
+        }
+        assert!(steps >= 2, "only {steps} steps");
+        assert_eq!(len(0), last_in_first.offset, "rotation trims");
+        let end = j.position();
+        assert!(len(1) > end.offset);
+        drop(j);
+        assert_eq!(len(1), end.offset, "drop trims");
+        let replay = replay_from(&dir, JournalPos::start()).unwrap();
+        assert_eq!(replay.deltas.len(), i as usize);
+        assert_eq!(replay.end, end);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,12 +10,15 @@
 //!
 //! * [`frame`] — the journal frame codec: length-prefixed, CRC32-checksummed
 //!   frames whose payload is a [`tin_graph::GraphDelta`] in the hardened
-//!   text format (expiry frontier included). The segment scanner tolerates a
-//!   torn tail (a crash mid-write) by stopping at the last whole valid frame
-//!   and reporting the exact recoverable prefix; a *complete* frame whose
+//!   text format (expiry frontier included). The segment scanner reads a
+//!   segment's trailing zeros as unwritten space, tolerates a torn tail (a
+//!   crash mid-write) by stopping at the last whole valid frame and
+//!   reporting the exact recoverable prefix; a *complete* frame whose
 //!   checksum fails is corruption and raises a typed, positional error.
-//! * [`journal`] — append-only segment files with an fsync-on-batch policy
-//!   and size-based rotation, plus multi-segment replay.
+//! * [`journal`] — segment files presized in 64 KiB steps and written in
+//!   place, so a per-frame fsync commits a size change once per step; an
+//!   fsync-on-batch policy and size-based rotation, plus multi-segment
+//!   replay.
 //! * [`snapshot`] — binary serialization of the graph (tombstones and
 //!   frontier included) and the path tables (row contents, configuration,
 //!   truncation verdict), committed atomically via temp-file + rename with a

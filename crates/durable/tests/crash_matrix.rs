@@ -10,12 +10,19 @@
 //! like a kill after the syscall returned), and snapshot-phase crashes are
 //! staged by leaving the directory in the exact file state a kill at that
 //! phase produces (orphan `.tmp`, snapshot without manifest, ...).
+//!
+//! A journal presizes its segment and trims it when it closes, so most
+//! tests here tear segments of stores that closed cleanly. A kill skips the
+//! close: the tests that `std::mem::forget` a journal or a store read the
+//! presized segment, zero tail included, as a killed writer leaves it.
 
 use std::fs;
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use tin_durable::journal::replay_from;
 use tin_durable::{
-    DurableStore, Failpoint, FailpointWriter, Journal, JournalConfig, Recovery, RecoverySource,
+    DurableStore, Failpoint, FailpointWriter, Journal, JournalConfig, JournalPos, Recovery,
+    RecoverySource,
 };
 use tin_graph::{GraphDelta, Interaction, Node, NodeId, TemporalGraph};
 use tin_patterns::{PathTables, TablesConfig};
@@ -124,6 +131,87 @@ fn kill_mid_frame_recovers_complete_prefix() {
         fs::remove_dir_all(&dir).unwrap();
     }
     fs::remove_dir_all(&base).unwrap();
+}
+
+/// Kill between frames: the store is never dropped, so its segment keeps
+/// the unwritten zeros past the last frame. Recovery reads every
+/// acknowledged frame and no torn tail, and the reopened store continues.
+#[test]
+fn kill_without_close_recovers_every_acknowledged_frame() {
+    let dir = temp_dir("noclose");
+    let (mut store, _) =
+        DurableStore::open(&dir, TablesConfig::default(), JournalConfig::default()).unwrap();
+    for i in 0..8 {
+        store.apply(&delta(i)).unwrap();
+    }
+    let end = store.position();
+    std::mem::forget(store);
+    let seg = dir.join("journal-000000.wal");
+    assert!(
+        fs::metadata(&seg).unwrap().len() > end.offset,
+        "the killed writer's segment has no zero tail"
+    );
+    let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+    assert_eq!(rec.report.frames, 8);
+    assert_eq!(rec.report.position, end);
+    assert!(rec.report.torn_tail.is_none(), "{:?}", rec.report.torn_tail);
+    assert_recovers_then_continues(&dir, 8, 11);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Kill mid-frame inside the presized region: half a frame lands at the
+/// data end and zeros follow it. The scan reads a torn tail; opening the
+/// journal cuts the torn half and the zeros, and a later replay sees
+/// exactly the old frames plus the new appends.
+#[test]
+fn half_frame_in_presized_region_is_a_torn_tail() {
+    let dir = temp_dir("halfframe");
+    let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+    for i in 0..5 {
+        j.append(&delta(i)).unwrap();
+    }
+    let end = j.position();
+    std::mem::forget(j);
+    let seg = tin_durable::journal::segment_path(&dir, end.segment);
+    let presized = fs::metadata(&seg).unwrap().len();
+    let mut next = Vec::new();
+    tin_durable::frame::write_frame(
+        &mut next,
+        &tin_durable::frame::encode_delta(&delta(5)).unwrap(),
+    )
+    .unwrap();
+    let half = &next[..next.len() / 2];
+    let mut f = fs::File::options().write(true).open(&seg).unwrap();
+    f.seek(SeekFrom::Start(end.offset)).unwrap();
+    f.write_all(half).unwrap();
+    drop(f);
+    assert!(presized > end.offset + half.len() as u64);
+    assert_eq!(fs::metadata(&seg).unwrap().len(), presized);
+
+    let replay = replay_from(&dir, JournalPos::start()).unwrap();
+    assert_eq!(replay.deltas.len(), 5);
+    assert_eq!(replay.end, end);
+    assert_eq!(
+        replay.torn.as_ref().map(|(_, t)| t.offset),
+        Some(end.offset)
+    );
+
+    let mut j = Journal::open(&dir, JournalConfig::default()).unwrap();
+    assert_eq!(j.position(), end);
+    assert_eq!(
+        fs::metadata(&seg).unwrap().len(),
+        end.offset,
+        "open cuts the torn half and the zeros"
+    );
+    for i in 5..8 {
+        j.append(&delta(i)).unwrap();
+    }
+    drop(j);
+    let replay = replay_from(&dir, JournalPos::start()).unwrap();
+    assert!(replay.torn.is_none());
+    let got: Vec<GraphDelta> = replay.deltas.into_iter().map(|(d, _)| d).collect();
+    assert_eq!(got, (0..8).map(delta).collect::<Vec<_>>());
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kill mid-snapshot: the `.tmp` snapshot file exists (partial), no `.snap`,

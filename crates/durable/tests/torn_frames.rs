@@ -8,9 +8,14 @@
 //! offset; a property test repeats the exercise over randomly generated
 //! delta sequences (random names, quantities including `inf`, expiry
 //! frontiers) with the cut offset chosen per case.
+//!
+//! The journal presizes its segments, so a kill leaves the cut followed by
+//! zero bytes nothing wrote. Both also check the contract with such a zero
+//! tail after every cut: the scanner reads it as unwritten space.
 
 use proptest::prelude::*;
 use tin_durable::frame::{encode_delta, scan_segment, write_frame, SEGMENT_MAGIC};
+use tin_durable::DurabilityError;
 use tin_graph::{GraphDelta, Interaction, Node, NodeId};
 
 /// Builds a segment byte image and returns `(bytes, boundaries)`, where
@@ -32,16 +37,46 @@ fn build_segment(deltas: &[GraphDelta]) -> (Vec<u8>, Vec<u64>) {
 /// reports `valid_bytes` equal to that boundary, and flags a torn tail iff
 /// the cut landed strictly inside a frame (or inside the magic).
 fn assert_truncation_contract(bytes: &[u8], boundaries: &[u64], deltas: &[GraphDelta], cut: usize) {
+    assert_contract_of(&bytes[..cut], boundaries, deltas, cut);
+}
+
+/// The same contract when `zeros` zero bytes follow the cut, as in a
+/// presized segment a kill left behind.
+///
+/// Stripping the zeros may also take zero bytes the torn frame wrote (the
+/// high bytes of its length field). The verdict stays the same because a
+/// frame's first byte, the low byte of its payload length, is nonzero for
+/// every payload these tests build, so what is left is still a piece of
+/// the torn frame.
+fn assert_zero_tail_contract(
+    bytes: &[u8],
+    boundaries: &[u64],
+    deltas: &[GraphDelta],
+    cut: usize,
+    zeros: usize,
+) {
+    for &b in &boundaries[..boundaries.len() - 1] {
+        assert_ne!(bytes[b as usize], 0, "the frame at {b} starts with a zero");
+    }
+    let mut image = bytes[..cut].to_vec();
+    image.resize(cut + zeros, 0);
+    assert_contract_of(&image, boundaries, deltas, cut);
+}
+
+/// Checks the truncation contract at `cut` on the scan of `image`.
+fn assert_contract_of(image: &[u8], boundaries: &[u64], deltas: &[GraphDelta], cut: usize) {
     let cut_u = cut as u64;
-    let scan = scan_segment(&bytes[..cut], 0, true, "seg").unwrap();
+    let zeros = image.len() - cut;
+    let scan = scan_segment(image, 0, true, "seg")
+        .unwrap_or_else(|e| panic!("cut at {cut} + {zeros} zeros: {e}"));
     let whole = boundaries.iter().filter(|&&b| b > 0 && b <= cut_u).count();
     // boundaries[0] is the magic, not a frame.
     let whole_frames = whole.saturating_sub(if cut_u >= boundaries[0] { 1 } else { 0 });
     assert_eq!(
         scan.frames, whole_frames as u64,
-        "cut at {cut}: wrong frame count"
+        "cut at {cut} + {zeros} zeros: wrong frame count"
     );
-    assert_eq!(scan.deltas.len(), whole_frames, "cut at {cut}");
+    assert_eq!(scan.deltas.len(), whole_frames, "cut at {cut} + {zeros}");
     // Exact recoverable prefix: the largest boundary at or below the cut
     // (0 when even the magic is cut short).
     let expect_valid = boundaries
@@ -52,22 +87,29 @@ fn assert_truncation_contract(bytes: &[u8], boundaries: &[u64], deltas: &[GraphD
         .unwrap_or(0);
     assert_eq!(
         scan.valid_bytes, expect_valid,
-        "cut at {cut}: wrong recoverable prefix"
+        "cut at {cut} + {zeros} zeros: wrong recoverable prefix"
     );
     let on_boundary = boundaries.contains(&cut_u);
     assert_eq!(
         scan.torn.is_some(),
         !on_boundary,
-        "cut at {cut}: torn flag (boundaries {boundaries:?})"
+        "cut at {cut} + {zeros} zeros: torn flag (boundaries {boundaries:?})"
     );
     if let Some(torn) = &scan.torn {
-        assert_eq!(torn.offset, expect_valid, "cut at {cut}: torn offset");
+        assert_eq!(
+            torn.offset, expect_valid,
+            "cut at {cut} + {zeros}: torn offset"
+        );
     }
     // Never a partial frame: every returned delta is bit-identical to the
     // original at its index.
     for (i, (got, end)) in scan.deltas.iter().enumerate() {
-        assert_eq!(got, &deltas[i], "cut at {cut}: frame {i} differs");
-        assert_eq!(*end, boundaries[i + 1], "cut at {cut}: frame {i} end");
+        assert_eq!(got, &deltas[i], "cut at {cut} + {zeros}: frame {i} differs");
+        assert_eq!(
+            *end,
+            boundaries[i + 1],
+            "cut at {cut} + {zeros}: frame {i} end"
+        );
     }
 }
 
@@ -104,13 +146,46 @@ fn representative_deltas() -> Vec<GraphDelta> {
     ]
 }
 
-/// Every byte offset of the representative segment, exhaustively.
+/// Every byte offset of the representative segment, exhaustively, each
+/// cut also followed by a zero tail of 1 to 400 bytes, as the unwritten
+/// rest of a presized segment.
 #[test]
 fn truncation_at_every_byte_offset_recovers_exact_prefix() {
     let deltas = representative_deltas();
     let (bytes, boundaries) = build_segment(&deltas);
     for cut in 0..=bytes.len() {
         assert_truncation_contract(&bytes, &boundaries, &deltas, cut);
+        for zeros in [1, 7, 8, 9, 1 + cut * 37 % 400] {
+            assert_zero_tail_contract(&bytes, &boundaries, &deltas, cut, zeros);
+        }
+    }
+}
+
+/// An all-zero header is never a frame: followed by a valid frame, with
+/// or without zeros after it, it is corruption at its own offset whatever
+/// the tolerance, never a torn tail that would drop the frame after it.
+#[test]
+fn zeroed_header_before_a_frame_is_corruption() {
+    let deltas = representative_deltas();
+    let (clean, boundaries) = build_segment(&deltas[..1]);
+    let mut next = Vec::new();
+    write_frame(&mut next, &encode_delta(&deltas[1]).unwrap()).unwrap();
+    for gap in [8, 9, 20] {
+        for tail in [0, 100] {
+            let mut bytes = clean.clone();
+            bytes.resize(bytes.len() + gap, 0);
+            bytes.extend_from_slice(&next);
+            bytes.resize(bytes.len() + tail, 0);
+            for tolerate in [true, false] {
+                match scan_segment(&bytes, 0, tolerate, "seg") {
+                    Err(DurabilityError::CorruptFrame { frame, offset, .. }) => {
+                        assert_eq!(frame, 1, "gap {gap}, tail {tail}, tolerate {tolerate}");
+                        assert_eq!(offset, boundaries[1]);
+                    }
+                    other => panic!("gap {gap}, tail {tail}, tolerate {tolerate}: {other:?}"),
+                }
+            }
+        }
     }
 }
 
@@ -182,18 +257,23 @@ fn delta_sequence() -> impl Strategy<Value = Vec<GraphDelta>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Random segments, random cut offsets: the truncation contract holds.
+    /// Random segments, random cut offsets, random zero tails: the
+    /// truncation contract holds with and without the zeros.
     #[test]
     fn truncation_contract_holds_for_random_segments(
         deltas in delta_sequence(),
         cut_frac in 0u32..=1000,
+        zeros in 1usize..400,
     ) {
         let (bytes, boundaries) = build_segment(&deltas);
         let cut = (bytes.len() as u64 * cut_frac as u64 / 1000) as usize;
         assert_truncation_contract(&bytes, &boundaries, &deltas, cut);
+        assert_zero_tail_contract(&bytes, &boundaries, &deltas, cut, zeros);
         // And the two edges of the file, always.
-        assert_truncation_contract(&bytes, &boundaries, &deltas, 0);
-        assert_truncation_contract(&bytes, &boundaries, &deltas, bytes.len());
+        for edge in [0, bytes.len()] {
+            assert_truncation_contract(&bytes, &boundaries, &deltas, edge);
+            assert_zero_tail_contract(&bytes, &boundaries, &deltas, edge, zeros);
+        }
     }
 
     /// Encode→frame→scan round-trips every random delta bit-exactly.
