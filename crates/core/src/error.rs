@@ -13,8 +13,10 @@ pub enum FlowError {
     SourceEqualsSink(NodeId),
     /// A designated endpoint does not exist in the graph.
     NodeOutOfRange(NodeId),
-    /// The LP solver failed to prove optimality (should not happen for the
-    /// well-formed programs produced by the flow formulation).
+    /// The LP solver did not prove optimality: the program is unbounded,
+    /// or the solver hit its iteration limit or a numerically singular
+    /// basis (should not happen for the well-formed programs produced by
+    /// the flow formulation).
     LpFailed(LpStatus),
     /// A [`crate::FlowSession`] was requested with a non-exact method; only
     /// exact solvers maintain the simplex basis the session reuses.
@@ -65,9 +67,9 @@ mod tests {
         assert!(FlowError::NodeOutOfRange(NodeId(9))
             .to_string()
             .contains("n9"));
-        assert!(FlowError::LpFailed(LpStatus::Infeasible)
+        assert!(FlowError::LpFailed(LpStatus::NumericalFailure)
             .to_string()
-            .contains("Infeasible"));
+            .contains("NumericalFailure"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   the LP;
 //! * [`lp_formulation`] — the Section 4.2.1 linear program (one variable per
 //!   non-source interaction), plus a direct graph → min-cost-flow emitter
-//!   that feeds the network simplex without assembling the general LP, and
+//!   that feeds the network simplex without assembling the LP, and
 //!   [`SimplexEngine`], the switch between those two exact engines;
 //! * [`solver`] — the evaluated pipelines `Greedy`, `LP`, `Pre`, `PreSim`
 //!   plus a time-expanded max-flow oracle, with per-run statistics and the

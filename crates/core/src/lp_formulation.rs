@@ -253,7 +253,7 @@ pub fn lp_max_flow(
 
 /// The direct min-cost-flow form of the maximum-flow problem: the
 /// time-expanded network emitted straight into a
-/// [`MinCostFlowProblem`], skipping the general LP row/column assembly
+/// [`MinCostFlowProblem`], skipping the [`LpProblem`] row/column assembly
 /// entirely. Balance rows become the circulation's conservation
 /// constraints, per-interaction capacities become arc capacities, and a
 /// `sink → source` return arc of cost −1 makes the min-cost circulation

@@ -407,8 +407,9 @@ impl<'g> FlatDag<'g> {
     }
 
     /// Solves the maximum flow of the live part exactly: the time-expanded
-    /// circulation [`FlatDag::build_mcf`] would build, emitted straight into
-    /// the network simplex's arrays.
+    /// circulation [`crate::build_mcf`] would build for the graph
+    /// [`FlatDag::into_graph`] returns, emitted straight into the network
+    /// simplex's arrays.
     pub(crate) fn max_flow(&mut self) -> Result<LpOutcome, FlowError> {
         solve_emitted(self.emit(Circulation::new))
     }
@@ -472,7 +473,7 @@ impl<'g> FlatDag<'g> {
         (graph, source, sink)
     }
 
-    /// Algorithm 1 (see [`crate::preprocess`]): visits the vertices in
+    /// Algorithm 1 (see [`crate::preprocess()`]): visits the vertices in
     /// topological order.
     ///
     /// # Panics
@@ -565,7 +566,7 @@ impl<'g> FlatDag<'g> {
             && self.out_deg[v] == 1
     }
 
-    /// Algorithm 2 (see [`crate::simplify`]): contracts source-rooted
+    /// Algorithm 2 (see [`crate::simplify()`]): contracts source-rooted
     /// chains, smallest start vertex first, until none is left.
     pub(crate) fn simplify(&mut self) -> SimplifyReport {
         let mut report = SimplifyReport {

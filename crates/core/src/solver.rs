@@ -182,7 +182,7 @@ pub fn compute_flow(
 /// subproblems that need one (`Lp`, and the class C leg of `Pre`/`PreSim`).
 ///
 /// [`SimplexEngine::NetworkSimplex`] — the engine [`compute_flow`] uses —
-/// skips the general LP assembly entirely and solves the time-expanded
+/// skips the LP assembly entirely and solves the time-expanded
 /// min-cost circulation directly; [`SimplexEngine::SparseRevised`] solves
 /// the Section 4.2.1 LP, as the paper does with `lpsolve`.
 pub fn compute_flow_with_engine(
@@ -561,8 +561,9 @@ mod tests {
     #[test]
     fn huge_finite_quantities_do_not_overflow_any_exact_method() {
         // The quantities sum past f64::MAX. Every exact method must still
-        // return the bottleneck, v→t's 1e308; the time-expanded network
-        // once panicked on its overflowed stand-in for ∞.
+        // return the bottleneck, v→t's 1e308, on both engines; the
+        // time-expanded network once panicked on its overflowed stand-in
+        // for ∞.
         let mut b = GraphBuilder::new();
         let s = b.add_node("s");
         let v = b.add_node("v");
@@ -576,7 +577,18 @@ mod tests {
                 1e308,
                 "{method}"
             );
+            // Only `Lp` reaches the engine here: `Pre` and `PreSim` finish
+            // in class A.
+            let sparse = compute_flow_with_engine(&g, s, t, method, SimplexEngine::SparseRevised);
+            assert_eq!(sparse.unwrap().flow, 1e308, "{method} on the sparse engine");
         }
+        // v's one row has right-hand side 1e308 + 1e308 = +∞, which the LP
+        // accepts as a row that never binds; the dense reference agrees.
+        let lp = build_lp(&g, s, t);
+        assert_eq!(lp.problem.num_constraints(), 1);
+        let dense = tin_lp::dense::solve(&lp.problem);
+        assert_eq!(dense.status, tin_lp::LpStatus::Optimal);
+        assert_eq!(dense.objective + lp.fixed_flow, 1e308);
     }
 
     #[test]

@@ -278,13 +278,29 @@ pub struct SegmentScan {
 /// every frame. `file` labels errors. See the [module docs](self) for the
 /// torn-tail / corruption split `tolerate_torn_tail` controls, and for why
 /// the trailing zero bytes are stripped before the scan.
+///
+/// A `start` past the end of `bytes` is corruption under either tolerance:
+/// the segment lost bytes below a committed position, and a position is
+/// committed only after its frames were synced, so no crash leaves that
+/// behind.
 pub fn scan_segment(
     bytes: &[u8],
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
 ) -> Result<SegmentScan, DurabilityError> {
-    let from = (start as usize).min(bytes.len());
+    if start > bytes.len() as u64 {
+        return Err(DurabilityError::CorruptFrame {
+            file: file.into(),
+            frame: 0,
+            offset: start,
+            reason: format!(
+                "committed position {start} lies past the segment's end ({} bytes)",
+                bytes.len()
+            ),
+        });
+    }
+    let from = start as usize;
     let data_end = bytes[from..]
         .iter()
         .rposition(|&b| b != 0)
@@ -562,6 +578,30 @@ mod tests {
             scan_segment(&bytes, 0, true, "seg"),
             Err(DurabilityError::CorruptFrame { .. })
         ));
+    }
+
+    #[test]
+    fn start_past_the_end_is_corruption_under_both_tolerances() {
+        let (bytes, ends) = segment_with(&[sample_delta(), sample_delta()]);
+        let cut = &bytes[..ends[0] as usize + 3];
+        for tolerate in [true, false] {
+            match scan_segment(cut, ends[1], tolerate, "seg") {
+                Err(DurabilityError::CorruptFrame {
+                    file,
+                    offset,
+                    reason,
+                    ..
+                }) => {
+                    assert_eq!(file, "seg");
+                    assert_eq!(offset, ends[1]);
+                    assert!(reason.contains(&cut.len().to_string()), "{reason}");
+                }
+                other => panic!("expected CorruptFrame, got {other:?}"),
+            }
+        }
+        // A start exactly at the end is a clean, empty scan.
+        let scan = scan_segment(&bytes, ends[1], false, "seg").unwrap();
+        assert_eq!((scan.frames, scan.valid_bytes), (0, ends[1]));
     }
 
     #[test]

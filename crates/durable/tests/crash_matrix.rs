@@ -363,6 +363,47 @@ fn mid_journal_corruption_fails_with_position() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A segment cut below the position a committed manifest records is not a
+/// crash signature (a manifest commits only after its frames are synced):
+/// at every such length recovery fails with a typed error naming the
+/// segment, the position and the segment's length, and never panics.
+#[test]
+fn segment_cut_below_the_committed_position_is_corruption() {
+    let dir = temp_dir("cutbelowmanifest");
+    {
+        let (mut store, _) =
+            DurableStore::open(&dir, TablesConfig::default(), JournalConfig::default()).unwrap();
+        for i in 0..9 {
+            store.apply(&delta(i)).unwrap();
+        }
+        store.snapshot().unwrap();
+    }
+    let manifest = tin_durable::snapshot::manifest_path(&dir, 0);
+    let committed = tin_durable::snapshot::read_manifest(&manifest).unwrap().pos;
+    assert_eq!(committed.segment, 0);
+    let seg = dir.join("journal-000000.wal");
+    let clean = fs::read(&seg).unwrap();
+    assert_eq!(clean.len() as u64, committed.offset);
+    for len in 0..clean.len() {
+        fs::write(&seg, &clean[..len]).unwrap();
+        match Recovery::new(&dir, TablesConfig::default()).run() {
+            Err(tin_durable::DurabilityError::CorruptFrame {
+                file,
+                offset,
+                reason,
+                ..
+            }) => {
+                assert_eq!(file, "journal-000000.wal", "cut to {len}");
+                assert_eq!(offset, committed.offset, "cut to {len}");
+                assert!(reason.contains(&format!("({len} bytes)")), "{reason}");
+            }
+            Err(other) => panic!("cut to {len}: expected CorruptFrame, got {other}"),
+            Ok(_) => panic!("cut to {len}: recovered past a lost committed position"),
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The matrix also holds across a segment rotation: kill mid-frame in the
 /// second segment, with a snapshot committed in the first.
 #[test]

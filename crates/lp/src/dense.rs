@@ -1,40 +1,35 @@
-//! Dense two-phase primal simplex, retained as a test reference.
+//! Dense primal simplex, retained as a test reference.
 //!
 //! This is the original baseline solver of this crate, a test reference and
 //! not an engine. It stays as an independent implementation so that the
 //! property tests can cross-check the sparse revised simplex
-//! ([`crate::simplex`]) against it on general LPs, where no other reference
-//! exists. The implementation follows the classic full-tableau method:
+//! ([`crate::simplex`]) against it on the programs [`LpProblem`] holds,
+//! where no other reference exists. The implementation follows the classic
+//! full-tableau method:
 //!
-//! 1. every constraint is normalized to a non-negative right-hand side and
-//!    augmented with slack, surplus and artificial variables as required;
-//! 2. *phase 1* maximizes minus the sum of artificial variables; if the
-//!    optimum is negative the program is infeasible;
-//! 3. *phase 2* optimizes the real objective with artificial columns barred
-//!    from entering the basis.
+//! 1. every finite variable upper bound is expanded into an explicit
+//!    `xⱼ ≤ uⱼ` row — the tableau has no native notion of bounds, and this
+//!    is the very densification the revised simplex exists to avoid;
+//! 2. each `≤` row gets a slack column, and the slacks form the starting
+//!    basis (every right-hand side is non-negative, so `x = 0` is feasible
+//!    and one phase suffices);
+//! 3. the objective is optimized over the full tableau.
 //!
 //! Pricing is Dantzig's rule (most negative reduced cost); after a generous
 //! number of pivots the solver switches to Bland's rule, which guarantees
 //! termination in the presence of degeneracy.
 //!
-//! The tableau has no native notion of variable bounds, so every finite
-//! upper bound is expanded into an explicit `xⱼ ≤ uⱼ` row before the solve —
-//! the very densification the revised simplex exists to avoid.
-//!
 //! Do not use it outside tests.
 
-use crate::problem::{ConstraintOp, LpProblem, Sense};
+use crate::problem::LpProblem;
 use crate::solution::{LpSolution, LpStatus};
 
 /// Numerical tolerance used for pivoting decisions.
 const EPS: f64 = 1e-9;
-/// Tolerance used when deciding whether phase 1 proved feasibility.
-const FEAS_EPS: f64 = 1e-6;
 
-/// A materialized constraint row.
+/// A materialized `coeffs · x ≤ rhs` row.
 struct Row {
     coeffs: Vec<(usize, f64)>,
-    op: ConstraintOp,
     rhs: f64,
 }
 
@@ -42,12 +37,11 @@ struct Row {
 /// appends one `≤` row per finite variable upper bound.
 fn materialize_rows(problem: &LpProblem) -> Vec<Row> {
     let mut rows: Vec<Row> = problem
-        .row_meta
+        .rhs
         .iter()
-        .map(|meta| Row {
+        .map(|&rhs| Row {
             coeffs: Vec::new(),
-            op: meta.op,
-            rhs: meta.rhs,
+            rhs,
         })
         .collect();
     for &(row, var, c) in &problem.entries {
@@ -57,7 +51,6 @@ fn materialize_rows(problem: &LpProblem) -> Vec<Row> {
         if u.is_finite() {
             rows.push(Row {
                 coeffs: vec![(var, 1.0)],
-                op: ConstraintOp::Le,
                 rhs: u,
             });
         }
@@ -122,8 +115,9 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    /// Recomputes the objective row for maximizing `costs · x` given the
+    /// Computes the objective row for maximizing `costs · x` given the
     /// current basis: `obj[j] = c_B · B⁻¹ A_j − c_j`, `obj[rhs] = c_B · B⁻¹ b`.
+    /// Columns past the end of `costs` (the slacks) cost 0.
     fn price(&mut self, costs: &[f64]) {
         let mut obj = vec![0.0; self.n_cols + 1];
         for (j, o) in obj.iter_mut().enumerate().take(self.n_cols) {
@@ -140,15 +134,15 @@ impl Tableau {
         self.obj = obj;
     }
 
-    /// Chooses the entering column among `allowed_cols` (columns `<
-    /// col_limit`), or `None` when the current basis is optimal.
-    fn entering(&self, col_limit: usize, bland: bool) -> Option<usize> {
+    /// Chooses the entering column, or `None` when the current basis is
+    /// optimal.
+    fn entering(&self, bland: bool) -> Option<usize> {
         if bland {
-            (0..col_limit).find(|&j| self.obj[j] < -EPS)
+            (0..self.n_cols).find(|&j| self.obj[j] < -EPS)
         } else {
             let mut best = None;
             let mut best_val = -EPS;
-            for j in 0..col_limit {
+            for j in 0..self.n_cols {
                 if self.obj[j] < best_val {
                     best_val = self.obj[j];
                     best = Some(j);
@@ -189,7 +183,6 @@ impl Tableau {
 /// at optimality, `Err(status)` for unbounded / iteration-limit outcomes.
 fn optimize(
     t: &mut Tableau,
-    col_limit: usize,
     max_iters: usize,
     pivots: &mut usize,
     degenerate: &mut usize,
@@ -198,7 +191,7 @@ fn optimize(
     let mut local = 0usize;
     loop {
         let bland = local >= bland_threshold;
-        let Some(col) = t.entering(col_limit, bland) else {
+        let Some(col) = t.entering(bland) else {
             return Ok(());
         };
         let Some(row) = t.leaving(col) else {
@@ -216,7 +209,7 @@ fn optimize(
     }
 }
 
-/// Solves `problem` with the two-phase dense tableau simplex.
+/// Solves `problem` with the dense tableau simplex.
 pub fn solve(problem: &LpProblem) -> LpSolution {
     let n = problem.num_vars();
     let rows = materialize_rows(problem);
@@ -237,15 +230,10 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     };
 
     // Trivial case: no constraints and no finite bounds. Any variable with a
-    // positive (for max) objective coefficient makes the program unbounded;
-    // otherwise x = 0 is optimal.
-    let maximize = problem.sense() == Sense::Maximize;
+    // positive objective coefficient makes the program unbounded; otherwise
+    // x = 0 is optimal.
     if m == 0 {
-        let improving = problem
-            .objective()
-            .iter()
-            .any(|&c| if maximize { c > EPS } else { c < -EPS });
-        return if improving {
+        return if problem.objective().iter().any(|&c| c > EPS) {
             finish(LpSolution::with_status(LpStatus::Unbounded, 0), 0)
         } else {
             finish(
@@ -258,138 +246,33 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
         };
     }
 
-    // --- Build the augmented tableau -------------------------------------
-    // Column layout: [structural 0..n) [slack/surplus n..n+s) [artificial ...).
-    let mut n_slack = 0usize;
-    let mut n_art = 0usize;
-    for row in &rows {
-        // Normalize RHS sign first to know which auxiliary variables we need.
-        let (op, _) = normalized_op(row.op, row.rhs);
-        match op {
-            ConstraintOp::Le => n_slack += 1,
-            ConstraintOp::Ge => {
-                n_slack += 1;
-                n_art += 1;
-            }
-            ConstraintOp::Eq => n_art += 1,
-        }
-    }
-    let n_cols = n + n_slack + n_art;
-    let art_start = n + n_slack;
-
+    // --- Build the tableau -------------------------------------------------
+    // Column layout: [structural 0..n) [slack n..n+m), slack n + i basic in
+    // row i at the row's right-hand side.
+    let n_cols = n + m;
     let mut trows = vec![vec![0.0; n_cols + 1]; m];
-    let mut basis = vec![usize::MAX; m];
-    let mut next_slack = n;
-    let mut next_art = art_start;
     for (i, row) in rows.iter().enumerate() {
-        let flip = row.rhs < 0.0;
-        let sign = if flip { -1.0 } else { 1.0 };
         for &(var, c) in &row.coeffs {
-            trows[i][var] += sign * c;
+            trows[i][var] += c;
         }
-        trows[i][n_cols] = sign * row.rhs;
-        let (op, _) = normalized_op(row.op, row.rhs);
-        match op {
-            ConstraintOp::Le => {
-                trows[i][next_slack] = 1.0;
-                basis[i] = next_slack;
-                next_slack += 1;
-            }
-            ConstraintOp::Ge => {
-                trows[i][next_slack] = -1.0; // surplus
-                trows[i][next_art] = 1.0;
-                basis[i] = next_art;
-                next_slack += 1;
-                next_art += 1;
-            }
-            ConstraintOp::Eq => {
-                trows[i][next_art] = 1.0;
-                basis[i] = next_art;
-                next_art += 1;
-            }
-        }
+        trows[i][n + i] = 1.0;
+        trows[i][n_cols] = row.rhs;
     }
-
     let mut tableau = Tableau {
         m,
         n_struct: n,
         n_cols,
         rows: trows,
         obj: vec![0.0; n_cols + 1],
-        basis,
+        basis: (n..n_cols).collect(),
     };
 
-    let max_iters = if problem.max_iterations > 0 {
-        problem.max_iterations
-    } else {
-        200 * (m + n_cols) + 2000
-    };
+    let max_iters = 200 * (m + n_cols) + 2000;
     let mut pivots = 0usize;
     let mut degenerate = 0usize;
-
-    // --- Phase 1: drive artificial variables to zero ----------------------
-    if n_art > 0 {
-        let mut phase1_costs = vec![0.0; n_cols];
-        for c in phase1_costs.iter_mut().skip(art_start) {
-            *c = -1.0; // maximize -(sum of artificials)
-        }
-        tableau.price(&phase1_costs);
-        match optimize(
-            &mut tableau,
-            n_cols,
-            max_iters,
-            &mut pivots,
-            &mut degenerate,
-        ) {
-            Ok(()) => {}
-            Err(LpStatus::Unbounded) => {
-                // Phase-1 objective is bounded above by 0; an "unbounded"
-                // outcome can only be a numerical artifact.
-                return finish(
-                    LpSolution::with_status(LpStatus::Infeasible, pivots),
-                    degenerate,
-                );
-            }
-            Err(status) => return finish(LpSolution::with_status(status, pivots), degenerate),
-        }
-        let phase1_obj = tableau.obj[n_cols];
-        if phase1_obj < -FEAS_EPS {
-            return finish(
-                LpSolution::with_status(LpStatus::Infeasible, pivots),
-                degenerate,
-            );
-        }
-        // Drive remaining (degenerate) artificial variables out of the basis
-        // when possible so phase 2 starts from a clean basis.
-        for i in 0..m {
-            if tableau.basis[i] >= art_start {
-                if let Some(col) = (0..art_start).find(|&j| tableau.rows[i][j].abs() > EPS) {
-                    // Pivoting out a zero-valued artificial: degenerate by
-                    // construction.
-                    tableau.pivot(i, col);
-                    pivots += 1;
-                    degenerate += 1;
-                }
-            }
-        }
-    }
-
-    // --- Phase 2: optimize the real objective -----------------------------
-    let mut costs = vec![0.0; n_cols];
-    for (j, &c) in problem.objective().iter().enumerate() {
-        costs[j] = if maximize { c } else { -c };
-    }
-    tableau.price(&costs);
-    // Artificial columns may not re-enter the basis.
-    match optimize(
-        &mut tableau,
-        art_start,
-        max_iters,
-        &mut pivots,
-        &mut degenerate,
-    ) {
-        Ok(()) => {}
-        Err(status) => return finish(LpSolution::with_status(status, pivots), degenerate),
+    tableau.price(problem.objective());
+    if let Err(status) = optimize(&mut tableau, max_iters, &mut pivots, &mut degenerate) {
+        return finish(LpSolution::with_status(status, pivots), degenerate);
     }
 
     // --- Extract the solution ---------------------------------------------
@@ -408,20 +291,4 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
         },
         degenerate,
     )
-}
-
-/// Returns the constraint operator after normalizing the row to a
-/// non-negative right-hand side (flipping the inequality when the RHS was
-/// negative).
-fn normalized_op(op: ConstraintOp, rhs: f64) -> (ConstraintOp, f64) {
-    if rhs >= 0.0 {
-        (op, rhs)
-    } else {
-        let flipped = match op {
-            ConstraintOp::Le => ConstraintOp::Ge,
-            ConstraintOp::Ge => ConstraintOp::Le,
-            ConstraintOp::Eq => ConstraintOp::Eq,
-        };
-        (flipped, -rhs)
-    }
 }

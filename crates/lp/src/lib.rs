@@ -19,18 +19,19 @@
 //!   resident across the batches of a live flow session, repairing its
 //!   tree after each patch instead of solving again from scratch (a repair
 //!   that runs over [`netflow::DUAL_REPAIR_BUDGET`] restarts cold);
-//! * [`simplex`] — the general-LP engine behind [`LpProblem::solve`], a
-//!   **sparse revised simplex**: the constraint matrix lives in a
-//!   compressed-sparse-column store ([`sparse::CscMatrix`]), the basis
+//! * [`simplex`] — the engine behind [`LpProblem::solve`], a **sparse
+//!   revised simplex** for the flow LP's class: maximize `c · x` subject to
+//!   `A x ≤ b` with `b ≥ 0` and `0 ≤ x ≤ u`, so `x = 0` is feasible and the
+//!   all-slack basis starts a one-phase solve. The constraint matrix lives
+//!   in a compressed-sparse-column store ([`sparse::CscMatrix`]), the basis
 //!   inverse in a product-form eta file ([`sparse::EtaFile`]) with periodic
 //!   refactorization, pricing is Dantzig's rule over a partial-pricing
 //!   section scan, and variable upper bounds are handled natively by the
 //!   bounded ratio test (no row per bound).
 //!
-//! [`dense`] holds the original **dense two-phase tableau**, retained only
-//! as a test reference for the sparse engine; it is not an engine. Which
-//! exact engine a flow computation uses is chosen one layer up, in
-//! `tin_flow`.
+//! [`dense`] holds the original **dense tableau**, retained only as a test
+//! reference for the sparse engine; it is not an engine. Which exact engine
+//! a flow computation uses is chosen one layer up, in `tin_flow`.
 //!
 //! The flow LP's constraint matrix is extremely sparse — each interaction
 //! variable appears in a handful of balance rows — which is exactly the
@@ -69,5 +70,5 @@ pub mod sparse;
 pub use netflow::{
     Circulation, McfArc, McfSolution, MinCostFlowProblem, NetflowSession, DUAL_REPAIR_BUDGET,
 };
-pub use problem::{ConstraintOp, LpProblem, Sense};
+pub use problem::LpProblem;
 pub use solution::{LpSolution, LpStatus};

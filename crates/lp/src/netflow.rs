@@ -29,14 +29,15 @@
 //!   solves of one evolving circulation, syncing only the patched arcs and
 //!   repairing the kept tree with worst-first dual pivots, within a work
 //!   budget ([`DUAL_REPAIR_BUDGET`]) past which it solves from scratch;
-//! * [`MinCostFlowProblem::to_lp`] — a lossless bridge to the general
-//!   [`LpProblem`] form, used by the engine-equivalence proptests.
+//! * [`MinCostFlowProblem::to_lp`] — a lossless bridge to the
+//!   [`LpProblem`] form (whose optimum is minus the minimum cost), used by
+//!   the engine-equivalence proptests.
 //!
 //! A solve ends optimal, unbounded (the entering arc closes a negative-cost
 //! cycle with unlimited residual capacity) or at the pivot limit; with the
 //! zero flow feasible, no circulation is infeasible.
 
-use crate::problem::{LpProblem, Sense};
+use crate::problem::LpProblem;
 use crate::solution::LpStatus;
 
 /// Reduced-cost / residual tolerance (same scale as the LP engines).
@@ -77,8 +78,7 @@ pub struct MinCostFlowProblem {
     nodes: usize,
     arcs: Vec<McfArc>,
     /// Maximum network-simplex pivots before giving up (0 = automatic,
-    /// scaled with problem size — the same safety valve as
-    /// [`LpProblem::max_iterations`]).
+    /// scaled with problem size, as the LP solvers' limit always is).
     pub max_iterations: usize,
 }
 
@@ -259,16 +259,16 @@ impl MinCostFlowProblem {
         balance.iter().all(|&b| b.abs() <= tol)
     }
 
-    /// Rewrites the circulation as a general [`LpProblem`]: minimize sense,
-    /// one variable per arc bounded by its capacity, one equality row per
-    /// node with right-hand side 0. The two optima are equal.
+    /// Rewrites the circulation as an [`LpProblem`]: one variable per arc
+    /// bounded by its capacity, objective `−cost`, and one row
+    /// `Σ out − Σ in ≤ 0` per node. The rows sum to zero, so each holds with
+    /// equality at every feasible point, and the LP's optimum is minus the
+    /// circulation's minimum cost.
     pub fn to_lp(&self) -> LpProblem {
         let mut lp = LpProblem::new(self.arcs.len());
-        lp.set_sense(Sense::Minimize);
-        lp.max_iterations = self.max_iterations;
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.nodes];
         for (j, a) in self.arcs.iter().enumerate() {
-            lp.set_objective_coefficient(j, a.cost);
+            lp.set_objective_coefficient(j, -a.cost);
             if a.upper.is_finite() {
                 lp.set_upper_bound(j, a.upper);
             }
@@ -276,7 +276,7 @@ impl MinCostFlowProblem {
             rows[a.head].push((j, -1.0));
         }
         for coeffs in &rows {
-            lp.add_eq_constraint(coeffs, 0.0);
+            lp.add_le_constraint(coeffs, 0.0);
         }
         lp
     }
@@ -1965,7 +1965,7 @@ mod tests {
     }
 
     #[test]
-    fn to_lp_has_the_same_optimum() {
+    fn to_lp_optimum_is_minus_the_minimum_cost() {
         // Two parallel arcs of different costs, the cheap one capped below
         // the return arc's capacity.
         let mut p = MinCostFlowProblem::new(2);
@@ -1975,7 +1975,7 @@ mod tests {
         let lp_sol = p.to_lp().solve();
         assert_eq!(lp_sol.status, LpStatus::Optimal);
         let direct = assert_optimal(&p, 2.0 * 10.0 + 3.0 + 5.0 * RETURN_COST);
-        assert!((lp_sol.objective - direct.objective).abs() < 1e-6);
+        assert!((lp_sol.objective + direct.objective).abs() < 1e-6);
     }
 
     #[test]

@@ -1,45 +1,21 @@
-//! Construction of linear programs.
+//! Construction of linear programs: `max c · x` over `≤` rows with
+//! non-negative right-hand sides and bounded non-negative variables, the
+//! class the flow formulation produces.
 
 use crate::simplex;
 use crate::solution::LpSolution;
 
-/// Direction of a constraint row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintOp {
-    /// `a · x ≤ b`
-    Le,
-    /// `a · x ≥ b`
-    Ge,
-    /// `a · x = b`
-    Eq,
-}
-
-/// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sense {
-    /// Maximize the objective (default; this is what the flow formulation
-    /// uses).
-    #[default]
-    Maximize,
-    /// Minimize the objective.
-    Minimize,
-}
-
-/// Operator and right-hand side of one constraint row (the coefficients
-/// live in the shared triplet store).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RowMeta {
-    pub op: ConstraintOp,
-    pub rhs: f64,
-}
-
-/// A linear program over bounded non-negative variables:
+/// A linear program in the class the flow formulation produces:
 ///
 /// ```text
-/// max / min   c · x
-/// subject to  aᵢ · x  {≤,≥,=}  bᵢ      for every constraint i
-///             0 ≤ xⱼ ≤ uⱼ              for every variable j
+/// maximize    c · x
+/// subject to  aᵢ · x ≤ bᵢ      for every constraint i, with bᵢ ≥ 0
+///             0 ≤ xⱼ ≤ uⱼ      for every variable j
 /// ```
+///
+/// Every right-hand side is non-negative (`+∞` allowed), so `x = 0` is
+/// feasible: both solvers start from the all-slack basis in one phase, and
+/// no solve can end infeasible.
 ///
 /// Upper bounds are first-class (`uⱼ = +∞` by default, see
 /// [`LpProblem::set_upper_bound`]); the revised simplex handles them in the
@@ -47,20 +23,18 @@ pub(crate) struct RowMeta {
 /// keeps the flow formulation's constraint matrix small.
 ///
 /// Coefficients are stored as `(row, var, value)` triplets — the natural
-/// output of [`LpProblem::add_constraint`] — and assembled into a
+/// output of [`LpProblem::add_le_constraint`] — and assembled into a
 /// compressed-sparse-column matrix only when a solve starts. Nothing is ever
 /// densified.
 #[derive(Debug, Clone)]
 pub struct LpProblem {
     num_vars: usize,
     objective: Vec<f64>,
-    sense: Sense,
     upper: Vec<f64>,
     /// `(row, var, coefficient)` triplets, grouped by row in append order.
     pub(crate) entries: Vec<(usize, usize, f64)>,
-    pub(crate) row_meta: Vec<RowMeta>,
-    /// Maximum simplex iterations before giving up (safety valve).
-    pub max_iterations: usize,
+    /// Right-hand side of each row (`≥ 0`, possibly `+∞`).
+    pub(crate) rhs: Vec<f64>,
 }
 
 impl LpProblem {
@@ -70,11 +44,9 @@ impl LpProblem {
         LpProblem {
             num_vars,
             objective: vec![0.0; num_vars],
-            sense: Sense::Maximize,
             upper: vec![f64::INFINITY; num_vars],
             entries: Vec::new(),
-            row_meta: Vec::new(),
-            max_iterations: 0, // 0 = automatic (scaled with problem size)
+            rhs: Vec::new(),
         }
     }
 
@@ -86,22 +58,12 @@ impl LpProblem {
     /// Number of constraint rows added so far (variable bounds are not
     /// rows).
     pub fn num_constraints(&self) -> usize {
-        self.row_meta.len()
+        self.rhs.len()
     }
 
     /// Number of stored constraint coefficients.
     pub fn num_nonzeros(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Sets the optimization direction (default: maximize).
-    pub fn set_sense(&mut self, sense: Sense) {
-        self.sense = sense;
-    }
-
-    /// Current optimization direction.
-    pub fn sense(&self) -> Sense {
-        self.sense
     }
 
     /// Sets the objective coefficient of variable `var`.
@@ -124,17 +86,25 @@ impl LpProblem {
         &self.objective
     }
 
-    /// Adds a general constraint `coeffs · x {op} rhs`.
+    /// Adds the row `coeffs · x ≤ rhs`.
     ///
     /// `coeffs` is a sparse list of `(variable, coefficient)` pairs; repeated
     /// variables are summed. The coefficients go straight into the sparse
     /// triplet store.
     ///
+    /// `rhs = +∞` is legal (a row that never binds): the flow formulation's
+    /// right-hand sides are sums of quantities, which reach it when finite
+    /// quantities overflow.
+    ///
     /// # Panics
-    /// Panics if any variable index is out of range or any value is NaN.
-    pub fn add_constraint(&mut self, coeffs: &[(usize, f64)], op: ConstraintOp, rhs: f64) {
-        assert!(!rhs.is_nan(), "constraint rhs must not be NaN");
-        let row = self.row_meta.len();
+    /// Panics if any variable index is out of range, any coefficient is NaN,
+    /// or `rhs` is NaN or negative.
+    pub fn add_le_constraint(&mut self, coeffs: &[(usize, f64)], rhs: f64) {
+        assert!(
+            !rhs.is_nan() && rhs >= 0.0,
+            "constraint rhs must be a non-negative number, got {rhs}"
+        );
+        let row = self.rhs.len();
         let start = self.entries.len();
         for &(var, c) in coeffs {
             assert!(var < self.num_vars, "variable index {var} out of range");
@@ -145,22 +115,7 @@ impl LpProblem {
                 None => self.entries.push((row, var, c)),
             }
         }
-        self.row_meta.push(RowMeta { op, rhs });
-    }
-
-    /// Adds a `≤` constraint (the most common case in the flow formulation).
-    pub fn add_le_constraint(&mut self, coeffs: &[(usize, f64)], rhs: f64) {
-        self.add_constraint(coeffs, ConstraintOp::Le, rhs);
-    }
-
-    /// Adds a `≥` constraint.
-    pub fn add_ge_constraint(&mut self, coeffs: &[(usize, f64)], rhs: f64) {
-        self.add_constraint(coeffs, ConstraintOp::Ge, rhs);
-    }
-
-    /// Adds an equality constraint.
-    pub fn add_eq_constraint(&mut self, coeffs: &[(usize, f64)], rhs: f64) {
-        self.add_constraint(coeffs, ConstraintOp::Eq, rhs);
+        self.rhs.push(rhs);
     }
 
     /// Sets the upper bound `x_var ≤ bound`.
@@ -212,18 +167,11 @@ impl LpProblem {
         {
             return false;
         }
-        let mut lhs = vec![0.0f64; self.row_meta.len()];
+        let mut lhs = vec![0.0f64; self.rhs.len()];
         for &(row, var, c) in &self.entries {
             lhs[row] += c * x[var];
         }
-        self.row_meta
-            .iter()
-            .zip(&lhs)
-            .all(|(meta, &l)| match meta.op {
-                ConstraintOp::Le => l <= meta.rhs + tol,
-                ConstraintOp::Ge => l >= meta.rhs - tol,
-                ConstraintOp::Eq => (l - meta.rhs).abs() <= tol,
-            })
+        lhs.iter().zip(&self.rhs).all(|(&l, &b)| l <= b + tol)
     }
 }
 
@@ -241,8 +189,8 @@ mod tests {
         p.set_objective_coefficient(2, -1.0);
         assert_eq!(p.objective(), &[3.0, 0.0, -1.0]);
         p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
-        p.add_ge_constraint(&[(2, 2.0)], 1.0);
-        p.add_eq_constraint(&[(0, 1.0), (2, 1.0)], 2.0);
+        p.add_le_constraint(&[(2, 2.0)], 1.0);
+        p.add_le_constraint(&[(0, 1.0), (2, -1.0)], f64::INFINITY);
         assert_eq!(p.num_constraints(), 3);
         assert_eq!(p.num_nonzeros(), 5);
         // Bounds are not rows.
@@ -250,9 +198,6 @@ mod tests {
         assert_eq!(p.num_constraints(), 3);
         assert_eq!(p.upper_bound(1), 9.0);
         assert!(p.upper_bound(0).is_infinite());
-        assert_eq!(p.sense(), Sense::Maximize);
-        p.set_sense(Sense::Minimize);
-        assert_eq!(p.sense(), Sense::Minimize);
     }
 
     #[test]
@@ -294,17 +239,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-negative")]
+    fn negative_rhs_panics() {
+        let mut p = LpProblem::new(1);
+        p.add_le_constraint(&[(0, -1.0)], -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn nan_rhs_panics() {
+        let mut p = LpProblem::new(1);
+        p.add_le_constraint(&[(0, 1.0)], f64::NAN);
+    }
+
+    #[test]
     fn feasibility_and_objective_evaluation() {
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
         p.set_objective_coefficient(1, 2.0);
         p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 3.0);
-        p.add_ge_constraint(&[(0, 1.0)], 0.5);
-        p.add_eq_constraint(&[(1, 1.0)], 1.0);
+        p.add_le_constraint(&[(1, 1.0), (0, -1.0)], 0.0);
         assert!(p.is_feasible(&[1.0, 1.0], 1e-9));
-        assert!(!p.is_feasible(&[0.0, 1.0], 1e-9)); // violates >=
-        assert!(!p.is_feasible(&[1.0, 2.0], 1e-9)); // violates ==
-        assert!(!p.is_feasible(&[-1.0, 1.0], 1e-9)); // negative
+        assert!(!p.is_feasible(&[2.0, 2.0], 1e-9)); // violates the first row
+        assert!(!p.is_feasible(&[0.0, 1.0], 1e-9)); // violates the second
+        assert!(!p.is_feasible(&[-1.0, 0.0], 1e-9)); // negative
         assert!(!p.is_feasible(&[1.0], 1e-9)); // wrong arity
         assert_eq!(p.objective_value(&[1.0, 1.0]), 3.0);
     }

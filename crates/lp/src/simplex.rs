@@ -1,5 +1,5 @@
-//! Sparse revised simplex with bounded variables — the general-LP engine
-//! behind [`LpProblem::solve`](crate::LpProblem::solve).
+//! Sparse revised simplex with bounded variables — the engine behind
+//! [`LpProblem::solve`](crate::LpProblem::solve).
 //!
 //! Where the dense tableau ([`crate::dense`]) updates an `m × n` matrix on
 //! every pivot, the revised method keeps only:
@@ -24,20 +24,16 @@
 //! per-interaction capacities `xᵢ ≤ qᵢ` therefore cost nothing: they are
 //! bounds, not rows.
 //!
-//! Feasibility is established the same way as in the dense tableau: rows are
-//! normalized to non-negative right-hand sides, `≥`/`=` rows get artificial
-//! variables, and phase 1 maximizes minus their sum. After phase 1 the
-//! artificials' upper bounds are fixed to 0, which lets the bounded ratio
-//! test expel any that linger in the basis without special-casing them.
+//! Every row is `aᵢ · x ≤ bᵢ` with `bᵢ ≥ 0` (see [`LpProblem`]), so `x = 0`
+//! is feasible: each row gets a slack column, the slacks form the starting
+//! basis at the right-hand side, and the solve is one phase.
 
-use crate::problem::{ConstraintOp, LpProblem, Sense};
+use crate::problem::LpProblem;
 use crate::solution::{LpSolution, LpStatus};
 use crate::sparse::{CscMatrix, EtaFile};
 
 /// Numerical tolerance for pricing and pivot admissibility.
 const EPS: f64 = 1e-9;
-/// Tolerance used when deciding whether phase 1 proved feasibility.
-const FEAS_EPS: f64 = 1e-6;
 
 /// Where a nonbasic variable currently rests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,15 +60,12 @@ enum Step {
 
 struct Solver<'a> {
     problem: &'a LpProblem,
-    /// Constraint matrix over ALL columns (structural, slack/surplus,
-    /// artificial), rows normalized to non-negative RHS.
+    /// Constraint matrix over all columns: the structural ones, then one
+    /// slack per row.
     matrix: CscMatrix,
-    /// Normalized right-hand side (all entries ≥ 0).
-    b: Vec<f64>,
-    /// Per-column upper bound (`+∞` when unbounded; artificials drop to 0
-    /// after phase 1). Lower bounds are all 0.
+    /// Per-column upper bound (`+∞` when unbounded). Lower bounds are all 0.
     upper: Vec<f64>,
-    /// Current phase costs per column.
+    /// Objective coefficient per column (0 for the slacks).
     costs: Vec<f64>,
     /// Basic variable of each row.
     basis: Vec<usize>,
@@ -82,8 +75,6 @@ struct Solver<'a> {
     at: Vec<Bound>,
     is_basic: Vec<bool>,
     etas: EtaFile,
-    /// First artificial column (columns `≥ art_start` are artificial).
-    art_start: usize,
     /// Rebuild the eta file once this many pivots accumulate on top of the
     /// last refactorization (the file itself retains one eta per basis
     /// column after a rebuild, so the trigger counts pivots, not file
@@ -107,93 +98,32 @@ struct Solver<'a> {
 impl<'a> Solver<'a> {
     fn new(problem: &'a LpProblem) -> Self {
         let n = problem.num_vars();
-        let m = problem.row_meta.len();
+        let m = problem.rhs.len();
+        let total_cols = n + m;
 
-        // Row normalization: flip rows with negative RHS.
-        let mut sign = vec![1.0f64; m];
-        let mut b = vec![0.0f64; m];
-        let mut n_slack = 0usize;
-        let mut n_art = 0usize;
-        let mut ops = Vec::with_capacity(m);
-        for (i, meta) in problem.row_meta.iter().enumerate() {
-            let (op, rhs) = if meta.rhs >= 0.0 {
-                (meta.op, meta.rhs)
-            } else {
-                sign[i] = -1.0;
-                let flipped = match meta.op {
-                    ConstraintOp::Le => ConstraintOp::Ge,
-                    ConstraintOp::Ge => ConstraintOp::Le,
-                    ConstraintOp::Eq => ConstraintOp::Eq,
-                };
-                (flipped, -meta.rhs)
-            };
-            b[i] = rhs;
-            match op {
-                ConstraintOp::Le => n_slack += 1,
-                ConstraintOp::Ge => {
-                    n_slack += 1;
-                    n_art += 1;
-                }
-                ConstraintOp::Eq => n_art += 1,
-            }
-            ops.push(op);
-        }
-        let art_start = n + n_slack;
-        let total_cols = art_start + n_art;
-
-        // Assemble the full column store: structural triplets (sign-
-        // normalized) followed by the unit aux columns.
-        let mut triplets: Vec<(usize, usize, f64)> = problem
-            .entries
-            .iter()
-            .map(|&(row, var, c)| (row, var, sign[row] * c))
-            .collect();
-        let mut basis = vec![usize::MAX; m];
-        let mut next_slack = n;
-        let mut next_art = art_start;
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                ConstraintOp::Le => {
-                    triplets.push((i, next_slack, 1.0));
-                    basis[i] = next_slack;
-                    next_slack += 1;
-                }
-                ConstraintOp::Ge => {
-                    triplets.push((i, next_slack, -1.0)); // surplus
-                    triplets.push((i, next_art, 1.0));
-                    basis[i] = next_art;
-                    next_slack += 1;
-                    next_art += 1;
-                }
-                ConstraintOp::Eq => {
-                    triplets.push((i, next_art, 1.0));
-                    basis[i] = next_art;
-                    next_art += 1;
-                }
-            }
-        }
+        // The structural triplets, then slack `n + i` of row `i`, basic at
+        // the row's right-hand side.
+        let mut triplets = problem.entries.clone();
+        triplets.extend((0..m).map(|i| (i, n + i, 1.0)));
         let matrix = CscMatrix::from_triplets(m, total_cols, &triplets);
 
         let mut upper = vec![f64::INFINITY; total_cols];
         upper[..n].copy_from_slice(problem.upper_bounds());
-
+        let mut costs = vec![0.0; total_cols];
+        costs[..n].copy_from_slice(problem.objective());
         let mut is_basic = vec![false; total_cols];
-        for &v in &basis {
-            is_basic[v] = true;
-        }
+        is_basic[n..].fill(true);
 
         Solver {
             problem,
-            b: b.clone(),
             matrix,
-            basis,
+            basis: (n..total_cols).collect(),
             upper,
-            costs: vec![0.0; total_cols],
-            x_basic: b,
+            costs,
+            x_basic: problem.rhs.clone(),
             at: vec![Bound::Lower; total_cols],
             is_basic,
             etas: EtaFile::new(),
-            art_start,
             refactor_interval: (m / 2).clamp(32, 512),
             pivots_since_refactor: 0,
             pricing_cursor: 0,
@@ -207,13 +137,13 @@ impl<'a> Solver<'a> {
     }
 
     fn m(&self) -> usize {
-        self.b.len()
+        self.problem.rhs.len()
     }
 
     /// Recomputes the basic variable values from scratch:
     /// `x_B = B⁻¹ (b − Σ_{j nonbasic at upper} uⱼ aⱼ)`.
     fn recompute_basic_values(&mut self) {
-        let mut rhs = self.b.clone();
+        let mut rhs = self.problem.rhs.clone();
         for j in 0..self.matrix.ncols() {
             if !self.is_basic[j] && self.at[j] == Bound::Upper {
                 let u = self.upper[j];
@@ -366,8 +296,7 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Runs the simplex loop for the current `costs`. `Ok(())` means the
-    /// current basis is optimal for this phase.
+    /// Runs the simplex loop. `Ok(())` means the current basis is optimal.
     fn optimize(&mut self, max_iters: usize) -> Result<(), LpStatus> {
         let bland_threshold = max_iters / 2;
         let mut local = 0usize;
@@ -440,17 +369,6 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Sum of the artificial variables at the current point (the phase-1
-    /// infeasibility measure; only basic artificials can be nonzero).
-    fn artificial_sum(&self) -> f64 {
-        self.basis
-            .iter()
-            .zip(&self.x_basic)
-            .filter(|&(&v, _)| v >= self.art_start)
-            .map(|(_, &x)| x.max(0.0))
-            .sum()
-    }
-
     /// Extracts the structural solution.
     fn extract(&self) -> Vec<f64> {
         let n = self.problem.num_vars();
@@ -489,16 +407,13 @@ impl<'a> Solver<'a> {
 /// Solves `problem` with the sparse revised simplex.
 pub fn solve(problem: &LpProblem) -> LpSolution {
     let n = problem.num_vars();
-    let maximize = problem.sense() == Sense::Maximize;
 
     // No constraint rows: each variable independently runs to whichever of
     // its bounds the objective prefers.
-    if problem.row_meta.is_empty() {
+    if problem.rhs.is_empty() {
         let mut x = vec![0.0f64; n];
         for (j, xj) in x.iter_mut().enumerate() {
-            let c = problem.objective()[j];
-            let improving = if maximize { c > EPS } else { c < -EPS };
-            if improving {
+            if problem.objective()[j] > EPS {
                 let u = problem.upper_bound(j);
                 if u.is_infinite() {
                     return LpSolution::with_status(LpStatus::Unbounded, 0);
@@ -514,61 +429,10 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     }
 
     let mut solver = Solver::new(problem);
-    let max_iters = if problem.max_iterations > 0 {
-        problem.max_iterations
-    } else {
-        200 * (solver.m() + solver.matrix.ncols()) + 2000
-    };
-
-    // --- Phase 1: drive artificial variables to zero ----------------------
-    if solver.matrix.ncols() > solver.art_start {
-        for j in solver.art_start..solver.matrix.ncols() {
-            solver.costs[j] = -1.0; // maximize −(sum of artificials)
-        }
-        match solver.optimize(max_iters) {
-            Ok(()) => {}
-            Err(LpStatus::Unbounded) => {
-                // Phase-1 objective is bounded above by 0; an "unbounded"
-                // outcome can only be a numerical artifact.
-                let s = LpSolution::with_status(LpStatus::Infeasible, solver.iterations);
-                return solver.telemetry(s);
-            }
-            Err(status) => {
-                let s = LpSolution::with_status(status, solver.iterations);
-                return solver.telemetry(s);
-            }
-        }
-        if solver.artificial_sum() > FEAS_EPS {
-            let s = LpSolution::with_status(LpStatus::Infeasible, solver.iterations);
-            return solver.telemetry(s);
-        }
-        // Fix the artificials at 0: the bounded ratio test now expels any
-        // that linger in the basis the moment they would move.
-        for j in solver.art_start..solver.matrix.ncols() {
-            solver.upper[j] = 0.0;
-            solver.costs[j] = 0.0;
-        }
-        // Clean up phase-1 rounding on basic values.
-        for x in solver.x_basic.iter_mut() {
-            if x.abs() < EPS {
-                *x = 0.0;
-            }
-        }
-    }
-
-    // --- Phase 2: optimize the real objective -----------------------------
-    for (j, &c) in problem.objective().iter().enumerate() {
-        solver.costs[j] = if maximize { c } else { -c };
-    }
-    for j in n..solver.art_start {
-        solver.costs[j] = 0.0;
-    }
-    match solver.optimize(max_iters) {
-        Ok(()) => {}
-        Err(status) => {
-            let s = LpSolution::with_status(status, solver.iterations);
-            return solver.telemetry(s);
-        }
+    let max_iters = 200 * (solver.m() + solver.matrix.ncols()) + 2000;
+    if let Err(status) = solver.optimize(max_iters) {
+        let s = LpSolution::with_status(status, solver.iterations);
+        return solver.telemetry(s);
     }
 
     let x = solver.extract();
@@ -584,7 +448,7 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
 #[cfg(test)]
 mod tests {
     use crate::dense;
-    use crate::problem::{LpProblem, Sense};
+    use crate::problem::LpProblem;
     use crate::solution::LpStatus;
 
     fn assert_close(a: f64, b: f64) {
@@ -637,68 +501,19 @@ mod tests {
     }
 
     #[test]
-    fn minimization_with_ge_constraints() {
-        // min 2x + 3y; x + y >= 10; x >= 3 -> x=10, y=0, obj=20.
-        let mut p = LpProblem::new(2);
-        p.set_sense(Sense::Minimize);
-        p.set_objective_coefficient(0, 2.0);
-        p.set_objective_coefficient(1, 3.0);
-        p.add_ge_constraint(&[(0, 1.0), (1, 1.0)], 10.0);
-        p.add_ge_constraint(&[(0, 1.0)], 3.0);
-        let s = solve_both(&p);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert_close(s.objective, 20.0);
-        assert_close(s.variables[0], 10.0);
-        assert_close(s.variables[1], 0.0);
-    }
-
-    #[test]
-    fn equality_constraints() {
-        // max x + y; x + y = 5; x <= 3 -> obj 5 with x in [0,3].
-        let mut p = LpProblem::new(2);
-        p.set_objective_coefficient(0, 1.0);
-        p.set_objective_coefficient(1, 1.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 5.0);
-        p.set_upper_bound(0, 3.0);
-        let s = solve_both(&p);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert_close(s.objective, 5.0);
-        assert!(p.is_feasible(&s.variables, 1e-7));
-    }
-
-    #[test]
-    fn infeasible_program_is_detected() {
-        // x <= 1 and x >= 2 cannot both hold.
-        let mut p = LpProblem::new(1);
-        p.set_objective_coefficient(0, 1.0);
-        p.add_le_constraint(&[(0, 1.0)], 1.0);
-        p.add_ge_constraint(&[(0, 1.0)], 2.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn bound_infeasible_program_is_detected() {
-        // x >= 2 with the variable bound x <= 1.
-        let mut p = LpProblem::new(1);
-        p.set_upper_bound(0, 1.0);
-        p.add_ge_constraint(&[(0, 1.0)], 2.0);
-        assert_eq!(solve_both(&p).status, LpStatus::Infeasible);
-    }
-
-    #[test]
     fn unbounded_program_is_detected() {
-        // max x with only x >= 1.
-        let mut p = LpProblem::new(1);
+        // max x with only x - y <= 1: x = 1 + y grows without limit.
+        let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
-        p.add_ge_constraint(&[(0, 1.0)], 1.0);
+        p.add_le_constraint(&[(0, 1.0), (1, -1.0)], 1.0);
         assert_eq!(solve_both(&p).status, LpStatus::Unbounded);
     }
 
     #[test]
     fn upper_bound_tames_an_otherwise_unbounded_program() {
-        let mut p = LpProblem::new(1);
+        let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
-        p.add_ge_constraint(&[(0, 1.0)], 1.0);
+        p.add_le_constraint(&[(0, 1.0), (1, -1.0)], 1.0);
         p.set_upper_bound(0, 7.5);
         let s = solve_both(&p);
         assert_eq!(s.status, LpStatus::Optimal);
@@ -737,20 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn negative_rhs_rows_are_normalized() {
-        // -x - y <= -4  (i.e. x + y >= 4), x <= 3, y <= 3, max x + y -> 6.
-        let mut p = LpProblem::new(2);
-        p.set_objective_coefficient(0, 1.0);
-        p.set_objective_coefficient(1, 1.0);
-        p.add_le_constraint(&[(0, -1.0), (1, -1.0)], -4.0);
-        p.set_upper_bound(0, 3.0);
-        p.set_upper_bound(1, 3.0);
-        let s = solve_both(&p);
-        assert_eq!(s.status, LpStatus::Optimal);
-        assert_close(s.objective, 6.0);
-    }
-
-    #[test]
     fn degenerate_problem_terminates() {
         // A classic cycling-prone example (Beale); Bland fallback must save us.
         let mut p = LpProblem::new(4);
@@ -767,11 +568,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_rhs_equality() {
-        // max x; x - y = 0; y <= 2 -> x = 2.
+    fn zero_rhs_row_is_tight_at_the_optimum() {
+        // max x; x - y <= 0; y <= 2 -> x = 2.
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
+        p.add_le_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
         p.set_upper_bound(1, 2.0);
         let s = solve_both(&p);
         assert_eq!(s.status, LpStatus::Optimal);
@@ -791,9 +592,6 @@ mod tests {
         p.set_upper_bound(2, 6.0);
         p.add_le_constraint(&[(1, 1.0), (0, -1.0)], 0.0);
         p.add_le_constraint(&[(2, 1.0), (1, -1.0)], 0.0);
-        // Encourage upstream saturation (not required, but mirrors x_i = q_i
-        // for source interactions).
-        p.add_ge_constraint(&[(0, 1.0)], 5.0);
         let s = solve_both(&p);
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 4.0);
@@ -815,13 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn equalities_with_redundant_rows() {
-        // x + y = 4 stated twice plus x - y = 0 -> x = y = 2.
+    fn repeated_rows_with_a_zero_rhs_tie() {
+        // max x; x + y <= 4 stated twice plus x - y <= 0 -> x = y = 2.
         let mut p = LpProblem::new(2);
         p.set_objective_coefficient(0, 1.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
-        p.add_eq_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
+        p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
+        p.add_le_constraint(&[(0, 1.0), (1, 1.0)], 4.0);
+        p.add_le_constraint(&[(0, 1.0), (1, -1.0)], 0.0);
         let s = solve_both(&p);
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 2.0);
@@ -885,7 +683,6 @@ mod tests {
             p.set_upper_bound(j, 5.0 + (j % 3) as f64);
             p.add_le_constraint(&[(j, 1.0), (j - 1, -1.0)], 0.0);
         }
-        p.add_ge_constraint(&[(0, 1.0)], 5.0);
         let s = p.solve();
         assert_eq!(s.status, LpStatus::Optimal);
         assert_close(s.objective, 5.0);

@@ -1,12 +1,12 @@
 //! Solver results.
 
-/// Outcome of a simplex run.
+/// Outcome of a simplex run. There is no infeasible outcome: an
+/// [`LpProblem`](crate::LpProblem) has non-negative right-hand sides and a
+/// circulation has no supplies, so the zero point is always feasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
     /// An optimal basic feasible solution was found.
     Optimal,
-    /// The feasible region is empty.
-    Infeasible,
     /// The objective is unbounded over the feasible region.
     Unbounded,
     /// The iteration limit was hit before reaching optimality (should not
@@ -31,8 +31,8 @@ pub struct LpSolution {
     /// Values of the decision variables (empty unless `status` is
     /// [`LpStatus::Optimal`]).
     pub variables: Vec<f64>,
-    /// Number of simplex iterations performed across both phases (pivots
-    /// plus, for the revised engine, bound flips).
+    /// Number of simplex iterations performed (pivots plus, for the revised
+    /// engine, bound flips).
     pub iterations: usize,
     /// Number of basis refactorizations performed (always 0 for the dense
     /// tableau reference, which has no factorized basis).
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn status_helpers() {
-        let s = LpSolution::with_status(LpStatus::Infeasible, 3);
+        let s = LpSolution::with_status(LpStatus::Unbounded, 3);
         assert!(!s.is_optimal());
         assert_eq!(s.iterations, 3);
         assert_eq!(s.objective, 0.0);

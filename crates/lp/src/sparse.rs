@@ -3,7 +3,7 @@
 //! Two pieces live here:
 //!
 //! * [`CscMatrix`] — a compressed-sparse-column store for the constraint
-//!   matrix (including slack/artificial columns). The simplex only ever
+//!   matrix (including the slack columns). The simplex only ever
 //!   walks whole columns (pricing, FTRAN), which is exactly what CSC makes
 //!   cheap.
 //! * [`EtaFile`] — the basis inverse in product form. Every pivot appends

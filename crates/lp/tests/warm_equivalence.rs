@@ -155,11 +155,12 @@ fn assert_three_way(p: &MinCostFlowProblem, warm: &tin_lp::McfSolution, context:
             warm.objective,
             cold.objective
         );
+        // The LP image maximizes minus the cost.
         assert!(
-            close(cold.objective, oracle.objective),
+            close(cold.objective, -oracle.objective),
             "{context}: cold cost {} vs LP oracle {}",
             cold.objective,
-            oracle.objective
+            -oracle.objective
         );
         assert!(
             p.is_feasible(&warm.flows, 1e-6),

@@ -9,8 +9,8 @@
 //! * [`graph`] ([`tin_graph`]) — the temporal interaction network data model;
 //! * [`lp`] ([`tin_lp`]) — the exact solvers: the network simplex that
 //!   solves the flow circulations (kept resident across batches by
-//!   [`lp::NetflowSession`]) and the sparse revised simplex for general LPs
-//!   (a dense tableau stays as its test reference);
+//!   [`lp::NetflowSession`]) and the sparse revised simplex for the
+//!   Section 4.2.1 LP (a dense tableau stays as its test reference);
 //! * [`maxflow`] ([`tin_maxflow`]) — static max-flow algorithms and the
 //!   time-expanded reduction;
 //! * [`flow`] ([`tin_flow`]) — greedy and maximum flow computation,
