@@ -23,7 +23,14 @@ pub enum DurabilityError {
     CorruptFrame {
         /// Segment file the frame lives in.
         file: String,
-        /// 0-based index of the frame within its segment.
+        /// 0-based index of the frame, counted from where the reading
+        /// began: across the whole journal for [`crate::Recovery::run`]
+        /// (the frames its snapshot covers, then those replayed before
+        /// this one, as for [`DurabilityError::Replay`]); from the start
+        /// position for [`crate::journal::replay_from`]; from the scan's
+        /// start for [`crate::frame::scan_segment`], which for a scan from
+        /// 0 is the index within the segment; and within the segment for
+        /// [`crate::Journal::open`], which scans the newest one whole.
         frame: u64,
         /// Byte offset of the frame's start within the segment file.
         offset: u64,
@@ -57,7 +64,8 @@ pub enum DurabilityError {
     Replay {
         /// Segment file the frame lives in.
         file: String,
-        /// 0-based index of the frame within its segment.
+        /// 0-based index of the frame in the whole journal: the frames the
+        /// recovery's snapshot covers, then those replayed before this one.
         frame: u64,
         /// Byte offset of the frame's start within the segment file.
         offset: u64,
@@ -86,6 +94,26 @@ impl DurabilityError {
         DurabilityError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
+        }
+    }
+
+    /// Renumbers a [`DurabilityError::CorruptFrame`] for a reader that had
+    /// read `frames` frames before the failing scan began; any other error
+    /// passes through unchanged.
+    pub(crate) fn after_frames(self, frames: u64) -> Self {
+        match self {
+            DurabilityError::CorruptFrame {
+                file,
+                frame,
+                offset,
+                reason,
+            } => DurabilityError::CorruptFrame {
+                file,
+                frame: frames + frame,
+                offset,
+                reason,
+            },
+            other => other,
         }
     }
 }

@@ -46,6 +46,11 @@
 //! it is conservatively treated as a torn tail (the WAL convention — the
 //! checksum cannot be consulted before the payload is complete).
 //!
+//! The scanner also runs over part of a segment: given the bytes from some
+//! offset to the segment's end, together with that offset, it reports the
+//! same positions and verdicts as over the whole file. The journal's
+//! replay uses this to read a segment from a committed position on.
+//!
 //! ## Trailing zeros are unwritten space
 //!
 //! The journal sets a segment's length ahead of its writes (see
@@ -283,29 +288,52 @@ pub struct SegmentScan {
 /// the segment lost bytes below a committed position, and a position is
 /// committed only after its frames were synced, so no crash leaves that
 /// behind.
+///
+/// Frames are counted from `start`: a [`DurabilityError::CorruptFrame`]'s
+/// `frame` is the failing frame's index among the frames the scan read,
+/// which for a scan from 0 is its index in the segment.
 pub fn scan_segment(
     bytes: &[u8],
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
 ) -> Result<SegmentScan, DurabilityError> {
-    if start > bytes.len() as u64 {
+    scan_tail(bytes, 0, start, tolerate_torn_tail, file)
+}
+
+/// [`scan_segment`] over the part of a segment that begins at byte `base`
+/// of the file: `tail` holds the segment from `base` to its end, and
+/// every offset in and out is the segment's own. `base` may not exceed
+/// `start`, and is 0 when `start` lies inside the magic, which is then
+/// checked. A reader that resumes at a committed position passes the
+/// bytes from there on, or none when the file ends before it, with `base`
+/// at the file's end, so that the past-the-end verdict still sees the
+/// segment's true length.
+pub(crate) fn scan_tail(
+    tail: &[u8],
+    base: u64,
+    start: u64,
+    tolerate_torn_tail: bool,
+    file: &str,
+) -> Result<SegmentScan, DurabilityError> {
+    debug_assert!(base <= start && (base == 0 || start >= SEGMENT_MAGIC.len() as u64));
+    let len = base + tail.len() as u64;
+    if start > len {
         return Err(DurabilityError::CorruptFrame {
             file: file.into(),
             frame: 0,
             offset: start,
-            reason: format!(
-                "committed position {start} lies past the segment's end ({} bytes)",
-                bytes.len()
-            ),
+            reason: format!("committed position {start} lies past the segment's end ({len} bytes)"),
         });
     }
-    let from = start as usize;
-    let data_end = bytes[from..]
+    let from = (start - base) as usize;
+    let data_end = tail[from..]
         .iter()
         .rposition(|&b| b != 0)
         .map_or(from, |last| from + last + 1);
-    let bytes = &bytes[..data_end];
+    // `bytes[i]` is the segment's byte `base + i`.
+    let bytes = &tail[..data_end];
+    let end = base + bytes.len() as u64;
     let mut offset;
     if start < SEGMENT_MAGIC.len() as u64 {
         let have = bytes.len().min(SEGMENT_MAGIC.len());
@@ -346,7 +374,7 @@ pub fn scan_segment(
     let mut deltas = Vec::new();
     let mut frames = 0u64;
     loop {
-        let remaining = bytes.len() as u64 - offset;
+        let remaining = end - offset;
         if remaining == 0 {
             return Ok(SegmentScan {
                 deltas,
@@ -361,7 +389,7 @@ pub fn scan_segment(
                 "frame header cut short ({remaining} of {FRAME_HEADER_BYTES} bytes)"
             ))
         } else {
-            let o = offset as usize;
+            let o = (offset - base) as usize;
             let len = u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4-byte slice")) as u64;
             if remaining < FRAME_HEADER_BYTES + len {
                 Some(format!(
@@ -388,7 +416,7 @@ pub fn scan_segment(
                 reason,
             });
         }
-        let o = offset as usize;
+        let o = (offset - base) as usize;
         let len_bytes: [u8; 4] = bytes[o..o + 4].try_into().expect("4-byte slice");
         let len = u32::from_le_bytes(len_bytes) as u64;
         let stored_crc = u32::from_le_bytes(bytes[o + 4..o + 8].try_into().expect("4-byte slice"));

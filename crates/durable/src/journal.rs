@@ -9,6 +9,12 @@
 //! segment — the frames before it are untouched, exactly the recoverable
 //! prefix [`crate::frame::scan_segment`] reports.
 //!
+//! [`replay_from`] reads each segment from where the replay starts in it,
+//! so a recovery from a snapshot reads none of the frames its snapshot
+//! covers. A store reopening after recovery starts appending where the
+//! recovery's replay ended and makes the same cut without scanning the
+//! segment a second time.
+//!
 //! ## Presized segments
 //!
 //! Frames are written in place at the segment's data end, not appended:
@@ -30,7 +36,7 @@
 use crate::error::DurabilityError;
 use crate::frame::{self, SEGMENT_MAGIC};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tin_graph::GraphDelta;
 
@@ -173,46 +179,94 @@ impl Journal {
     pub fn open(dir: &Path, config: JournalConfig) -> Result<Self, DurabilityError> {
         fs::create_dir_all(dir).map_err(|e| DurabilityError::from_io(dir, e))?;
         let segments = list_segments(dir)?;
-        let (seg_seq, file, offset) = match segments.last() {
-            None => (0, create_segment(dir, 0)?, SEGMENT_MAGIC.len() as u64),
+        match segments.last() {
+            None => Ok(Journal::at(
+                dir,
+                config,
+                0,
+                create_segment(dir, 0)?,
+                SEGMENT_MAGIC.len() as u64,
+            )),
             Some(&(seq, ref path)) => {
-                let io = |e| DurabilityError::from_io(path, e);
-                let bytes = fs::read(path).map_err(io)?;
+                let bytes = fs::read(path).map_err(|e| DurabilityError::from_io(path, e))?;
                 let scan = frame::scan_segment(&bytes, 0, true, &file_name(path))?;
-                let mut file = OpenOptions::new().write(true).open(path).map_err(io)?;
-                if scan.valid_bytes < bytes.len() as u64 {
-                    file.set_len(scan.valid_bytes)
-                        .and_then(|()| file.sync_all())
-                        .map_err(io)?;
-                }
-                // A segment cut inside its magic recovers to 0 bytes; give
-                // it its magic back so it is a valid empty segment.
-                let offset = if scan.valid_bytes == 0 {
-                    file.write_all(SEGMENT_MAGIC)
-                        .and_then(|()| file.sync_all())
-                        .map_err(io)?;
-                    SEGMENT_MAGIC.len() as u64
-                } else {
-                    file.seek(SeekFrom::Start(scan.valid_bytes)).map_err(io)?;
-                    scan.valid_bytes
-                };
-                (seq, file, offset)
+                Journal::reopen(dir, config, seq, path, scan.valid_bytes)
             }
+        }
+    }
+
+    /// Opens the journal under `dir` for appending at `end`, the position
+    /// a replay of the directory ended at ([`JournalReplay::end`], or
+    /// [`crate::RecoveryReport::position`]) with nothing written since.
+    ///
+    /// The replay has already scanned the newest segment from where it
+    /// started in it, so this reads no frame: it cuts the segment back to
+    /// `end` and gives a segment cut inside its magic its magic back, as
+    /// [`Journal::open`] does after its own scan. The frames before the
+    /// replay's start go unchecked, as the replay left them. When `end`
+    /// does not lie in the newest segment (the replay found no segment
+    /// from its start on), this is [`Journal::open`].
+    pub(crate) fn resume(
+        dir: &Path,
+        config: JournalConfig,
+        end: JournalPos,
+    ) -> Result<Self, DurabilityError> {
+        match list_segments(dir)?.last() {
+            Some(&(seq, ref path)) if seq == end.segment => {
+                Journal::reopen(dir, config, seq, path, end.offset)
+            }
+            _ => Journal::open(dir, config),
+        }
+    }
+
+    /// Opens segment `seq` at `path` for appending after its first `valid`
+    /// bytes, cutting whatever follows them (a torn frame, a killed
+    /// writer's zeros). A segment with no valid byte gets its magic back.
+    fn reopen(
+        dir: &Path,
+        config: JournalConfig,
+        seq: u64,
+        path: &Path,
+        valid: u64,
+    ) -> Result<Self, DurabilityError> {
+        let io = |e| DurabilityError::from_io(path, e);
+        let mut file = OpenOptions::new().write(true).open(path).map_err(io)?;
+        if valid < file.metadata().map_err(io)?.len() {
+            file.set_len(valid)
+                .and_then(|()| file.sync_all())
+                .map_err(io)?;
+        }
+        // A segment cut inside its magic recovers to 0 bytes; give it its
+        // magic back so it is a valid empty segment.
+        let offset = if valid == 0 {
+            file.write_all(SEGMENT_MAGIC)
+                .and_then(|()| file.sync_all())
+                .map_err(io)?;
+            SEGMENT_MAGIC.len() as u64
+        } else {
+            file.seek(SeekFrom::Start(valid)).map_err(io)?;
+            valid
         };
-        Ok(Journal {
+        Ok(Journal::at(dir, config, seq, file, offset))
+    }
+
+    /// A journal appending to segment `seq`, `file`, at its data end
+    /// `offset`, which is also the file's length and durable.
+    fn at(dir: &Path, config: JournalConfig, seq: u64, file: File, offset: u64) -> Self {
+        Journal {
             dir: dir.to_path_buf(),
             config,
-            seg_seq,
+            seg_seq: seq,
             file,
             offset,
             len: offset,
             unsynced: 0,
             durable: JournalPos {
-                segment: seg_seq,
+                segment: seq,
                 offset,
             },
             frame: Vec::new(),
-        })
+        }
     }
 
     /// Appends one delta as a frame, returning the durable position *after*
@@ -351,7 +405,12 @@ pub struct JournalReplay {
 /// Only the newest segment may end mid-frame (a torn tail, tolerated and
 /// reported); an incomplete or checksum-failing frame anywhere else is
 /// mid-journal corruption and fails with a typed, positional
-/// [`DurabilityError::CorruptFrame`].
+/// [`DurabilityError::CorruptFrame`], whose `frame` counts the frames
+/// from `from` on: the index the failing frame would have had in
+/// [`JournalReplay::deltas`].
+///
+/// Each segment is read from where the replay starts in it, so a replay
+/// from a snapshot's position reads none of the frames before it.
 pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, DurabilityError> {
     let segments = list_segments(dir)?;
     let relevant: Vec<&(u64, PathBuf)> = segments
@@ -374,10 +433,13 @@ pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, Durabi
                 segment: relevant[i - 1].0 + 1,
             });
         }
-        let bytes = fs::read(path).map_err(|e| DurabilityError::from_io(path, e))?;
         let is_last = i + 1 == relevant.len();
         let start = if *seq == from.segment { from.offset } else { 0 };
-        let scan = frame::scan_segment(&bytes, start, is_last, &file_name(path))?;
+        let scan = {
+            let (base, tail) = read_from(path, start)?;
+            frame::scan_tail(&tail, base, start, is_last, &file_name(path))
+                .map_err(|e| e.after_frames(deltas.len() as u64))?
+        };
         for (delta, off) in scan.deltas {
             deltas.push((
                 delta,
@@ -398,6 +460,25 @@ pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, Durabi
         }
     }
     Ok(JournalReplay { deltas, end, torn })
+}
+
+/// Reads segment `path` from where a scan starting at `start` needs it:
+/// from byte 0 when `start` lies inside the magic, which the scan checks,
+/// else from `start`, or from the file's end when the file is shorter.
+/// Returns the offset the bytes begin at and the bytes.
+fn read_from(path: &Path, start: u64) -> Result<(u64, Vec<u8>), DurabilityError> {
+    let io = |e| DurabilityError::from_io(path, e);
+    let mut file = File::open(path).map_err(io)?;
+    let len = file.metadata().map_err(io)?.len();
+    let base = if start < SEGMENT_MAGIC.len() as u64 {
+        0
+    } else {
+        start.min(len)
+    };
+    file.seek(SeekFrom::Start(base)).map_err(io)?;
+    let mut tail = Vec::with_capacity((len - base) as usize);
+    file.read_to_end(&mut tail).map_err(io)?;
+    Ok((base, tail))
 }
 
 /// Deletes every journal segment strictly older than `pos.segment`,

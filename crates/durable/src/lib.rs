@@ -28,7 +28,9 @@
 //!   [`tin_graph::TemporalGraph::apply`], frame by frame, and one table
 //!   catch-up at the end: the frames' changes folded into one
 //!   [`tin_patterns::PathTables::apply`], or a rebuild when the tail
-//!   changed a large share of the graph.
+//!   changed a large share of the graph. It reads the journal from the
+//!   snapshot's position and decodes the snapshot's tables only when the
+//!   catch-up keeps them; a reopened store appends where its replay ended.
 //! * [`store`] — [`DurableStore`], the glue used by examples and benches:
 //!   journal-then-apply per delta (the [`tin_datasets::DeltaStream`] tee)
 //!   and on-demand snapshots.

@@ -30,11 +30,21 @@
 //! changed at least a quarter of the live `(src, dst)` pairs, replaced by
 //! one [`PathTables::build`] of the final graph.
 //! [`RecoveryReport::tables_update`] says which.
+//!
+//! Recovery reads and decodes only what it keeps. A snapshot's load
+//! checks the whole file's CRC, decodes the graph, and checks the table
+//! section in place without building a row, so a malformed table section
+//! is discarded on rung 2 exactly as a full decode would discard it. The
+//! journal is read from the snapshot's position on, none of the frames
+//! before it. The tables are decoded only when they are kept: when nothing
+//! was replayed, or when the fold patches them. A rebuild, and a snapshot
+//! taken under another table configuration, free the snapshot's bytes
+//! unread before the build allocates.
 
 use crate::error::DurabilityError;
 use crate::frame::TornTail;
 use crate::journal::{list_segments, JournalPos, JournalReplay};
-use crate::snapshot::{list_manifests, load_snapshot, read_manifest};
+use crate::snapshot::{list_manifests, open_snapshot, read_manifest, StoredTables};
 use std::path::{Path, PathBuf};
 use tin_graph::{AppliedDelta, NodeId, TemporalGraph};
 use tin_patterns::{PathTables, TablesConfig, TablesUpdate};
@@ -120,8 +130,8 @@ impl Recovery {
 
     /// Runs the degradation ladder described in the [module docs](self) and
     /// returns the recovered state. Read-only: never deletes or truncates
-    /// anything (the journal's own `open` handles tail truncation when the
-    /// store reopens for writing).
+    /// anything (the journal cuts the tail when the store reopens for
+    /// writing, at [`RecoveryReport::position`]).
     pub fn run(&self) -> Result<Recovered, DurabilityError> {
         let mut discarded = Vec::new();
 
@@ -134,15 +144,15 @@ impl Recovery {
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| path.display().to_string());
             let restored = read_manifest(path).and_then(|manifest| {
-                load_snapshot(&self.dir, &manifest).map(|state| (manifest.snapshot.clone(), state))
+                open_snapshot(&self.dir, &manifest).map(|state| (manifest.snapshot.clone(), state))
             });
             match restored {
-                Ok((snapshot, (graph, tables, pos, frames))) => {
+                Ok((snapshot, state)) => {
                     return self.finish_from_snapshot(
-                        graph,
-                        tables,
-                        pos,
-                        frames,
+                        state.graph,
+                        Some(state.tables),
+                        state.pos,
+                        state.frames,
                         RecoverySource::Snapshot {
                             manifest: name,
                             snapshot,
@@ -160,28 +170,29 @@ impl Recovery {
         // state otherwise.
         let has_journal = !list_segments(&self.dir)?.is_empty();
         let graph = TemporalGraph::new();
-        let tables = PathTables::build(&graph, &self.tables_config);
         let source = if has_journal {
             RecoverySource::FullReplay
         } else {
             RecoverySource::Fresh
         };
-        self.finish_from_snapshot(graph, tables, JournalPos::start(), 0, source, discarded)
+        self.finish_from_snapshot(graph, None, JournalPos::start(), 0, source, discarded)
     }
 
-    /// Replays the journal tail from `pos` onto `graph`, brings `tables`
+    /// Replays the journal tail from `pos` onto `graph`, brings the tables
     /// up to date in one catch-up ([`Recovery::catch_up`]) and assembles
-    /// the report.
+    /// the report. `stored` holds the snapshot's tables, current as of
+    /// `pos`; `None` stands for the empty graph's tables.
     fn finish_from_snapshot(
         &self,
         mut graph: TemporalGraph,
-        tables: PathTables,
+        stored: Option<StoredTables>,
         pos: JournalPos,
         frames: u64,
         source: RecoverySource,
         discarded: Vec<String>,
     ) -> Result<Recovered, DurabilityError> {
-        let JournalReplay { deltas, end, torn } = crate::journal::replay_from(&self.dir, pos)?;
+        let JournalReplay { deltas, end, torn } =
+            crate::journal::replay_from(&self.dir, pos).map_err(|e| e.after_frames(frames))?;
         let replayed = deltas.len() as u64;
         let mut fold: Option<AppliedDelta> = None;
         for (i, (delta, frame_pos)) in deltas.into_iter().enumerate() {
@@ -196,7 +207,7 @@ impl Recovery {
                 None => fold = Some(applied),
             }
         }
-        let (tables, tables_update) = self.catch_up(&graph, tables, fold);
+        let (tables, tables_update) = self.catch_up(&graph, stored, fold);
         Ok(Recovered {
             graph,
             tables,
@@ -212,8 +223,14 @@ impl Recovery {
         })
     }
 
-    /// Brings `tables`, current as of the replay's start, up to date with
-    /// `graph`, the state after the replayed frames whose fold is `fold`.
+    /// Brings the tables current as of the replay's start (`stored`, or
+    /// the empty graph's when `None`) up to date with `graph`, the state
+    /// after the replayed frames whose fold is `fold`.
+    ///
+    /// A snapshot's tables are decoded only when they are kept: when
+    /// nothing was replayed, or when the fold patches them. A rebuild, and
+    /// a snapshot built under another configuration, drop them unread,
+    /// which frees the snapshot's bytes before the build allocates.
     ///
     /// The choice between patch and rebuild lives here rather than in
     /// [`PathTables::apply`]: a live feed's first batches also change most
@@ -223,23 +240,30 @@ impl Recovery {
     fn catch_up(
         &self,
         graph: &TemporalGraph,
-        mut tables: PathTables,
+        stored: Option<StoredTables>,
         fold: Option<AppliedDelta>,
     ) -> (PathTables, Option<TablesUpdate>) {
         // The snapshot may have been produced under a different table
         // configuration than the one requested now; rebuild rather than
         // serve rows the caller did not ask for (or miss ones they did).
-        let config_fits = *tables.config() == self.tables_config;
+        let config_fits = stored
+            .as_ref()
+            .is_none_or(|s| *s.config() == self.tables_config);
+        let restore = |stored: Option<StoredTables>| match stored {
+            Some(stored) => stored.decode(),
+            None => PathTables::build(&TemporalGraph::new(), &self.tables_config),
+        };
         match fold {
-            None if config_fits => return (tables, None),
+            None if config_fits => return (restore(stored), None),
             Some(fold) if config_fits && !mostly_changed(graph, &fold) => {
+                let mut tables = restore(stored);
                 let update = tables.apply(graph, &fold);
                 return (tables, Some(update));
             }
             _ => {}
         }
-        // Free the stale rows before the build allocates fresh ones.
-        drop(tables);
+        // Free the snapshot's bytes and the fold before the build allocates.
+        drop((stored, fold));
         let tables = PathTables::build(graph, &self.tables_config);
         let update = TablesUpdate {
             refreshed_groups: graph.node_count(),
@@ -271,7 +295,7 @@ fn mostly_changed(graph: &TemporalGraph, fold: &AppliedDelta) -> bool {
 mod tests {
     use super::*;
     use crate::journal::{Journal, JournalConfig};
-    use crate::snapshot::{manifest_path, snapshot_path, write_snapshot};
+    use crate::snapshot::{manifest_path, read_manifest, snapshot_path, write_snapshot};
     use crate::store::DurableStore;
     use std::fs;
     use tin_datasets::{generate_prosper, DeltaStream, LoaderConfig, ProsperConfig};
@@ -616,5 +640,175 @@ mod tests {
         assert_eq!(rec.graph, g);
         assert_eq!(t.first_row_divergence(&rec.tables), None);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Snapshot 0 of a store whose tail is frames 5–8 of one segment: a
+    /// corrupt frame 6 is numbered in the whole journal, as a rejected
+    /// replay is, not from where the tail's scan began.
+    #[test]
+    fn corrupt_tail_frame_is_numbered_in_the_whole_journal() {
+        let dir = temp_dir("tailframe");
+        populate(&dir, 9, Some(5));
+        let seg = crate::journal::segment_path(&dir, 0);
+        let mut bytes = fs::read(&seg).unwrap();
+        let scan = crate::frame::scan_segment(&bytes, 0, true, "journal-000000.wal").unwrap();
+        // Frame 6 starts where frame 5 ends; flip a byte of its payload.
+        let sixth = scan.deltas[5].1;
+        bytes[sixth as usize + 9] ^= 0x08;
+        fs::write(&seg, &bytes).unwrap();
+        match Recovery::new(&dir, TablesConfig::default()).run() {
+            Err(DurabilityError::CorruptFrame {
+                file,
+                frame,
+                offset,
+                ..
+            }) => assert_eq!(
+                (file.as_str(), frame, offset),
+                ("journal-000000.wal", 6, sixth)
+            ),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Byte offsets of one stored table's columns in a snapshot file.
+    struct Columns {
+        rows: usize,
+        arena: usize,
+        nverts: usize,
+        verts: usize,
+        ndel: usize,
+    }
+
+    /// Walks a snapshot file's header and graph section (see
+    /// [`crate::snapshot`]) and returns the columns of its three tables.
+    fn table_columns(bytes: &[u8]) -> Vec<Columns> {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        // Magic, version, journal position, frames.
+        let mut at = 8 + 4 + 3 * 8;
+        let nodes = word(at);
+        at += 8;
+        for _ in 0..nodes {
+            at += 8 + word(at);
+        }
+        let edges = word(at);
+        at += 8;
+        for _ in 0..edges {
+            at += 8;
+            at += 8 + 16 * word(at);
+        }
+        at += if bytes[at] == 1 { 9 } else { 1 };
+        // Configuration flags and row cap, truncation flag.
+        at += 3 + 8 + 1;
+        (0..3)
+            .map(|_| {
+                let (rows, arena) = (word(at), word(at + 8));
+                let nverts = at + 16;
+                let verts = nverts + rows;
+                let total: usize = bytes[nverts..verts].iter().map(|&n| n as usize).sum();
+                let ndel = verts + 4 * total + 8 * rows;
+                at = ndel + 4 * rows + 16 * arena;
+                Columns {
+                    rows,
+                    arena,
+                    nverts,
+                    verts,
+                    ndel,
+                }
+            })
+            .collect()
+    }
+
+    /// Breaks a snapshot's bytes given the columns of its `C2` table, and
+    /// returns the reason a decode gives for the break.
+    type Edit = fn(&mut [u8], &Columns) -> String;
+
+    /// Applies `edit` to snapshot 0 under `dir`, then recomputes the
+    /// snapshot's trailing CRC and the manifest's, so that only a check of
+    /// the table section can find what `edit` broke; returns the reason
+    /// recovery must discard the snapshot with.
+    fn tamper_with_c2(dir: &Path, edit: Edit) -> String {
+        let path = snapshot_path(dir, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        let c2 = table_columns(&bytes).swap_remove(2);
+        assert!(c2.rows >= 2, "C2 holds {} rows", c2.rows);
+        let reason = edit(&mut bytes, &c2);
+        let body = bytes.len() - 4;
+        let trailer = crate::crc32(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&trailer);
+        fs::write(&path, &bytes).unwrap();
+        let manifest = manifest_path(dir, 0);
+        let old = read_manifest(&manifest).unwrap().crc;
+        let text = fs::read_to_string(&manifest).unwrap().replace(
+            &format!("crc {old:#010x}"),
+            &format!("crc {:#010x}", crate::crc32(&bytes)),
+        );
+        fs::write(&manifest, text).unwrap();
+        format!("manifest 000000: corrupt snapshot snapshot-000000.snap: {reason}")
+    }
+
+    /// Vertices of a 3-vertex row starting at byte `at`.
+    fn row_at(bytes: &[u8], at: usize) -> Vec<NodeId> {
+        bytes[at..at + 12]
+            .chunks_exact(4)
+            .map(|c| NodeId(u32::from_le_bytes(c.try_into().unwrap())))
+            .collect()
+    }
+
+    /// Swaps the first two rows' vertices, so the second sorts first.
+    fn rows_out_of_order(bytes: &mut [u8], c2: &Columns) -> String {
+        let (first, second) = (row_at(bytes, c2.verts), row_at(bytes, c2.verts + 12));
+        bytes.copy_within(c2.verts..c2.verts + 12, c2.verts + 24);
+        bytes.copy_within(c2.verts + 12..c2.verts + 36, c2.verts);
+        format!(
+            "C2 table is malformed: row 1 ({first:?}) is not strictly after its predecessor \
+             ({second:?})"
+        )
+    }
+
+    /// Gives the first row 4 vertices and the second 2, so every column
+    /// keeps its length.
+    fn four_vertex_row(bytes: &mut [u8], c2: &Columns) -> String {
+        bytes[c2.nverts] = 4;
+        bytes[c2.nverts + 1] = 2;
+        "C2 row 0 has 4 vertices".into()
+    }
+
+    /// Gives the first row a delivered profile longer than the arena.
+    fn profile_past_the_arena(bytes: &mut [u8], c2: &Columns) -> String {
+        let len = c2.arena as u32 + 1;
+        bytes[c2.ndel..c2.ndel + 4].copy_from_slice(&len.to_le_bytes());
+        "C2 row 0 delivered profile overruns arena".into()
+    }
+
+    /// Each malformed table section is discarded for the reason its decode
+    /// gives, whichever branch the tail would have taken, and recovery
+    /// falls to a full replay of the live state.
+    fn malformed_tables_fall_to_full_replay(tail: Option<usize>) {
+        let edits: [(&str, Edit); 3] = [
+            ("order", rows_out_of_order),
+            ("fourverts", four_vertex_row),
+            ("profile", profile_past_the_arena),
+        ];
+        for (tag, edit) in edits {
+            let dir = temp_dir(&format!("badtables-{tag}-{}", tail.is_some()));
+            let (graph, tables, _) = windowed_store(&dir, tail);
+            let reason = tamper_with_c2(&dir, edit);
+            let rec = Recovery::new(&dir, TablesConfig::default()).run().unwrap();
+            assert_eq!(rec.report.discarded, [reason], "{tag}");
+            assert_eq!(rec.report.source, RecoverySource::FullReplay, "{tag}");
+            assert_one_catch_up(&rec, &graph, &tables, true);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn malformed_tables_behind_a_one_frame_tail_fall_to_full_replay() {
+        malformed_tables_fall_to_full_replay(Some(1));
+    }
+
+    #[test]
+    fn malformed_tables_behind_a_long_tail_fall_to_full_replay() {
+        malformed_tables_fall_to_full_replay(None);
     }
 }

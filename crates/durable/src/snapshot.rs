@@ -28,6 +28,17 @@
 //! [`tin_patterns::PathTables::first_row_divergence`], which never inspects
 //! arena layout.
 //!
+//! ## Loading
+//!
+//! A load checks the file's length and both CRCs, decodes the header and
+//! the graph, and checks the table section in place: every row the
+//! builder would refuse (a vertex count other than 2 or 3, a row not
+//! strictly after its predecessor, a profile past the arena or past the
+//! `u32` offsets, an arena the rows do not use up) is refused there, with
+//! the reason the decode would give. One reader serves the check and the
+//! decode. Recovery stops at the check and decodes the tables only when
+//! it keeps them; [`load_snapshot`] decodes them at once.
+//!
 //! ## Commit protocol
 //!
 //! Both the snapshot and its manifest are written to a `.tmp` name, fsynced,
@@ -259,16 +270,18 @@ fn serialize(graph: &TemporalGraph, tables: &PathTables, pos: JournalPos, frames
     w.buf
 }
 
-/// Decodes a snapshot body (everything before the 4 trailing checksum
-/// bytes). Checksum verification is [`load_snapshot`]'s job — this decoder
-/// is still bounds-checked and panic-free on arbitrary bytes, so a caller
-/// bug in the verification order degrades to a decode error, never a panic.
-fn deserialize(bytes: &[u8]) -> Result<(TemporalGraph, PathTables, JournalPos, u64), String> {
+/// Decodes a snapshot file up to its tables: the header and the graph
+/// section are decoded and the graph validated, the table section is
+/// checked in place ([`read_table`] without building) and left in the
+/// returned [`StoredTables`]. Checksum verification is
+/// [`open_snapshot`]'s job — this decoder is still bounds-checked and
+/// panic-free on arbitrary bytes, so a caller bug in the verification
+/// order degrades to a decode error, never a panic.
+fn deserialize(bytes: Vec<u8>) -> Result<LoadedSnapshot, String> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
         return Err("file too short to be a snapshot".into());
     }
-    let (body, _stored) = bytes.split_at(bytes.len() - 4);
-    let mut r = BinReader::new(body);
+    let mut r = BinReader::new(&bytes[..bytes.len() - 4]);
     if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
         return Err("bad snapshot magic".into());
     }
@@ -318,81 +331,185 @@ fn deserialize(bytes: &[u8]) -> Result<(TemporalGraph, PathTables, JournalPos, u
         max_rows: usize::try_from(r.u64()?).map_err(|_| "max_rows overflows usize")?,
     };
     let truncated = r.u8()? != 0;
-    let mut restored: Vec<PathTable> = Vec::with_capacity(3);
-    // Each row streams straight into a `PathTableBuilder` — one pass, no
-    // intermediate pools. One large table (C2 can run to 10^5 rows) must not
-    // be copied twice on the recovery path; this decode is the dominant cost
-    // of restart at standard scale.
-    let mut verts = [NodeId(0); 3];
-    for label in ["L2", "L3", "C2"] {
-        let rows = r.len("row")?;
-        // Arena interactions are 16 bytes each in the snapshot, so this count
-        // is bounded by the remaining bytes and safe to reserve.
-        let arena_total = r.len("arena")?;
-        // Columns decode as whole slices up front — every bounds check after
-        // `take` succeeds is against an exact precomputed block size, so the
-        // per-row loop below runs cursor arithmetic, not reader calls.
-        let nverts_col = r.take(rows)?;
-        let total_verts: usize = nverts_col.iter().map(|&b| b as usize).sum();
-        let verts_col = r.take(total_verts.checked_mul(4).ok_or("vertex count overflows")?)?;
-        let flow_col = r.take(rows.checked_mul(8).ok_or("row count overflows")?)?;
-        let ndel_col = r.take(rows.checked_mul(4).ok_or("row count overflows")?)?;
-        let deliv_col = r.take(
-            arena_total
-                .checked_mul(16)
-                .ok_or("delivered count overflows")?,
-        )?;
-        let mut builder = PathTableBuilder::with_capacity(rows);
-        builder.reserve_arena(arena_total);
-        let mut vpos = 0usize;
-        let mut dpos = 0usize;
-        for (i, &nv) in nverts_col.iter().enumerate() {
-            let nverts = nv as usize;
-            if nverts > verts.len() {
-                return Err(format!("{label} row {i} has {nverts} vertices"));
-            }
-            let vbytes = &verts_col[vpos..vpos + nverts * 4];
-            vpos += nverts * 4;
-            for (slot, c) in verts.iter_mut().zip(vbytes.chunks_exact(4)) {
-                *slot = NodeId(u32::from_le_bytes(c.try_into().expect("4 bytes")));
-            }
-            let fbytes: [u8; 8] = flow_col[i * 8..i * 8 + 8].try_into().expect("8 bytes");
-            let flow = f64::from_bits(u64::from_le_bytes(fbytes));
-            let nbytes: [u8; 4] = ndel_col[i * 4..i * 4 + 4].try_into().expect("4 bytes");
-            let ndel = u32::from_le_bytes(nbytes) as usize;
-            let dend = dpos
-                .checked_add(ndel * 16)
-                .filter(|&e| e <= deliv_col.len())
-                .ok_or_else(|| format!("{label} row {i} delivered profile overruns arena"))?;
-            let profile = deliv_col[dpos..dend].chunks_exact(16).map(|c| {
-                let time = i64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
-                let quantity =
-                    f64::from_bits(u64::from_le_bytes(c[8..].try_into().expect("8 bytes")));
-                Interaction::new(time, quantity)
-            });
-            dpos = dend;
-            builder
-                .push_profile(&verts[..nverts], flow, profile)
-                .map_err(|e| format!("{label} table is malformed: {e}"))?;
-        }
-        if dpos != deliv_col.len() {
-            return Err(format!(
-                "{label} arena length mismatch (declared {arena_total}, rows use {})",
-                dpos / 16
-            ));
-        }
-        restored.push(builder.finish());
+    let rows_at = r.pos;
+    for label in TABLE_LABELS {
+        read_table(&mut r, label, false)?;
     }
     r.done()?;
-    let c2 = restored.pop().expect("three tables");
-    let l3 = restored.pop().expect("three tables");
-    let l2 = restored.pop().expect("three tables");
     // `from_stored_parts` rebuilds adjacency and index from the edge table
     // and validates; any failure there is data corruption by construction.
     let graph = TemporalGraph::from_stored_parts(nodes, edges, frontier)
         .map_err(|e| format!("graph state is corrupt: {e}"))?;
-    let tables = PathTables::from_stored_parts(config, truncated, l2, l3, c2);
-    Ok((graph, tables, pos, frames))
+    Ok(LoadedSnapshot {
+        graph,
+        pos,
+        frames,
+        tables: StoredTables {
+            bytes,
+            rows_at,
+            config,
+            truncated,
+        },
+    })
+}
+
+/// The stored tables in file order, as errors name them.
+const TABLE_LABELS: [&str; 3] = ["L2", "L3", "C2"];
+
+/// Reads one stored table at `r`; `label` names it in errors.
+///
+/// Without `build` this is the check ([`check_rows`]): the columns are
+/// read in place and nothing is allocated. With `build`, each row streams
+/// into a [`PathTableBuilder`], which refuses the rows the check refuses,
+/// for the same reasons, and the finished table is returned: the decode
+/// of a table that passed the check cannot fail.
+fn read_table(
+    r: &mut BinReader<'_>,
+    label: &str,
+    build: bool,
+) -> Result<Option<PathTable>, String> {
+    let rows = r.len("row")?;
+    // Arena interactions are 16 bytes each in the snapshot, so this count
+    // is bounded by the remaining bytes and safe to reserve.
+    let arena_total = r.len("arena")?;
+    // Columns are taken as whole slices up front — every bounds check after
+    // `take` succeeds is against an exact precomputed block size, so the
+    // per-row loops below run cursor arithmetic, not reader calls.
+    let nverts_col = r.take(rows)?;
+    let total_verts: usize = nverts_col.iter().map(|&b| b as usize).sum();
+    let verts_col = r.take(total_verts.checked_mul(4).ok_or("vertex count overflows")?)?;
+    let flow_col = r.take(rows.checked_mul(8).ok_or("row count overflows")?)?;
+    let ndel_col = r.take(rows.checked_mul(4).ok_or("row count overflows")?)?;
+    let deliv_col = r.take(
+        arena_total
+            .checked_mul(16)
+            .ok_or("delivered count overflows")?,
+    )?;
+    if !build {
+        check_rows(label, nverts_col, verts_col, ndel_col, arena_total)?;
+        return Ok(None);
+    }
+    // Each row streams straight into the builder — one pass, no
+    // intermediate pools: C2 can run to 10^5 rows, and this decode is the
+    // dominant cost of a restart that keeps the snapshot's tables.
+    let mut builder = PathTableBuilder::with_capacity(rows);
+    builder.reserve_arena(arena_total);
+    let mut verts = [NodeId(0); 3];
+    let mut vpos = 0usize;
+    let mut dpos = 0usize;
+    for (i, &nv) in nverts_col.iter().enumerate() {
+        let nverts = nv as usize;
+        if nverts > verts.len() {
+            return Err(format!("{label} row {i} has {nverts} vertices"));
+        }
+        let vbytes = &verts_col[vpos..vpos + nverts * 4];
+        vpos += nverts * 4;
+        for (slot, c) in verts.iter_mut().zip(vbytes.chunks_exact(4)) {
+            *slot = NodeId(u32::from_le_bytes(c.try_into().expect("4 bytes")));
+        }
+        let fbytes: [u8; 8] = flow_col[i * 8..i * 8 + 8].try_into().expect("8 bytes");
+        let flow = f64::from_bits(u64::from_le_bytes(fbytes));
+        let nbytes: [u8; 4] = ndel_col[i * 4..i * 4 + 4].try_into().expect("4 bytes");
+        let ndel = u32::from_le_bytes(nbytes) as usize;
+        let dend = dpos
+            .checked_add(ndel * 16)
+            .filter(|&e| e <= deliv_col.len())
+            .ok_or_else(|| format!("{label} row {i} delivered profile overruns arena"))?;
+        let profile = deliv_col[dpos..dend].chunks_exact(16).map(|c| {
+            let time = i64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
+            let quantity = f64::from_bits(u64::from_le_bytes(c[8..].try_into().expect("8 bytes")));
+            Interaction::new(time, quantity)
+        });
+        dpos = dend;
+        builder
+            .push_profile(&verts[..nverts], flow, profile)
+            .map_err(|e| format!("{label} table is malformed: {e}"))?;
+    }
+    if dpos != deliv_col.len() {
+        return Err(format!(
+            "{label} arena length mismatch (declared {arena_total}, rows use {})",
+            dpos / 16
+        ));
+    }
+    Ok(Some(builder.finish()))
+}
+
+/// The check of one stored table's rows, given its vertex-count, vertex
+/// and delivered-count columns and its declared arena length: each row
+/// must have 2 or 3 vertices, a vertex sequence strictly after the row
+/// before it, and a delivered profile inside the arena whose offsets fit
+/// `u32`, and the rows must use up the arena. Each check runs where the
+/// decode's runs, and fails with the decode's reason: its own for a
+/// vertex count over 3 and a profile past the arena, the
+/// [`PathTableBuilder`]'s for the rest.
+fn check_rows(
+    label: &str,
+    nverts_col: &[u8],
+    verts_col: &[u8],
+    ndel_col: &[u8],
+    arena_total: usize,
+) -> Result<(), String> {
+    let vertex = |at: usize| u32::from_le_bytes(verts_col[at..at + 4].try_into().expect("4 bytes"));
+    let row = |at: usize, n: usize| -> Vec<NodeId> {
+        (0..n).map(|k| NodeId(vertex(at + 4 * k))).collect()
+    };
+    let malformed = |reason: String| format!("{label} table is malformed: {reason}");
+    // Each row's vertex sequence as one integer that orders as the
+    // sequence does: each vertex plus one in 33 bits, from the top, and 0
+    // where a shorter row has no vertex, so a prefix sorts first.
+    let mut prev_key = 0u128;
+    let mut prev_at = 0usize;
+    let mut prev_len = 0usize;
+    let mut vpos = 0usize;
+    let mut dpos = 0usize;
+    for (i, (&nv, nbytes)) in nverts_col.iter().zip(ndel_col.chunks_exact(4)).enumerate() {
+        let nverts = nv as usize;
+        if nverts > 3 {
+            return Err(format!("{label} row {i} has {nverts} vertices"));
+        }
+        let ndel = u32::from_le_bytes(nbytes.try_into().expect("4 bytes"));
+        let dend = dpos
+            .checked_add(ndel as usize)
+            .filter(|&e| e <= arena_total)
+            .ok_or_else(|| format!("{label} row {i} delivered profile overruns arena"))?;
+        if nverts < 2 {
+            return Err(malformed(format!(
+                "row {i} has {nverts} vertices (expected 2 or 3)"
+            )));
+        }
+        let mut key = 0u128;
+        for k in 0..3 {
+            let v = if k < nverts {
+                vertex(vpos + 4 * k) as u128 + 1
+            } else {
+                0
+            };
+            key = key << 33 | v;
+        }
+        if key <= prev_key {
+            return Err(malformed(format!(
+                "row {i} ({:?}) is not strictly after its predecessor ({:?})",
+                row(vpos, nverts),
+                row(prev_at, prev_len)
+            )));
+        }
+        // A row's arena offsets are its start and its length, which both
+        // fit `u32` when its end does.
+        if dend > u32::MAX as usize {
+            return Err(malformed(format!(
+                "row {i} overflows the arena's u32 offsets"
+            )));
+        }
+        (prev_key, prev_at, prev_len) = (key, vpos, nverts);
+        vpos += 4 * nverts;
+        dpos = dend;
+    }
+    if dpos != arena_total {
+        return Err(format!(
+            "{label} arena length mismatch (declared {arena_total}, rows use {dpos})"
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -531,11 +648,80 @@ pub fn read_manifest(path: &Path) -> Result<Manifest, DurabilityError> {
 
 /// Loads and fully verifies the snapshot a manifest points at: byte length
 /// and CRC against the manifest, then the snapshot's own trailing CRC, then
-/// semantic validation of the decoded graph.
+/// semantic validation of the decoded graph, then the decoded tables.
+/// Recovery loads the same way but decodes the tables only when it keeps
+/// them; this is that load (`open_snapshot`) followed by the decode.
 pub fn load_snapshot(
     dir: &Path,
     manifest: &Manifest,
 ) -> Result<(TemporalGraph, PathTables, JournalPos, u64), DurabilityError> {
+    let LoadedSnapshot {
+        graph,
+        pos,
+        frames,
+        tables,
+    } = open_snapshot(dir, manifest)?;
+    Ok((graph, tables.decode(), pos, frames))
+}
+
+/// A snapshot loaded up to its tables, by [`open_snapshot`].
+#[derive(Debug)]
+pub(crate) struct LoadedSnapshot {
+    /// The graph, decoded and validated.
+    pub(crate) graph: TemporalGraph,
+    /// The journal position the snapshot covers.
+    pub(crate) pos: JournalPos,
+    /// Frames applied up to that position.
+    pub(crate) frames: u64,
+    /// The table section, checked but not decoded.
+    pub(crate) tables: StoredTables,
+}
+
+/// A snapshot's table section, checked in place but not decoded. It holds
+/// the snapshot's bytes until [`StoredTables::decode`] builds the tables
+/// from them; dropping it instead frees them unread.
+#[derive(Debug)]
+pub(crate) struct StoredTables {
+    /// The whole snapshot file.
+    bytes: Vec<u8>,
+    /// Where the first table's columns begin in `bytes`.
+    rows_at: usize,
+    config: TablesConfig,
+    truncated: bool,
+}
+
+impl StoredTables {
+    /// The configuration the tables were built under.
+    pub(crate) fn config(&self) -> &TablesConfig {
+        &self.config
+    }
+
+    /// Builds the tables from the checked section and frees the snapshot's
+    /// bytes.
+    pub(crate) fn decode(self) -> PathTables {
+        let mut r = BinReader::new(&self.bytes[..self.bytes.len() - 4]);
+        r.pos = self.rows_at;
+        let [l2, l3, c2] = TABLE_LABELS.map(|label| {
+            read_table(&mut r, label, true)
+                .ok()
+                .flatten()
+                .expect("the table section was checked when the snapshot loaded")
+        });
+        PathTables::from_stored_parts(self.config, self.truncated, l2, l3, c2)
+    }
+}
+
+/// Loads the snapshot a manifest points at, all but its tables: byte
+/// length and CRC against the manifest, then the snapshot's own trailing
+/// CRC, then the graph decoded and validated and the table section checked
+/// in place, then the journal position against the manifest's. Every
+/// snapshot [`load_snapshot`] refuses is refused here, for the same
+/// reason; the table section's check covers everything its decode relies
+/// on, so [`StoredTables::decode`] cannot fail.
+pub(crate) fn open_snapshot(
+    dir: &Path,
+    manifest: &Manifest,
+) -> Result<LoadedSnapshot, DurabilityError> {
     let path = dir.join(&manifest.snapshot);
     let corrupt = |reason: String| DurabilityError::CorruptSnapshot {
         file: manifest.snapshot.clone(),
@@ -572,17 +758,14 @@ pub fn load_snapshot(
             "checksum mismatch (stored {stored_crc:#010x}, computed {body_crc:#010x})"
         )));
     }
-    let (graph, tables, pos, frames) = deserialize(&bytes).map_err(corrupt)?;
-    if pos != manifest.pos {
-        return Err(DurabilityError::CorruptSnapshot {
-            file: manifest.snapshot.clone(),
-            reason: format!(
-                "journal position mismatch (manifest {:?}, snapshot {:?})",
-                manifest.pos, pos
-            ),
-        });
+    let snapshot = deserialize(bytes).map_err(corrupt)?;
+    if snapshot.pos != manifest.pos {
+        return Err(corrupt(format!(
+            "journal position mismatch (manifest {:?}, snapshot {:?})",
+            manifest.pos, snapshot.pos
+        )));
     }
-    Ok((graph, tables, pos, frames))
+    Ok(snapshot)
 }
 
 #[cfg(test)]
@@ -712,6 +895,40 @@ mod tests {
             DurabilityError::CorruptSnapshot { .. }
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The check without building refuses exactly the pairs of rows a
+    /// builder refuses, with the builder's reason: every vertex count the
+    /// builder sees, sequences of different lengths, equal rows, and
+    /// vertices at both ends of the `u32` range.
+    #[test]
+    fn the_row_check_refuses_what_the_builder_refuses() {
+        let values = [0, 1, 7, u32::MAX - 1, u32::MAX];
+        let mut rows: Vec<Vec<u32>> = vec![vec![], vec![7]];
+        for &a in &values {
+            for &b in &values {
+                rows.push(vec![a, b]);
+                rows.extend(values.iter().map(|&c| vec![a, b, c]));
+            }
+        }
+        let ids = |row: &[u32]| row.iter().map(|&v| NodeId(v)).collect::<Vec<_>>();
+        for first in &rows {
+            for second in &rows {
+                let nverts = [first.len() as u8, second.len() as u8];
+                let verts: Vec<u8> = first
+                    .iter()
+                    .chain(second)
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect();
+                let checked = check_rows("C2", &nverts, &verts, &[0; 8], 0);
+                let mut builder = PathTableBuilder::new();
+                let built = builder
+                    .push(&ids(first), 1.0, &[])
+                    .and_then(|()| builder.push(&ids(second), 1.0, &[]))
+                    .map_err(|e| format!("C2 table is malformed: {e}"));
+                assert_eq!(checked, built, "{first:?} then {second:?}");
+            }
+        }
     }
 
     #[test]

@@ -50,8 +50,10 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens (or creates) the durable directory: runs [`Recovery`], then
-    /// opens the journal for appending — which truncates any torn tail the
-    /// recovery tolerated, so the next append lands on a clean frame
+    /// opens the journal for appending at [`RecoveryReport::position`],
+    /// where the recovery's replay ended, without reading a frame again. It
+    /// truncates any torn tail the recovery tolerated, as
+    /// [`Journal::open`] does, so the next append lands on a clean frame
     /// boundary. Returns the store and the [`RecoveryReport`] describing
     /// what was restored.
     pub fn open(
@@ -64,7 +66,7 @@ impl DurableStore {
             tables,
             report,
         } = Recovery::new(dir, tables_config).run()?;
-        let journal = Journal::open(dir, journal_config)?;
+        let journal = Journal::resume(dir, journal_config, report.position)?;
         let snapshot_seq = list_manifests(dir)?
             .last()
             .map(|(seq, _)| seq + 1)

@@ -445,10 +445,17 @@ impl TemporalGraph {
     ///
     /// Unlike the builder path this accepts tombstoned edge slots: adjacency
     /// lists and the `(src, dst)` index are rebuilt from the live edges only,
-    /// exactly as eviction left them before the snapshot was taken. The
-    /// reassembled graph is validated before being returned, so corrupt
-    /// snapshot payloads surface as a typed [`ValidateError`] instead of
-    /// poisoning later queries.
+    /// exactly as eviction left them before the snapshot was taken.
+    ///
+    /// One pass over the edge table builds the adjacency (in edge order),
+    /// the pair index and the expiry heap, and checks each edge as it goes:
+    /// endpoints in range, interactions chronological, none before the
+    /// frontier, and one live edge per pair (a second index entry for a
+    /// pair is the duplicate). That is everything
+    /// [`TemporalGraph::validate`] can find in reassembled parts, so corrupt
+    /// snapshot payloads surface as the same typed [`ValidateError`],
+    /// without `validate`'s adjacency scans, whose cost is the square of a
+    /// hub's degree.
     pub fn from_stored_parts(
         nodes: Vec<Node>,
         edges: Vec<Edge>,
@@ -458,21 +465,34 @@ impl TemporalGraph {
         let mut out_edges = vec![Vec::new(); n];
         let mut in_edges = vec![Vec::new(); n];
         let mut edge_index = HashMap::with_capacity(edges.len());
-        let mut expiry = BinaryHeap::with_capacity(edges.len());
+        let mut expiry = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
-            if e.is_tombstone() {
-                continue;
-            }
             let id = EdgeId::from_index(i);
             if e.src.index() >= n || e.dst.index() >= n {
                 return Err(ValidateError::NodeOutOfRange { edge: id });
             }
+            if !interaction::is_chronological(&e.interactions) {
+                return Err(ValidateError::UnsortedInteractions { edge: id });
+            }
+            // Chronological, so the first interaction is the earliest; a
+            // tombstone has none and stays unlinked.
+            let Some(first) = e.interactions.first() else {
+                continue;
+            };
+            if let Some(f) = frontier.filter(|&f| first.time < f) {
+                return Err(ValidateError::FrontierViolation {
+                    edge: id,
+                    time: first.time,
+                    frontier: f,
+                });
+            }
+            if let Some(earlier) = edge_index.insert((e.src, e.dst), id) {
+                // `validate` finds the earlier edge missing from the index.
+                return Err(ValidateError::IndexInconsistent { edge: earlier });
+            }
             out_edges[e.src.index()].push(id);
             in_edges[e.dst.index()].push(id);
-            edge_index.insert((e.src, e.dst), id);
-            if let Some(t) = e.min_time() {
-                expiry.push(Reverse((t, id)));
-            }
+            expiry.push(Reverse((first.time, id)));
         }
         let graph = TemporalGraph {
             nodes,
@@ -481,9 +501,9 @@ impl TemporalGraph {
             in_edges,
             frontier,
             edge_index,
-            expiry,
+            expiry: BinaryHeap::from(expiry),
         };
-        graph.validate()?;
+        debug_assert_eq!(graph.validate(), Ok(()));
         Ok(graph)
     }
 }
@@ -666,5 +686,46 @@ mod tests {
         bad_edges[0].src = NodeId(99);
         let err = TemporalGraph::from_stored_parts(g.nodes.clone(), bad_edges, None).unwrap_err();
         assert_eq!(err, ValidateError::NodeOutOfRange { edge: EdgeId(0) });
+
+        // A tombstone's endpoints are checked too.
+        let mut bad_edges = with_tomb.edges.clone();
+        bad_edges[dead.index()].dst = NodeId(99);
+        let err = TemporalGraph::from_stored_parts(g.nodes.clone(), bad_edges, None).unwrap_err();
+        assert_eq!(err, ValidateError::NodeOutOfRange { edge: dead });
+
+        // A second live edge for a pair: the first one is the edge the
+        // index does not hold.
+        let mut dup_edges = g.edges.clone();
+        dup_edges.push(g.edges[2].clone());
+        let err = TemporalGraph::from_stored_parts(g.nodes.clone(), dup_edges, None).unwrap_err();
+        assert_eq!(err, ValidateError::IndexInconsistent { edge: EdgeId(2) });
+        // A tombstone beside a live edge of the same pair is what eviction
+        // and a revival leave behind, and restores.
+        let mut revived = with_tomb.edges.clone();
+        revived.push(g.edges[dead.index()].clone());
+        let back = TemporalGraph::from_stored_parts(g.nodes.clone(), revived, None).unwrap();
+        assert_eq!(back.find_edge(src, dst), Some(EdgeId(5)));
+        back.validate().unwrap();
+
+        // An interaction list out of time order.
+        let mut unsorted = g.edges.clone();
+        unsorted[3].interactions = vec![Interaction::new(9, 1.0), Interaction::new(4, 4.0)];
+        let err = TemporalGraph::from_stored_parts(g.nodes.clone(), unsorted, None).unwrap_err();
+        assert_eq!(err, ValidateError::UnsortedInteractions { edge: EdgeId(3) });
+
+        // An interaction before the frontier.
+        let err = TemporalGraph::from_stored_parts(g.nodes.clone(), g.edges.clone(), Some(3))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ValidateError::FrontierViolation {
+                edge: EdgeId(0),
+                time: 1,
+                frontier: 3,
+            }
+        );
+        let at_frontier =
+            TemporalGraph::from_stored_parts(g.nodes.clone(), g.edges.clone(), Some(1)).unwrap();
+        assert_eq!(at_frontier.frontier(), Some(1));
     }
 }
