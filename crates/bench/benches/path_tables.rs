@@ -4,12 +4,10 @@
 //! Variants per dataset (quick scale):
 //!
 //! * `serial` — the chain-propagation kernel on one thread;
-//! * `parallel` — the kernel fanned out over the worker pool;
-//! * `lazy32` — [`LazyPathTables`] answering 32 anchors on demand (the
-//!   anchor-local work a single-seed search pays instead of a full build).
+//! * `parallel` — the kernel fanned out over the worker pool.
 //!
 //! Each variant reports a rows/second throughput next to the wall-clock
-//! numbers (rows = the rows that variant actually builds).
+//! numbers (rows = the rows of the whole graph's tables).
 //!
 //! The `path_tables/apply` group times table upkeep instead of a build: a
 //! CTU-13 log at half its default size (six hubs, 7,000 records) replayed
@@ -25,7 +23,7 @@ use std::time::Duration;
 use tin_bench::{generate_dataset, ExperimentScale};
 use tin_datasets::{generate_ctu13, Ctu13Config, DatasetKind};
 use tin_graph::{GraphBuilder, GraphDelta, Interaction, NodeId, TemporalGraph};
-use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 fn bench_config(c: &mut Criterion, group_name: &str, config: TablesConfig, kinds: &[DatasetKind]) {
     let scale = ExperimentScale::quick();
@@ -43,25 +41,6 @@ fn bench_config(c: &mut Criterion, group_name: &str, config: TablesConfig, kinds
         });
         group.bench_with_input(BenchmarkId::new("parallel", kind.name()), &graph, |b, g| {
             b.iter(|| std::hint::black_box(PathTables::build_parallel(g, &config).row_count()))
-        });
-
-        // Anchor-lazy: a search touching a handful of anchors builds only
-        // their neighborhoods. Use the busiest anchors so the variant is
-        // not trivially cheap.
-        let mut anchors: Vec<NodeId> = graph.node_ids().collect();
-        anchors.sort_by_key(|&v| std::cmp::Reverse(graph.out_degree(v)));
-        anchors.truncate(32);
-        let lazy_rows = PathTables::for_anchors(&graph, &config, &anchors).row_count();
-        group.throughput(Throughput::Elements(lazy_rows.max(1) as u64));
-        group.bench_with_input(BenchmarkId::new("lazy32", kind.name()), &graph, |b, g| {
-            b.iter(|| {
-                let mut lazy = LazyPathTables::new(config);
-                let mut rows = 0usize;
-                for &a in &anchors {
-                    rows += lazy.tables_for(g, a).row_count();
-                }
-                std::hint::black_box(rows)
-            })
         });
     }
     group.finish();

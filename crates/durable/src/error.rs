@@ -72,12 +72,6 @@ pub enum DurabilityError {
         /// The graph-level rejection.
         source: GraphError,
     },
-    /// A snapshot was requested for state that cannot be snapshotted
-    /// (e.g. an anchor-subset table set).
-    Unsnapshottable {
-        /// Why the state is not snapshot-safe.
-        reason: String,
-    },
     /// A delta was rejected by the live graph (or the delta stream failed)
     /// before anything reached the journal — the durable state is
     /// unchanged.
@@ -149,9 +143,6 @@ impl fmt::Display for DurabilityError {
                 f,
                 "replay of frame {frame} in {file} at byte offset {offset} was rejected: {source}"
             ),
-            DurabilityError::Unsnapshottable { reason } => {
-                write!(f, "state cannot be snapshotted: {reason}")
-            }
             DurabilityError::Rejected { source } => {
                 write!(f, "delta rejected before journaling: {source}")
             }

@@ -51,6 +51,11 @@
 //! same positions and verdicts as over the whole file. The journal's
 //! replay uses this to read a segment from a committed position on.
 //!
+//! The scanner hands each frame to its caller as soon as it is decoded,
+//! so the journal's readers hold one decoded frame at a time: recovery
+//! applies it to the graph before the next is decoded, and a journal
+//! opening for append drops it. [`scan_segment`] collects them.
+//!
 //! ## Trailing zeros are unwritten space
 //!
 //! The journal sets a segment's length ahead of its writes (see
@@ -292,30 +297,62 @@ pub struct SegmentScan {
 /// Frames are counted from `start`: a [`DurabilityError::CorruptFrame`]'s
 /// `frame` is the failing frame's index among the frames the scan read,
 /// which for a scan from 0 is its index in the segment.
+///
+/// This collects every decoded frame; the journal's own readers take each
+/// frame as it is decoded instead (see the [module docs](self)).
 pub fn scan_segment(
     bytes: &[u8],
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
 ) -> Result<SegmentScan, DurabilityError> {
-    scan_tail(bytes, 0, start, tolerate_torn_tail, file)
+    let mut deltas = Vec::new();
+    let end = scan_tail(bytes, 0, start, tolerate_torn_tail, file, |delta, end| {
+        deltas.push((delta, end));
+        Ok(())
+    })?;
+    Ok(SegmentScan {
+        deltas,
+        valid_bytes: end.valid_bytes,
+        frames: end.frames,
+        torn: end.torn,
+    })
+}
+
+/// Where a [`scan_tail`] stopped: a [`SegmentScan`] without the frames,
+/// which went to the scan's caller one at a time.
+#[derive(Debug)]
+pub(crate) struct ScanEnd {
+    /// The exact recoverable prefix: magic plus every whole valid frame.
+    pub(crate) valid_bytes: u64,
+    /// Frames decoded.
+    pub(crate) frames: u64,
+    /// Present when the segment ends mid-frame.
+    pub(crate) torn: Option<TornTail>,
 }
 
 /// [`scan_segment`] over the part of a segment that begins at byte `base`
-/// of the file: `tail` holds the segment from `base` to its end, and
-/// every offset in and out is the segment's own. `base` may not exceed
-/// `start`, and is 0 when `start` lies inside the magic, which is then
-/// checked. A reader that resumes at a committed position passes the
+/// of the file, handing each frame to `on_frame` as it is decoded, with
+/// the offset after it, instead of collecting them: the scan holds one
+/// decoded frame at a time. `tail` holds the segment from `base` to its
+/// end, and every offset in and out is the segment's own. `base` may not
+/// exceed `start`, and is 0 when `start` lies inside the magic, which is
+/// then checked. A reader that resumes at a committed position passes the
 /// bytes from there on, or none when the file ends before it, with `base`
 /// at the file's end, so that the past-the-end verdict still sees the
 /// segment's true length.
+///
+/// An error from `on_frame` ends the scan and is returned as it is, so a
+/// fault the caller finds in a frame is reported before any corruption in
+/// the frames after it.
 pub(crate) fn scan_tail(
     tail: &[u8],
     base: u64,
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
-) -> Result<SegmentScan, DurabilityError> {
+    mut on_frame: impl FnMut(GraphDelta, u64) -> Result<(), DurabilityError>,
+) -> Result<ScanEnd, DurabilityError> {
     debug_assert!(base <= start && (base == 0 || start >= SEGMENT_MAGIC.len() as u64));
     let len = base + tail.len() as u64;
     if start > len {
@@ -349,8 +386,7 @@ pub(crate) fn scan_tail(
             // The file ends inside the magic: a kill during segment
             // creation. Nothing is recoverable from this segment.
             if tolerate_torn_tail {
-                return Ok(SegmentScan {
-                    deltas: Vec::new(),
+                return Ok(ScanEnd {
                     valid_bytes: 0,
                     frames: 0,
                     torn: Some(TornTail {
@@ -371,13 +407,11 @@ pub(crate) fn scan_tail(
         offset = start;
     }
 
-    let mut deltas = Vec::new();
     let mut frames = 0u64;
     loop {
         let remaining = end - offset;
         if remaining == 0 {
-            return Ok(SegmentScan {
-                deltas,
+            return Ok(ScanEnd {
                 valid_bytes: offset,
                 frames,
                 torn: None,
@@ -402,8 +436,7 @@ pub(crate) fn scan_tail(
         };
         if let Some(reason) = torn_reason {
             if tolerate_torn_tail {
-                return Ok(SegmentScan {
-                    deltas,
+                return Ok(ScanEnd {
                     valid_bytes: offset,
                     frames,
                     torn: Some(TornTail { offset, reason }),
@@ -445,7 +478,7 @@ pub(crate) fn scan_tail(
         })?;
         offset += FRAME_HEADER_BYTES + len;
         frames += 1;
-        deltas.push((delta, offset));
+        on_frame(delta, offset)?;
     }
 }
 

@@ -15,6 +15,12 @@
 //! recovery's replay ended and makes the same cut without scanning the
 //! segment a second time.
 //!
+//! Frames reach a reader one at a time, as the scanner decodes them:
+//! recovery applies each to its graph before the next is decoded, and
+//! [`Journal::open`] drops each once it decoded, so neither holds more than
+//! one decoded frame beside the segment's bytes. [`replay_from`] collects
+//! them all for a caller that wants them.
+//!
 //! ## Presized segments
 //!
 //! Frames are written in place at the segment's data end, not appended:
@@ -189,7 +195,9 @@ impl Journal {
             )),
             Some(&(seq, ref path)) => {
                 let bytes = fs::read(path).map_err(|e| DurabilityError::from_io(path, e))?;
-                let scan = frame::scan_segment(&bytes, 0, true, &file_name(path))?;
+                // Every frame is decoded, to refuse one that does not, and
+                // dropped at once.
+                let scan = frame::scan_tail(&bytes, 0, 0, true, &file_name(path), |_, _| Ok(()))?;
                 Journal::reopen(dir, config, seq, path, scan.valid_bytes)
             }
         }
@@ -411,7 +419,31 @@ pub struct JournalReplay {
 ///
 /// Each segment is read from where the replay starts in it, so a replay
 /// from a snapshot's position reads none of the frames before it.
+///
+/// This collects every decoded frame; recovery applies each frame as it
+/// is decoded instead (see the [module docs](self)).
 pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, DurabilityError> {
+    let mut deltas = Vec::new();
+    let (end, torn) = replay_each(dir, from, |delta, pos| {
+        deltas.push((delta, pos));
+        Ok(())
+    })?;
+    Ok(JournalReplay { deltas, end, torn })
+}
+
+/// [`replay_from`] that hands each frame to `on_frame` as it is decoded,
+/// with the position after it, instead of collecting them, so the replay
+/// holds one decoded frame at a time. Returns where the replay ended and
+/// the newest segment's torn tail, as [`JournalReplay::end`] and
+/// [`JournalReplay::torn`].
+///
+/// An error from `on_frame` ends the replay, and the frames after the one
+/// it refused are not read.
+pub(crate) fn replay_each(
+    dir: &Path,
+    from: JournalPos,
+    mut on_frame: impl FnMut(GraphDelta, JournalPos) -> Result<(), DurabilityError>,
+) -> Result<(JournalPos, Option<(u64, frame::TornTail)>), DurabilityError> {
     let segments = list_segments(dir)?;
     let relevant: Vec<&(u64, PathBuf)> = segments
         .iter()
@@ -424,7 +456,7 @@ pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, Durabi
             });
         }
     }
-    let mut deltas = Vec::new();
+    let mut frames = 0;
     let mut end = from;
     let mut torn = None;
     for (i, (seq, path)) in relevant.iter().enumerate() {
@@ -437,18 +469,25 @@ pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, Durabi
         let start = if *seq == from.segment { from.offset } else { 0 };
         let scan = {
             let (base, tail) = read_from(path, start)?;
-            frame::scan_tail(&tail, base, start, is_last, &file_name(path))
-                .map_err(|e| e.after_frames(deltas.len() as u64))?
-        };
-        for (delta, off) in scan.deltas {
-            deltas.push((
-                delta,
-                JournalPos {
-                    segment: *seq,
-                    offset: off,
+            frame::scan_tail(
+                &tail,
+                base,
+                start,
+                is_last,
+                &file_name(path),
+                |delta, offset| {
+                    on_frame(
+                        delta,
+                        JournalPos {
+                            segment: *seq,
+                            offset,
+                        },
+                    )
                 },
-            ));
-        }
+            )
+            .map_err(|e| e.after_frames(frames))?
+        };
+        frames += scan.frames;
         if scan.frames > 0 || is_last {
             end = JournalPos {
                 segment: *seq,
@@ -459,7 +498,7 @@ pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, Durabi
             torn = Some((*seq, t));
         }
     }
-    Ok(JournalReplay { deltas, end, torn })
+    Ok((end, torn))
 }
 
 /// Reads segment `path` from where a scan starting at `start` needs it:

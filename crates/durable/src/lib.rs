@@ -25,7 +25,8 @@
 //!   manifest tying each snapshot to its journal position.
 //! * [`recovery`] — the startup ladder: newest valid snapshot → older
 //!   snapshot → full journal replay, then journal-tail re-apply through
-//!   [`tin_graph::TemporalGraph::apply`], frame by frame, and one table
+//!   [`tin_graph::TemporalGraph::apply`], frame by frame as each is
+//!   decoded (so a replay holds one decoded frame at a time), and one table
 //!   catch-up at the end: the frames' changes folded into one
 //!   [`tin_patterns::PathTables::apply`], or a rebuild when the tail
 //!   changed a large share of the graph. It reads the journal from the

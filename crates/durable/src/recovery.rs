@@ -18,17 +18,22 @@
 //! operator can decide), and a delta the graph itself refuses during replay
 //! (the journal only ever records deltas that already applied once, so a
 //! rejection means real corruption that the frame CRC happened to miss).
+//! Frames are applied in journal order as they are read, so of two such
+//! faults the earlier one is reported: a refused delta ahead of a corrupt
+//! frame is a [`DurabilityError::Replay`].
 //!
 //! A torn frame at the very tail of the last segment is *not* a failure:
 //! it is the expected signature of a crash mid-append, and recovery reports
 //! it in [`RecoveryReport::torn_tail`] while recovering everything before it.
 //!
-//! Replay applies every frame to the graph first and brings the path tables
-//! up to date once at the end, since nothing reads them in between: the
-//! frames' [`AppliedDelta`]s are folded with [`AppliedDelta::absorb`], and
-//! the fold is either applied as one [`PathTables::apply`] or, when it
-//! changed at least a quarter of the live `(src, dst)` pairs, replaced by
-//! one [`PathTables::build`] of the final graph.
+//! Replay applies each frame to the graph as the journal's scanner decodes
+//! it, so it holds one decoded frame at a time however long the tail is,
+//! and brings the path tables up to date once at the end, since nothing
+//! reads them in between: the frames' [`AppliedDelta`]s are folded with
+//! [`AppliedDelta::absorb`], and the fold is either applied as one
+//! [`PathTables::apply`] or, when it changed at least a quarter of the
+//! live `(src, dst)` pairs, replaced by one [`PathTables::build`] of the
+//! final graph.
 //! [`RecoveryReport::tables_update`] says which.
 //!
 //! Recovery reads and decodes only what it keeps. A snapshot's load
@@ -43,7 +48,7 @@
 
 use crate::error::DurabilityError;
 use crate::frame::TornTail;
-use crate::journal::{list_segments, JournalPos, JournalReplay};
+use crate::journal::{list_segments, replay_each, JournalPos};
 use crate::snapshot::{list_manifests, open_snapshot, read_manifest, StoredTables};
 use std::path::{Path, PathBuf};
 use tin_graph::{AppliedDelta, NodeId, TemporalGraph};
@@ -191,22 +196,25 @@ impl Recovery {
         source: RecoverySource,
         discarded: Vec<String>,
     ) -> Result<Recovered, DurabilityError> {
-        let JournalReplay { deltas, end, torn } =
-            crate::journal::replay_from(&self.dir, pos).map_err(|e| e.after_frames(frames))?;
-        let replayed = deltas.len() as u64;
+        // Each frame is applied as it is decoded, so the replay holds one
+        // decoded frame at a time, whatever the tail's length.
+        let mut replayed = 0;
         let mut fold: Option<AppliedDelta> = None;
-        for (i, (delta, frame_pos)) in deltas.into_iter().enumerate() {
+        let (end, torn) = replay_each(&self.dir, pos, |delta, frame_pos| {
             let applied = graph.apply(&delta).map_err(|e| DurabilityError::Replay {
                 file: format!("journal-{:06}.wal", frame_pos.segment),
-                frame: frames + i as u64,
+                frame: frames + replayed,
                 offset: frame_pos.offset,
                 source: e,
             })?;
+            replayed += 1;
             match &mut fold {
                 Some(fold) => fold.absorb(applied),
                 None => fold = Some(applied),
             }
-        }
+            Ok(())
+        })
+        .map_err(|e| e.after_frames(frames))?;
         let (tables, tables_update) = self.catch_up(&graph, stored, fold);
         Ok(Recovered {
             graph,
@@ -666,6 +674,38 @@ mod tests {
                 (file.as_str(), frame, offset),
                 ("journal-000000.wal", 6, sixth)
             ),
+            other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Frames are applied as they are read: of a frame the graph refuses
+    /// and a corrupt frame after it, the refusal is reported, though the
+    /// scan alone finds the corruption.
+    #[test]
+    fn a_refused_frame_is_reported_before_later_corruption() {
+        let dir = temp_dir("refused");
+        populate(&dir, 5, None);
+        let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        // Delta 7 expects 7 vertices where the journal's graph has 5.
+        let refused = journal.append(&delta(7)).unwrap();
+        journal.append(&delta(5)).unwrap();
+        drop(journal);
+        // Flip a byte of the last frame's payload.
+        let seg = crate::journal::segment_path(&dir, 0);
+        let mut bytes = fs::read(&seg).unwrap();
+        bytes[refused.offset as usize + 9] ^= 0x08;
+        fs::write(&seg, &bytes).unwrap();
+        match Recovery::new(&dir, TablesConfig::default()).run() {
+            Err(DurabilityError::Replay { file, frame, .. }) => {
+                assert_eq!((file.as_str(), frame), ("journal-000000.wal", 5))
+            }
+            other => panic!("expected Replay, got {other:?}"),
+        }
+        match crate::journal::replay_from(&dir, JournalPos::start()) {
+            Err(DurabilityError::CorruptFrame { frame, offset, .. }) => {
+                assert_eq!((frame, offset), (6, refused.offset))
+            }
             other => panic!("expected CorruptFrame, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();

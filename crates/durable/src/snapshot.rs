@@ -520,9 +520,6 @@ fn check_rows(
 /// `pos` (`frames` frames), committing it atomically: snapshot tmp → fsync →
 /// rename, then manifest tmp → fsync → rename (the commit point), then a
 /// directory fsync. Returns the manifest path.
-///
-/// Refuses anchor-subset tables ([`PathTables::is_partial`]): restoring one
-/// would silently serve partial coverage as full coverage.
 pub fn write_snapshot(
     dir: &Path,
     seq: u64,
@@ -531,13 +528,6 @@ pub fn write_snapshot(
     pos: JournalPos,
     frames: u64,
 ) -> Result<PathBuf, DurabilityError> {
-    if tables.is_partial() {
-        return Err(DurabilityError::Unsnapshottable {
-            reason: "tables cover an anchor subset (built with for_anchors); \
-                     a restore would serve partial coverage as full"
-                .into(),
-        });
-    }
     fs::create_dir_all(dir).map_err(|e| DurabilityError::from_io(dir, e))?;
     let bytes = serialize(graph, tables, pos, frames);
     let snap = snapshot_path(dir, seq);
@@ -929,17 +919,5 @@ mod tests {
                 assert_eq!(checked, built, "{first:?} then {second:?}");
             }
         }
-    }
-
-    #[test]
-    fn partial_tables_are_refused() {
-        let dir = temp_dir("partial");
-        let (g, _) = windowed_state();
-        let partial = PathTables::for_anchors(&g, &TablesConfig::default(), &[NodeId(0)]);
-        assert!(matches!(
-            write_snapshot(&dir, 0, &g, &partial, JournalPos::start(), 0),
-            Err(DurabilityError::Unsnapshottable { .. })
-        ));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -6,19 +6,59 @@
 //! interaction sequences in chronological order — while every intermediate
 //! state passes full validation and tombstoned edge identifiers are never
 //! reused. This is the retraction-side twin of `delta_equivalence.rs`.
+//!
+//! Half the logs are feed-shaped (see [`records`]): their frontier keeps
+//! moving, so a batch shrinks edges it did not touch. Counted with an
+//! instrumented copy at the shim's fixed seed, the applications that
+//! shrink such an edge are 10 of 183 in
+//! `windowed_apply_equals_fresh_build_on_survivors` and 20 of 1,247 in
+//! `batching_does_not_change_the_windowed_graph`, against 2 of 136 and 2
+//! of 1,175 when every log drew its times uniformly; counting the
+//! applications that shrink or tombstone such an edge, 45 and 200 against
+//! 8 and 61.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use tin_graph::{EdgeId, GraphBuilder, Interaction, TemporalGraph};
 
 /// A record log over a small vertex-name pool with duplicates, ties and
-/// out-of-order arrivals all likely (self-loops excluded by construction).
+/// out-of-order arrivals all likely (self-loops excluded by construction),
+/// from one of two families that a drawn flag picks.
+///
+/// * Uniform logs draw every time from `0..40` in random order, so the
+///   frontier nears its final value within a few records.
+/// * Feed-shaped logs advance as a live feed's do: each record comes 0–5
+///   units after the newest time so far, so the frontier keeps moving and
+///   a batch expires interactions of edges it does not touch. One record in
+///   five is late instead, up to 19 units before the newest time (at least
+///   0), which exercises stragglers behind the frontier.
 fn records(max_len: usize) -> impl Strategy<Value = Vec<(u8, u8, i64, f64)>> {
-    proptest::collection::vec(
-        (0u8..7, 1u8..7, 0i64..40, 0u32..9)
-            .prop_map(|(s, off, t, q)| (s, (s + off) % 7, t, q as f64)),
-        0..max_len,
+    (
+        any::<bool>(),
+        proptest::collection::vec(
+            (
+                (0u8..7, 1u8..7, 0u32..9),
+                (0i64..40, 0i64..6, 0u32..5, 0i64..20),
+            ),
+            0..max_len,
+        ),
     )
+        .prop_map(|(feed, raw)| {
+            let mut newest = 0;
+            raw.into_iter()
+                .map(|((s, off, q), (uniform, step, late, back))| {
+                    let t = if !feed {
+                        uniform
+                    } else if late == 0 {
+                        (newest - back).max(0)
+                    } else {
+                        newest += step;
+                        newest
+                    };
+                    (s, (s + off) % 7, t, q as f64)
+                })
+                .collect()
+        })
 }
 
 /// The live content of a graph, keyed by vertex names so that graphs with

@@ -42,7 +42,4 @@ pub use instance::{instance_flow, Instance};
 pub use pattern::{Pattern, PatternError};
 pub use precomputed::enumerate_pb;
 pub use relaxed::{relaxed_search_gb, relaxed_search_pb, RelaxedPattern};
-pub use tables::{
-    invalidated_anchors, LazyPathTables, PathRow, PathTable, PathTableBuilder, PathTables,
-    TablesConfig, TablesUpdate,
-};
+pub use tables::{PathRow, PathTable, PathTableBuilder, PathTables, TablesConfig, TablesUpdate};

@@ -28,12 +28,11 @@
 //! instead of two small ones per row. After sorting, a per-anchor offset
 //! index makes [`PathTable::rows_for`] an O(1) slice lookup.
 //!
-//! Eager builds fan the anchors out over the workspace worker pool
-//! ([`tin_parallel::parallel_map`]); [`PathTables::for_anchors`] builds the rows
-//! of selected anchors only, and [`LazyPathTables`] memoizes per-anchor
-//! builds so a search that touches one anchor pays O(deg²) kernel work, not
-//! O(graph). The pre-kernel builder is retained in [`crate::reference`] as a
-//! cross-check oracle.
+//! A build covers every anchor of the graph, as the paper's precomputation
+//! does, and fans the anchors out over the workspace worker pool
+//! ([`tin_parallel::parallel_map`]) when the graph is large enough. The
+//! pre-kernel builder is retained in [`crate::reference`] as a cross-check
+//! oracle.
 //!
 //! The paper notes that on the two large datasets only the cycle tables fit
 //! in memory while the chain table is feasible for Prosper; [`TablesConfig`]
@@ -83,13 +82,9 @@
 //! latest once it outweighs the live data, and already at a third of the
 //! arena when a patch starts, so that an arena about to shed its garbage
 //! does not first grow to hold more.
-//! [`LazyPathTables::apply`] is the cache-side analogue at its natural
-//! (anchor) granularity: it evicts the anchors named by
-//! [`invalidated_anchors`] (`{u, v} ∪ in(u)` per touched edge) and lets the
-//! next query rebuild them.
 
-use std::collections::HashMap;
 use std::num::NonZeroU32;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tin_flow::ChainScratch;
 use tin_graph::{AppliedDelta, EdgeId, Interaction, NodeId, Quantity, TemporalGraph};
@@ -190,8 +185,10 @@ pub struct PathTable {
     /// Prefix offsets over the anchor range that actually has rows: rows of
     /// anchor `a` (with `first_anchor ≤ a.index()`) live at
     /// `rows[offsets[a - first_anchor] .. offsets[a - first_anchor + 1]]`.
-    /// Spanning only the populated range keeps anchor-lazy builds O(1)
-    /// memory instead of O(node count) per table.
+    /// The index spans only the anchors from the first to the last that
+    /// have rows, not every vertex of the graph, and
+    /// [`PathTable::shift_offsets`] narrows it when the anchors at either
+    /// end lose theirs.
     offsets: Vec<u32>,
     first_anchor: usize,
     /// Arena entries orphaned by incremental patches ([`PathTable::delivered`]
@@ -442,32 +439,6 @@ impl PathTable {
         self.dead = 0;
     }
 
-    /// Reassembles a table from externally stored row contents: for each row
-    /// its vertex sequence, flow, and delivered profile, in sorted order.
-    ///
-    /// This is the snapshot-restore seam: a dumped table round-trips through
-    /// `(row.vertices(), row.flow, table.delivered(&row))` triples and comes
-    /// back with a freshly packed arena (no garbage) and a rebuilt offset
-    /// index — row-identical to the original under
-    /// [`PathTables::first_row_divergence`], which never inspects arena
-    /// layout.
-    ///
-    /// Returns a message describing the first malformed row when the input
-    /// is not a valid table: vertex sequences must have 2 or 3 vertices and
-    /// be strictly ascending (every row unique, sorted), and the total
-    /// delivered profile length must fit the arena's `u32` offsets.
-    pub fn from_row_contents<'a, I>(contents: I) -> Result<PathTable, String>
-    where
-        I: IntoIterator<Item = (&'a [NodeId], Quantity, &'a [Interaction])>,
-    {
-        let iter = contents.into_iter();
-        let mut builder = PathTableBuilder::with_capacity(iter.size_hint().0);
-        for (verts, flow, delivered) in iter {
-            builder.push(verts, flow, delivered)?;
-        }
-        Ok(builder.finish())
-    }
-
     /// Builds the per-anchor offset index; `rows` must already be sorted by
     /// vertex sequence (anchor first), so the populated anchor range is
     /// `[first row's anchor, last row's anchor]`.
@@ -501,13 +472,16 @@ impl<'a> IntoIterator for &'a PathTable {
 }
 
 /// Push-based construction of a [`PathTable`] from externally stored row
-/// contents — the streaming form of [`PathTable::from_row_contents`], for
-/// callers (snapshot restore) that decode rows one at a time and must not
-/// buffer the whole table twice.
+/// contents, for callers (snapshot restore) that decode rows one at a time
+/// and must not buffer the whole table twice.
 ///
 /// Rows must arrive in strictly ascending vertex-sequence order; every
 /// [`PathTableBuilder::push`] validates against the previous row, and
-/// [`PathTableBuilder::finish`] builds the per-anchor offset index.
+/// [`PathTableBuilder::finish`] builds the per-anchor offset index. A table
+/// dumped as `(row.vertices(), row.flow, table.delivered(&row))` triples
+/// and pushed back comes back with a freshly packed arena (no garbage) and
+/// a rebuilt offset index: row-identical to the original under
+/// [`PathTables::first_row_divergence`], which never inspects arena layout.
 #[derive(Debug, Default)]
 pub struct PathTableBuilder {
     table: PathTable,
@@ -642,10 +616,6 @@ pub struct PathTables {
     /// The configuration the tables were built with — remembered so
     /// [`PathTables::apply`] re-runs the kernel under identical settings.
     config: TablesConfig,
-    /// Whether the tables cover only a selected anchor subset
-    /// ([`PathTables::for_anchors`]); such tables refuse incremental
-    /// maintenance, which is defined against full coverage.
-    partial: bool,
     kernel_calls: u64,
     /// Working memory of [`PathTables::apply`], recycled between calls.
     scratch: ApplyScratch,
@@ -816,41 +786,18 @@ impl PathTables {
     /// Builds the tables for `graph`, fanning the anchors out over the
     /// worker pool when the graph is large enough to amortize it.
     pub fn build(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, auto_parallel(graph))
+        build_tables(graph, config, auto_parallel(graph))
     }
 
     /// Builds the tables on the calling thread only (benchmark baseline and
     /// deterministic small-graph path).
     pub fn build_serial(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, false)
+        build_tables(graph, config, false)
     }
 
     /// Builds the tables on the worker pool unconditionally.
     pub fn build_parallel(graph: &TemporalGraph, config: &TablesConfig) -> Self {
-        let anchors: Vec<NodeId> = all_anchors(graph);
-        build_for_anchor_list(graph, config, &anchors, true)
-    }
-
-    /// Builds the rows anchored at `anchors` only (anchor-lazy mode):
-    /// kernel work is proportional to the listed anchors' neighborhoods,
-    /// not to the whole graph. Duplicate anchors are deduplicated.
-    ///
-    /// The result is a regular [`PathTables`] whose tables simply contain no
-    /// rows for other anchors, so every downstream consumer (joins, relaxed
-    /// searches) works unchanged on the subset.
-    pub fn for_anchors(graph: &TemporalGraph, config: &TablesConfig, anchors: &[NodeId]) -> Self {
-        let mut picked: Vec<NodeId> = anchors
-            .iter()
-            .copied()
-            .filter(|a| a.index() < graph.node_count())
-            .collect();
-        picked.sort_unstable();
-        picked.dedup();
-        let mut tables = build_for_anchor_list(graph, config, &picked, auto_parallel(graph));
-        tables.partial = true;
-        tables
+        build_tables(graph, config, true)
     }
 
     /// Total number of rows across all tables.
@@ -858,8 +805,9 @@ impl PathTables {
         self.l2.len() + self.l3.len() + self.c2.len()
     }
 
-    /// Number of chain-propagation kernel passes the build performed
-    /// (anchor-lazy builds do anchor-local work; tests assert on this).
+    /// Chain-propagation kernel passes spent on these tables: the build's,
+    /// plus those of every [`PathTables::apply`] since. Tables reassembled
+    /// by [`PathTables::from_stored_parts`] start from zero.
     pub fn kernel_calls(&self) -> u64 {
         self.kernel_calls
     }
@@ -869,17 +817,9 @@ impl PathTables {
         &self.config
     }
 
-    /// Whether the tables cover only a selected anchor subset
-    /// ([`PathTables::for_anchors`]). Partial tables refuse
-    /// [`PathTables::apply`] and cannot be snapshotted meaningfully — a
-    /// restore would silently serve subset coverage as full coverage.
-    pub fn is_partial(&self) -> bool {
-        self.partial
-    }
-
-    /// Reassembles a full-coverage table set from stored parts: the build
-    /// configuration, the truncation verdict, and the three tables (see
-    /// [`PathTable::from_row_contents`] for the per-table seam).
+    /// Reassembles a table set from stored parts: the build configuration,
+    /// the truncation verdict, and the three tables (each pushed back row
+    /// by row through a [`PathTableBuilder`]).
     ///
     /// The result reports zero [`PathTables::kernel_calls`] — that counter
     /// is build telemetry, not table content, and restarts from the restore.
@@ -896,7 +836,6 @@ impl PathTables {
             c2,
             truncated,
             config,
-            partial: false,
             kernel_calls: 0,
             scratch: ApplyScratch::default(),
         }
@@ -1006,18 +945,7 @@ impl PathTables {
     /// direction — growth past the cap, or shrinkage of previously capped
     /// content) fall back to a full rebuild so the row-cap semantics stay
     /// exactly those of a fresh build.
-    ///
-    /// # Panics
-    /// Panics on tables built with [`PathTables::for_anchors`]: a fixed
-    /// anchor subset cannot be patched meaningfully (the patch would mix
-    /// subset and full coverage) — use [`LazyPathTables`] for incrementally
-    /// maintained partial coverage.
     pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> TablesUpdate {
-        assert!(
-            !self.partial,
-            "PathTables::apply on a for_anchors subset would silently mix subset and \
-             full coverage; use LazyPathTables for maintained partial coverage"
-        );
         let config = self.config;
         if self.truncated {
             return self.rebuild(graph, &config, 0);
@@ -1073,38 +1001,7 @@ impl PathTables {
     }
 }
 
-/// The anchors whose `L2`/`L3`/`C2` rows a batch of changes can invalidate:
-/// for every changed edge `u → v` — appended to, shrunk by eviction, or
-/// tombstoned — the set `{u, v} ∪ in(u)` (deduplicated, ascending). `graph`
-/// must be the *post-apply* graph.
-///
-/// This set is exact, for additions and removals alike: a table row's
-/// delivered profiles depend only on the edges along its path, and a path
-/// through `u → v` starts at `u` (first edge), at an in-neighbor of `u`
-/// (middle edge), or at `v` (closing edge of a cycle). Rows of any other
-/// anchor cannot reference the changed edge and stay valid verbatim.
-/// (Tombstones keep their endpoints, which is what makes the removed edges
-/// addressable here; an in-neighbor edge removed by the same delta is
-/// itself a changed edge and contributes its own anchors.)
-pub fn invalidated_anchors(graph: &TemporalGraph, applied: &AppliedDelta) -> Vec<NodeId> {
-    let mut anchors = Vec::new();
-    for e in applied.changed_edges() {
-        let edge = graph.edge(e);
-        anchors.push(edge.src);
-        anchors.push(edge.dst);
-        anchors.extend(graph.in_neighbors(edge.src));
-    }
-    anchors.sort_unstable();
-    anchors.dedup();
-    anchors
-}
-
-/// Every vertex id of `graph`, as the ascending anchor list of a full build.
-fn all_anchors(graph: &TemporalGraph) -> Vec<NodeId> {
-    (0..graph.node_count()).map(NodeId::from_index).collect()
-}
-
-/// Eager builds go parallel only when the graph plausibly amortizes the
+/// Builds go parallel only when the graph plausibly amortizes the
 /// thread-pool round trip.
 fn auto_parallel(graph: &TemporalGraph) -> bool {
     graph.node_count() >= 512 && effective_threads() > 1
@@ -1843,14 +1740,9 @@ fn build_anchor(
     out.publish(caps);
 }
 
-/// Builds the tables for an ascending, deduplicated anchor list, optionally
-/// fanning chunks of anchors out over the worker pool.
-fn build_for_anchor_list(
-    graph: &TemporalGraph,
-    config: &TablesConfig,
-    anchors: &[NodeId],
-    parallel: bool,
-) -> PathTables {
+/// Builds the tables for every anchor of `graph`, optionally fanning
+/// chunks of anchors out over the worker pool.
+fn build_tables(graph: &TemporalGraph, config: &TablesConfig, parallel: bool) -> PathTables {
     let caps = CapState {
         cap: config.max_rows,
         published: [
@@ -1859,11 +1751,11 @@ fn build_for_anchor_list(
             AtomicUsize::new(0),
         ],
     };
-    let run_chunk = |chunk: &&[NodeId]| -> ChunkOut {
+    let run_chunk = |chunk: &Range<usize>| -> ChunkOut {
         let mut scratch = ChainScratch::new();
         let mut cycles = Vec::new();
         let mut out = ChunkOut::default();
-        for &u in *chunk {
+        for u in chunk.clone().map(NodeId::from_index) {
             if out.hit_cap {
                 break;
             }
@@ -1873,15 +1765,19 @@ fn build_for_anchor_list(
         out
     };
 
-    let chunks: Vec<&[NodeId]> = if parallel && anchors.len() > 1 {
-        let threads = effective_threads();
-        // Several chunks per worker so the atomic-cursor pool can balance
-        // skewed anchors; chunks stay contiguous to keep the output sorted.
-        let chunk_size = anchors.len().div_ceil(threads * 8).max(1);
-        anchors.chunks(chunk_size).collect()
+    // Several chunks per worker so the atomic-cursor pool can balance
+    // skewed anchors; chunks stay contiguous to keep the output sorted.
+    let anchors = graph.node_count();
+    let chunk_size = if parallel && anchors > 1 {
+        anchors.div_ceil(effective_threads() * 8)
     } else {
-        vec![anchors]
-    };
+        anchors
+    }
+    .max(1);
+    let chunks: Vec<Range<usize>> = (0..anchors)
+        .step_by(chunk_size)
+        .map(|start| start..anchors.min(start + chunk_size))
+        .collect();
     let outputs = parallel_map(&chunks, run_chunk);
 
     let mut tables = PathTables {
@@ -1928,73 +1824,6 @@ fn build_for_anchor_list(
     }
     tables.truncated = hit_cap;
     tables
-}
-
-/// Memoizing per-anchor table builder (anchor-lazy mode).
-///
-/// A search that only ever touches a few anchors — serving one suspicious
-/// account, expanding one seed — should not pay for precomputing the whole
-/// graph. `LazyPathTables` builds each anchor's rows on first request with
-/// [`PathTables::for_anchors`] and caches them, so repeated queries are
-/// lookups and total kernel work stays proportional to the anchors
-/// actually visited.
-///
-/// The cache does not borrow the graph — queries pass it in — so a live
-/// pipeline can alternate [`tin_graph::TemporalGraph::apply`] with queries
-/// on one long-lived cache, calling [`LazyPathTables::apply`] after each
-/// graph delta to evict exactly the anchors the delta invalidated. Always
-/// query with the same (evolving) graph the cache was maintained against.
-#[derive(Debug, Default)]
-pub struct LazyPathTables {
-    config: TablesConfig,
-    cache: HashMap<NodeId, PathTables>,
-    kernel_calls: u64,
-}
-
-impl LazyPathTables {
-    /// Creates an empty lazy builder; nothing is computed yet.
-    pub fn new(config: TablesConfig) -> Self {
-        LazyPathTables {
-            config,
-            cache: HashMap::new(),
-            kernel_calls: 0,
-        }
-    }
-
-    /// The tables restricted to `anchor`, built over `graph` on first
-    /// request and memoized. Out-of-range anchors yield empty tables.
-    pub fn tables_for(&mut self, graph: &TemporalGraph, anchor: NodeId) -> &PathTables {
-        if !self.cache.contains_key(&anchor) {
-            let built = PathTables::for_anchors(graph, &self.config, &[anchor]);
-            self.kernel_calls += built.kernel_calls();
-            self.cache.insert(anchor, built);
-        }
-        &self.cache[&anchor]
-    }
-
-    /// Maintains the cache after `graph` absorbed a delta — additions and
-    /// sliding-window evictions alike: evicts every anchor the delta
-    /// invalidated (see [`invalidated_anchors`]) and returns how many
-    /// cached entries that dropped. Subsequent queries rebuild the evicted
-    /// anchors against the changed graph; untouched entries stay warm.
-    pub fn apply(&mut self, graph: &TemporalGraph, applied: &AppliedDelta) -> usize {
-        let mut evicted = 0;
-        for anchor in invalidated_anchors(graph, applied) {
-            evicted += usize::from(self.cache.remove(&anchor).is_some());
-        }
-        evicted
-    }
-
-    /// Number of distinct anchors built so far.
-    pub fn built_anchors(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Total chain-kernel passes across all memoized builds (repeat queries
-    /// add nothing).
-    pub fn kernel_calls(&self) -> u64 {
-        self.kernel_calls
-    }
 }
 
 #[cfg(test)]
@@ -2080,7 +1909,6 @@ mod tests {
     fn stored_parts_roundtrip_is_row_identical() {
         let g = sample();
         let t = PathTables::build(&g, &TablesConfig::default());
-        assert!(!t.is_partial());
         let dump = |table: &PathTable| {
             table
                 .iter()
@@ -2088,11 +1916,11 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let restore = |rows: &[(Vec<NodeId>, Quantity, Vec<Interaction>)]| {
-            PathTable::from_row_contents(
-                rows.iter()
-                    .map(|(v, f, d)| (v.as_slice(), *f, d.as_slice())),
-            )
-            .unwrap()
+            let mut builder = PathTableBuilder::with_capacity(rows.len());
+            for (v, f, d) in rows {
+                builder.push(v, *f, d).unwrap();
+            }
+            builder.finish()
         };
         let (l2, l3, c2) = (dump(&t.l2), dump(&t.l3), dump(&t.c2));
         let back = PathTables::from_stored_parts(
@@ -2112,26 +1940,27 @@ mod tests {
     }
 
     #[test]
-    fn from_row_contents_rejects_malformed_input() {
+    fn builder_rejects_malformed_input() {
         let a = NodeId(0);
         let b = NodeId(1);
         let c = NodeId(2);
         // Too few vertices.
-        let err = PathTable::from_row_contents([(&[a][..], 1.0, &[][..])]).unwrap_err();
+        let err = PathTableBuilder::new().push(&[a], 1.0, &[]).unwrap_err();
         assert!(err.contains("vertices"));
         // Out of order (and duplicate) sequences.
-        let rows = [(&[b, c][..], 1.0, &[][..]), (&[a, b][..], 1.0, &[][..])];
-        let err = PathTable::from_row_contents(rows).unwrap_err();
+        let mut builder = PathTableBuilder::new();
+        builder.push(&[b, c], 1.0, &[]).unwrap();
+        let err = builder.push(&[a, b], 1.0, &[]).unwrap_err();
         assert!(err.contains("not strictly after"));
-        let dup = [(&[a, b][..], 1.0, &[][..]), (&[a, b][..], 2.0, &[][..])];
-        assert!(PathTable::from_row_contents(dup).is_err());
+        let mut builder = PathTableBuilder::new();
+        builder.push(&[a, b], 1.0, &[]).unwrap();
+        assert!(builder.push(&[a, b], 2.0, &[]).is_err());
         // Valid two-row table round-trips content.
         let del = [Interaction::new(3, 2.0)];
-        let ok = PathTable::from_row_contents([
-            (&[a, b][..], 2.0, &del[..]),
-            (&[b, a][..], 0.0, &[][..]),
-        ])
-        .unwrap();
+        let mut builder = PathTableBuilder::new();
+        builder.push(&[a, b], 2.0, &del).unwrap();
+        builder.push(&[b, a], 0.0, &[]).unwrap();
+        let ok = builder.finish();
         assert_eq!(ok.len(), 2);
         assert_eq!(ok.delivered(&ok.rows()[0]), &del[..]);
         assert_eq!(ok.rows_for(a).len(), 1);
@@ -2208,33 +2037,6 @@ mod tests {
     }
 
     #[test]
-    fn for_anchors_matches_the_full_build_slice() {
-        let g = sample();
-        let cfg = TablesConfig::default();
-        let full = PathTables::build(&g, &cfg);
-        let x = g.node_by_name("x").unwrap();
-        // Duplicate anchors are deduplicated.
-        let subset = PathTables::for_anchors(&g, &cfg, &[x, x]);
-        assert_eq!(subset.l2.len(), full.l2.rows_for(x).len());
-        assert_eq!(subset.l3.len(), full.l3.rows_for(x).len());
-        assert_eq!(subset.c2.len(), full.c2.rows_for(x).len());
-        for (sub_table, full_table) in [
-            (&subset.l2, &full.l2),
-            (&subset.l3, &full.l3),
-            (&subset.c2, &full.c2),
-        ] {
-            for (rs, rf) in sub_table.iter().zip(full_table.rows_for(x)) {
-                assert_eq!(rs.vertices(), rf.vertices());
-                assert_eq!(rs.flow, rf.flow);
-                assert_eq!(sub_table.delivered(rs), full_table.delivered(rf));
-            }
-        }
-        // Other anchors contribute nothing.
-        let y = g.node_by_name("y").unwrap();
-        assert!(subset.l2.rows_for(y).is_empty());
-    }
-
-    #[test]
     fn anchors_iterator_lists_anchors_with_rows() {
         let g = sample();
         let t = PathTables::build(&g, &TablesConfig::default());
@@ -2247,25 +2049,6 @@ mod tests {
         for &a in &anchors {
             assert!(!t.l2.rows_for(a).is_empty());
         }
-    }
-
-    #[test]
-    fn lazy_tables_memoize_and_match_eager_rows() {
-        let g = sample();
-        let cfg = TablesConfig::default();
-        let full = PathTables::build(&g, &cfg);
-        let mut lazy = LazyPathTables::new(cfg);
-        let x = g.node_by_name("x").unwrap();
-        let first_calls = {
-            let t = lazy.tables_for(&g, x);
-            assert_eq!(t.l2.len(), full.l2.rows_for(x).len());
-            assert_eq!(t.c2.len(), full.c2.rows_for(x).len());
-            lazy.kernel_calls()
-        };
-        // A repeat query is a cache hit: no new kernel work.
-        let _ = lazy.tables_for(&g, x);
-        assert_eq!(lazy.kernel_calls(), first_calls);
-        assert_eq!(lazy.built_anchors(), 1);
     }
 
     /// Asserts `got` and `want` carry identical rows (vertices, flows,
@@ -2369,103 +2152,5 @@ mod tests {
         let update = tables.apply(&g, &applied);
         assert!(update.rebuilt);
         assert!(tables.truncated, "cap still exceeded after the rebuild");
-    }
-
-    #[test]
-    #[should_panic(expected = "for_anchors subset")]
-    fn apply_on_an_anchor_subset_panics() {
-        use tin_graph::{GraphDelta, Interaction};
-        let mut g = sample();
-        let x = g.node_by_name("x").unwrap();
-        let y = g.node_by_name("y").unwrap();
-        let mut subset = PathTables::for_anchors(&g, &TablesConfig::default(), &[x]);
-        let delta = GraphDelta::new(4, vec![], vec![(x, y, Interaction::new(9, 1.0))]).unwrap();
-        let applied = g.apply(&delta).unwrap();
-        let _ = subset.apply(&g, &applied);
-    }
-
-    #[test]
-    fn lazy_apply_evicts_only_invalidated_anchors() {
-        use tin_graph::{GraphDelta, Interaction};
-        let mut g = from_records([
-            ("a", "b", 1, 5.0),
-            ("b", "a", 2, 3.0),
-            ("c", "d", 1, 4.0),
-            ("d", "c", 2, 2.0),
-        ]);
-        let cfg = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(cfg);
-        for v in g.node_ids() {
-            let _ = lazy.tables_for(&g, v);
-        }
-        assert_eq!(lazy.built_anchors(), 4);
-        let a = g.node_by_name("a").unwrap();
-        let b = g.node_by_name("b").unwrap();
-        let delta = GraphDelta::new(4, vec![], vec![(a, b, Interaction::new(3, 1.0))]).unwrap();
-        let applied = g.apply(&delta).unwrap();
-        let evicted = lazy.apply(&g, &applied);
-        assert_eq!(evicted, 2, "exactly a and b drop out");
-        assert_eq!(lazy.built_anchors(), 2);
-        // Re-querying an evicted anchor rebuilds it against the grown graph.
-        let full = PathTables::build_serial(&g, &cfg);
-        let t = lazy.tables_for(&g, a);
-        assert_eq!(t.l2.len(), full.l2.rows_for(a).len());
-        let row = &t.l2.rows_for(a)[0];
-        let want = &full.l2.rows_for(a)[0];
-        assert_eq!(row.flow, want.flow);
-    }
-
-    #[test]
-    fn lazy_single_anchor_does_anchor_local_work() {
-        // A graph with one modest anchor and a large dense "elsewhere":
-        // building tables for the anchor alone must not touch the dense part.
-        let mut records: Vec<(String, String, i64, f64)> = Vec::new();
-        let mut t = 0i64;
-        let mut push = |a: String, b: String, records: &mut Vec<(String, String, i64, f64)>| {
-            t += 1;
-            records.push((a, b, t, 1.0));
-        };
-        // The anchor `a` has 3 successors, each with small out-degree.
-        for i in 0..3 {
-            push("a".into(), format!("s{i}"), &mut records);
-            push(format!("s{i}"), "a".into(), &mut records);
-            push(format!("s{i}"), format!("s{}", (i + 1) % 3), &mut records);
-        }
-        // A 14-vertex near-clique nowhere near `a`.
-        for i in 0..14 {
-            for j in 0..14 {
-                if i != j {
-                    push(format!("d{i}"), format!("d{j}"), &mut records);
-                }
-            }
-        }
-        let g = from_records(
-            records
-                .iter()
-                .map(|(a, b, t, q)| (a.as_str(), b.as_str(), *t, *q)),
-        );
-        let cfg = TablesConfig::default();
-        let full = PathTables::build_serial(&g, &cfg);
-        let a = g.node_by_name("a").unwrap();
-        let mut lazy = LazyPathTables::new(cfg);
-        let _ = lazy.tables_for(&g, a);
-        // O(deg²) bound: each out-edge (u,v) costs ≤ 1 L2 pass plus ≤ 2
-        // passes (prefix + closing) per closing vertex w of v.
-        let bound: u64 = g
-            .out_neighbors(a)
-            .map(|v| 1 + 2 * g.out_degree(v) as u64)
-            .sum();
-        assert!(
-            lazy.kernel_calls() <= bound,
-            "lazy build did {} kernel passes, O(deg²) bound is {bound}",
-            lazy.kernel_calls()
-        );
-        // ... while the eager build pays for the dense region too.
-        assert!(
-            full.kernel_calls() > 10 * lazy.kernel_calls(),
-            "full build ({} passes) should dwarf the lazy build ({} passes)",
-            full.kernel_calls(),
-            lazy.kernel_calls()
-        );
     }
 }

@@ -4,12 +4,11 @@
 //! tables **row-identical** to a from-scratch [`PathTables::build`] over the
 //! final graph — same vertex sequences in the same order, same delivered
 //! profiles, same flows. A directed test additionally checks every
-//! intermediate state, and the lazy cache is held to the same standard
-//! through its eviction path.
+//! intermediate state.
 
 use proptest::prelude::*;
 use tin_graph::{GraphBuilder, Interaction, NodeId, TemporalGraph};
-use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 /// A record log over a small vertex pool; destinations are generated as a
 /// nonzero offset from the source so no record is a self-loop.
@@ -108,51 +107,6 @@ proptest! {
         run_incremental(&records, &splits, &mut tables, |g, t| {
             assert_row_identical("boundary", t, &PathTables::build_serial(g, &config));
         });
-    }
-
-    /// The lazy cache, maintained through eviction, answers per-anchor
-    /// queries identically to a fresh full build at every batch boundary.
-    #[test]
-    fn lazy_cache_stays_consistent_under_eviction(
-        records in records(30),
-        splits in proptest::collection::vec(0usize..30, 0..5),
-    ) {
-        let config = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(config);
-        let mut g = TemporalGraph::new();
-        let mut b = GraphBuilder::new();
-        let check = |g: &TemporalGraph, lazy: &mut LazyPathTables| {
-            let full = PathTables::build_serial(g, &config);
-            for a in g.node_ids() {
-                let per_anchor = lazy.tables_for(g, a);
-                for (sub, whole) in [
-                    (&per_anchor.l2, &full.l2),
-                    (&per_anchor.l3, &full.l3),
-                    (&per_anchor.c2, &full.c2),
-                ] {
-                    let want = whole.rows_for(a);
-                    assert_eq!(sub.len(), want.len());
-                    for (rs, rf) in sub.iter().zip(want) {
-                        assert_eq!(rs.vertices(), rf.vertices());
-                        assert_eq!(rs.flow, rf.flow);
-                        assert_eq!(sub.delivered(rs), whole.delivered(rf));
-                    }
-                }
-            }
-        };
-        for (i, &(s, d, t, q)) in records.iter().enumerate() {
-            if splits.contains(&i) {
-                let applied = g.apply(&b.drain_delta()).unwrap();
-                lazy.apply(&g, &applied);
-                check(&g, &mut lazy);
-            }
-            let s = b.get_or_add_node(format!("v{s}"));
-            let d = b.get_or_add_node(format!("v{d}"));
-            b.add_interaction(s, d, Interaction::new(t, q)).unwrap();
-        }
-        let applied = g.apply(&b.drain_delta()).unwrap();
-        lazy.apply(&g, &applied);
-        check(&g, &mut lazy);
     }
 }
 

@@ -8,9 +8,8 @@
 //! the addition row groups symmetrically, so this is the retraction-side
 //! twin of `incremental_tables.rs`; directed tests cover the edge cases
 //! (total eviction, window larger than the log, single-record batches,
-//! eviction that re-crosses the row cap downward) and the lazy cache's
-//! eviction path, and a churn regression pins the arena's amortized
-//! compaction. A last property folds runs of consecutive batches with
+//! eviction that re-crosses the row cap downward), and a churn regression
+//! pins the arena's amortized compaction. A last property folds runs of consecutive batches with
 //! [`AppliedDelta::absorb`] and applies each fold once, the way recovery
 //! catches up after replaying a journal tail.
 //!
@@ -29,7 +28,7 @@
 
 use proptest::prelude::*;
 use tin_graph::{AppliedDelta, GraphBuilder, GraphDelta, Interaction, TemporalGraph};
-use tin_patterns::{LazyPathTables, PathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 /// One log record: source, destination, time, quantity.
 type Record = (u8, u8, i64, f64);
@@ -258,68 +257,6 @@ proptest! {
                 assert_row_identical("hub churn", t, &PathTables::build_serial(g, &config));
             });
         }
-    }
-
-    /// The lazy cache, evicting invalidated anchors for removals the same
-    /// way it does for additions, answers per-anchor queries identically to
-    /// a fresh build at every windowed boundary. (This is also the negative
-    /// test for applying removals to `LazyPathTables`: nothing panics, the
-    /// cache just converges.)
-    #[test]
-    fn lazy_cache_absorbs_removals(
-        records in records(30),
-        splits in proptest::collection::vec(0usize..30, 0..5),
-        window in 0i64..30,
-    ) {
-        let config = TablesConfig::default();
-        let mut lazy = LazyPathTables::new(config);
-        let mut g = TemporalGraph::new();
-        let mut b = GraphBuilder::new();
-        let mut max_seen: Option<i64> = None;
-        let check = |g: &TemporalGraph, lazy: &mut LazyPathTables| {
-            let full = PathTables::build_serial(g, &config);
-            for a in g.node_ids() {
-                let per_anchor = lazy.tables_for(g, a);
-                for (sub, whole) in [
-                    (&per_anchor.l2, &full.l2),
-                    (&per_anchor.l3, &full.l3),
-                    (&per_anchor.c2, &full.c2),
-                ] {
-                    let want = whole.rows_for(a);
-                    assert_eq!(sub.len(), want.len());
-                    for (rs, rf) in sub.iter().zip(want) {
-                        assert_eq!(rs.vertices(), rf.vertices());
-                        assert_eq!(rs.flow, rf.flow);
-                        assert_eq!(sub.delivered(rs), whole.delivered(rf));
-                    }
-                }
-            }
-        };
-        let flush = |g: &mut TemporalGraph,
-                     b: &mut GraphBuilder,
-                     max_seen: Option<i64>,
-                     lazy: &mut LazyPathTables| {
-            let mut delta = b.drain_delta();
-            if let Some(newest) = max_seen {
-                delta = delta.expire_before(newest.saturating_sub(window));
-            }
-            let applied = g.apply(&delta).unwrap();
-            lazy.apply(g, &applied);
-        };
-        for (i, &(s, d, t, q)) in records.iter().enumerate() {
-            if splits.contains(&i) {
-                flush(&mut g, &mut b, max_seen, &mut lazy);
-                check(&g, &mut lazy);
-            }
-            let s = b.get_or_add_node(format!("v{s}"));
-            let d = b.get_or_add_node(format!("v{d}"));
-            b.add_interaction(s, d, Interaction::new(t, q)).unwrap();
-            if max_seen.is_none_or(|m| t > m) {
-                max_seen = Some(t);
-            }
-        }
-        flush(&mut g, &mut b, max_seen, &mut lazy);
-        check(&g, &mut lazy);
     }
 
     /// Runs of consecutive windowed batches, each folded with

@@ -10,7 +10,7 @@
 use temporal_flow::prelude::*;
 use tin_datasets::{extract_seed_subgraphs, generate_bitcoin, ExtractConfig};
 use tin_flow::DifficultyClass;
-use tin_patterns::{LazyPathTables, TablesConfig};
+use tin_patterns::{PathTables, TablesConfig};
 
 fn main() {
     // A scaled-down Bitcoin-like transaction network.
@@ -77,26 +77,26 @@ fn main() {
     );
     println!("the rest were solved at greedy cost thanks to Lemma 2 and preprocessing.");
 
-    // Drill into the top suspect with anchor-lazy path tables: only this
-    // account's neighbourhood is precomputed (O(deg²) kernel work), instead
-    // of paying for a whole-graph table build.
+    // Drill into the top suspect: the whole graph's cycle tables, built
+    // once, list every return loop through an account.
     if let Some(&(seed, ..)) = rankings.first() {
-        let mut lazy = LazyPathTables::new(TablesConfig {
-            build_c2: false,
-            ..TablesConfig::default()
-        });
-        let tables = lazy.tables_for(&graph, seed);
+        let tables = PathTables::build(
+            &graph,
+            &TablesConfig {
+                build_c2: false,
+                ..TablesConfig::default()
+            },
+        );
         let l2 = tables.l2.rows_for(seed);
         let l3 = tables.l3.rows_for(seed);
         let round_trip: f64 = l2.iter().chain(l3).map(|r| r.flow).sum();
         println!(
             "\ntop suspect {}: {} two-hop and {} three-hop return loops, {:.2} units of \
-             loop flow\n(anchor-lazy tables: {} kernel passes for this account alone)",
+             loop flow",
             graph.node(seed).name,
             l2.len(),
             l3.len(),
             round_trip,
-            lazy.kernel_calls()
         );
     }
 }

@@ -7,6 +7,10 @@
 //!   holding over 1 MiB of frames before the snapshot and one frame after
 //!   it recovers, and reopens for appending, at a peak below a quarter of
 //!   the segment's size.
+//! * A replay holds one decoded frame at a time: the same segment with its
+//!   manifest removed replays in full, and opens for appending, each at a
+//!   peak below twice the segment's size, where holding every decoded frame
+//!   at once came to three times it.
 //! * A tail that changes most of the graph rebuilds the path tables and
 //!   frees the snapshot's unread: a snapshot whose tables make up nearly
 //!   all of its bytes recovers at a peak below one and a half times its
@@ -16,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs;
 use std::path::{Path, PathBuf};
-use tin_durable::{DurableStore, JournalConfig, Recovery, RecoverySource};
+use tin_durable::{DurableStore, Journal, JournalConfig, Recovery, RecoverySource};
 use tin_graph::{GraphDelta, Interaction, Node, NodeId, TemporalGraph};
 use tin_patterns::{PathTables, TablesConfig};
 
@@ -195,6 +199,41 @@ fn a_restart_reads_the_journal_from_the_snapshots_position() {
         "DurableStore::open peaked at {open_peak} bytes over a {segment}-byte segment"
     );
     drop(store);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reading 1,094,585 bytes of segment, the full replay peaked at 1,248,375
+/// bytes and the journal's open at 1,096,711; collecting every decoded
+/// frame first, both peaked at about 3,257,400.
+#[test]
+fn a_full_replay_and_a_journal_open_hold_one_decoded_frame_at_a_time() {
+    let dir = temp_dir("replay");
+    let config = TablesConfig::default();
+    let deltas: Vec<GraphDelta> = (0..1_301).map(windowed_frame).collect();
+    let (graph, tables) = build_store(&dir, &config, &deltas, 1_300);
+    fs::remove_file(tin_durable::snapshot::manifest_path(&dir, 0)).unwrap();
+    let segment = fs::metadata(dir.join("journal-000000.wal")).unwrap().len() as usize;
+
+    let (rec, replay_peak) = peak_in(|| Recovery::new(&dir, config).run().unwrap());
+    assert_eq!(rec.report.source, RecoverySource::FullReplay);
+    assert_eq!(rec.report.replayed, 1_301);
+    assert_eq!(rec.graph, graph);
+    assert_eq!(tables.first_row_divergence(&rec.tables), None);
+    let end = rec.report.position;
+    drop(rec);
+
+    assert!(
+        replay_peak < 2 * segment,
+        "a full replay peaked at {replay_peak} bytes over a {segment}-byte segment"
+    );
+
+    let (journal, open_peak) = peak_in(|| Journal::open(&dir, JournalConfig::default()).unwrap());
+    assert_eq!(journal.position(), end);
+    drop(journal);
+    assert!(
+        open_peak < 2 * segment,
+        "Journal::open peaked at {open_peak} bytes over a {segment}-byte segment"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 
