@@ -307,10 +307,17 @@ pub fn scan_segment(
     file: &str,
 ) -> Result<SegmentScan, DurabilityError> {
     let mut deltas = Vec::new();
-    let end = scan_tail(bytes, 0, start, tolerate_torn_tail, file, |delta, end| {
-        deltas.push((delta, end));
-        Ok(())
-    })?;
+    let end = scan_tail(
+        bytes,
+        0,
+        start,
+        tolerate_torn_tail,
+        file,
+        |delta, _, end| {
+            deltas.push((delta, end));
+            Ok(())
+        },
+    )?;
     Ok(SegmentScan {
         deltas,
         valid_bytes: end.valid_bytes,
@@ -333,14 +340,14 @@ pub(crate) struct ScanEnd {
 
 /// [`scan_segment`] over the part of a segment that begins at byte `base`
 /// of the file, handing each frame to `on_frame` as it is decoded, with
-/// the offset after it, instead of collecting them: the scan holds one
-/// decoded frame at a time. `tail` holds the segment from `base` to its
-/// end, and every offset in and out is the segment's own. `base` may not
-/// exceed `start`, and is 0 when `start` lies inside the magic, which is
-/// then checked. A reader that resumes at a committed position passes the
-/// bytes from there on, or none when the file ends before it, with `base`
-/// at the file's end, so that the past-the-end verdict still sees the
-/// segment's true length.
+/// the offsets of its start and of the byte after it, instead of
+/// collecting them: the scan holds one decoded frame at a time. `tail`
+/// holds the segment from `base` to its end, and every offset in and out
+/// is the segment's own. `base` may not exceed `start`, and is 0 when
+/// `start` lies inside the magic, which is then checked. A reader that
+/// resumes at a committed position passes the bytes from there on, or
+/// none when the file ends before it, with `base` at the file's end, so
+/// that the past-the-end verdict still sees the segment's true length.
 ///
 /// An error from `on_frame` ends the scan and is returned as it is, so a
 /// fault the caller finds in a frame is reported before any corruption in
@@ -351,7 +358,7 @@ pub(crate) fn scan_tail(
     start: u64,
     tolerate_torn_tail: bool,
     file: &str,
-    mut on_frame: impl FnMut(GraphDelta, u64) -> Result<(), DurabilityError>,
+    mut on_frame: impl FnMut(GraphDelta, u64, u64) -> Result<(), DurabilityError>,
 ) -> Result<ScanEnd, DurabilityError> {
     debug_assert!(base <= start && (base == 0 || start >= SEGMENT_MAGIC.len() as u64));
     let len = base + tail.len() as u64;
@@ -476,9 +483,10 @@ pub(crate) fn scan_tail(
             offset,
             reason: format!("checksum valid but payload undecodable: {reason}"),
         })?;
+        let frame_start = offset;
         offset += FRAME_HEADER_BYTES + len;
         frames += 1;
-        on_frame(delta, offset)?;
+        on_frame(delta, frame_start, offset)?;
     }
 }
 

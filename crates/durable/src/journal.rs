@@ -197,7 +197,8 @@ impl Journal {
                 let bytes = fs::read(path).map_err(|e| DurabilityError::from_io(path, e))?;
                 // Every frame is decoded, to refuse one that does not, and
                 // dropped at once.
-                let scan = frame::scan_tail(&bytes, 0, 0, true, &file_name(path), |_, _| Ok(()))?;
+                let scan =
+                    frame::scan_tail(&bytes, 0, 0, true, &file_name(path), |_, _, _| Ok(()))?;
                 Journal::reopen(dir, config, seq, path, scan.valid_bytes)
             }
         }
@@ -424,25 +425,25 @@ pub struct JournalReplay {
 /// is decoded instead (see the [module docs](self)).
 pub fn replay_from(dir: &Path, from: JournalPos) -> Result<JournalReplay, DurabilityError> {
     let mut deltas = Vec::new();
-    let (end, torn) = replay_each(dir, from, |delta, pos| {
-        deltas.push((delta, pos));
+    let (end, torn) = replay_each(dir, from, |delta, _, end| {
+        deltas.push((delta, end));
         Ok(())
     })?;
     Ok(JournalReplay { deltas, end, torn })
 }
 
 /// [`replay_from`] that hands each frame to `on_frame` as it is decoded,
-/// with the position after it, instead of collecting them, so the replay
-/// holds one decoded frame at a time. Returns where the replay ended and
-/// the newest segment's torn tail, as [`JournalReplay::end`] and
-/// [`JournalReplay::torn`].
+/// with the positions of its start and of the byte after it, instead of
+/// collecting them, so the replay holds one decoded frame at a time.
+/// Returns where the replay ended and the newest segment's torn tail, as
+/// [`JournalReplay::end`] and [`JournalReplay::torn`].
 ///
 /// An error from `on_frame` ends the replay, and the frames after the one
 /// it refused are not read.
 pub(crate) fn replay_each(
     dir: &Path,
     from: JournalPos,
-    mut on_frame: impl FnMut(GraphDelta, JournalPos) -> Result<(), DurabilityError>,
+    mut on_frame: impl FnMut(GraphDelta, JournalPos, JournalPos) -> Result<(), DurabilityError>,
 ) -> Result<(JournalPos, Option<(u64, frame::TornTail)>), DurabilityError> {
     let segments = list_segments(dir)?;
     let relevant: Vec<&(u64, PathBuf)> = segments
@@ -475,14 +476,12 @@ pub(crate) fn replay_each(
                 start,
                 is_last,
                 &file_name(path),
-                |delta, offset| {
-                    on_frame(
-                        delta,
-                        JournalPos {
-                            segment: *seq,
-                            offset,
-                        },
-                    )
+                |delta, start, end| {
+                    let at = |offset| JournalPos {
+                        segment: *seq,
+                        offset,
+                    };
+                    on_frame(delta, at(start), at(end))
                 },
             )
             .map_err(|e| e.after_frames(frames))?

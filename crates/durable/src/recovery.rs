@@ -200,11 +200,11 @@ impl Recovery {
         // decoded frame at a time, whatever the tail's length.
         let mut replayed = 0;
         let mut fold: Option<AppliedDelta> = None;
-        let (end, torn) = replay_each(&self.dir, pos, |delta, frame_pos| {
+        let (end, torn) = replay_each(&self.dir, pos, |delta, start, _| {
             let applied = graph.apply(&delta).map_err(|e| DurabilityError::Replay {
-                file: format!("journal-{:06}.wal", frame_pos.segment),
+                file: format!("journal-{:06}.wal", start.segment),
                 frame: frames + replayed,
-                offset: frame_pos.offset,
+                offset: start.offset,
                 source: e,
             })?;
             replayed += 1;
@@ -697,8 +697,18 @@ mod tests {
         bytes[refused.offset as usize + 9] ^= 0x08;
         fs::write(&seg, &bytes).unwrap();
         match Recovery::new(&dir, TablesConfig::default()).run() {
-            Err(DurabilityError::Replay { file, frame, .. }) => {
-                assert_eq!((file.as_str(), frame), ("journal-000000.wal", 5))
+            Err(DurabilityError::Replay {
+                file,
+                frame,
+                offset,
+                ..
+            }) => {
+                // Frame 5 starts at 165 and ends at 198, where frame 6
+                // starts.
+                assert_eq!(
+                    (file.as_str(), frame, offset),
+                    ("journal-000000.wal", 5, 165)
+                )
             }
             other => panic!("expected Replay, got {other:?}"),
         }
@@ -707,6 +717,22 @@ mod tests {
                 assert_eq!((frame, offset), (6, refused.offset))
             }
             other => panic!("expected CorruptFrame, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_frame_that_opens_a_segment_starts_after_the_magic() {
+        let dir = temp_dir("refused-first");
+        let mut journal = Journal::open(&dir, JournalConfig::default()).unwrap();
+        journal.append(&delta(7)).unwrap();
+        drop(journal);
+        match Recovery::new(&dir, TablesConfig::default()).run() {
+            Err(DurabilityError::Replay { frame, offset, .. }) => {
+                let magic = crate::frame::SEGMENT_MAGIC.len() as u64;
+                assert_eq!((frame, offset), (0, magic))
+            }
+            other => panic!("expected Replay, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
     }

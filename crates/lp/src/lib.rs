@@ -13,7 +13,9 @@
 //!   arcs with no phase 1. The basis is an explicit spanning
 //!   tree (parent/depth arrays plus a child/sibling thread), pivots walk
 //!   one cycle in O(tree depth), strongly feasible trees prevent cycling,
-//!   and pricing scans blocks of `⌊√(m+n)⌋` arcs. This is what the class C
+//!   and pricing takes entering arcs from a FIFO queue that each pivot
+//!   feeds with the violating arcs incident to the subtree it re-hung, so
+//!   no solve ends with a sweep of the arcs. This is what the class C
 //!   flow hot path runs on, fed arc by arc through [`Circulation`] without
 //!   an intermediate problem, and [`NetflowSession`] keeps one such engine
 //!   resident across the batches of a live flow session, repairing its

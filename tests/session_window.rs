@@ -20,14 +20,13 @@ const BATCH: usize = 4;
 /// Generator seeds of the two feeds: the generator's default and another.
 const SEEDS: [u64; 2] = [42, 7];
 
-/// Upper bound on the warm pivots both feeds take together: 673 within the
-/// repair budget, 871 when the long repairs the budget sends cold stay
-/// warm. Before the budget this bound told the worst-first repair (870)
-/// from a worklist drained last-in first-out (1,434). It no longer can.
-/// A last-in-first-out drain reads the same 673 here, since both orders
-/// restart cold 9 times and take the same pivots on the other batches;
-/// they differ only in the abandoned attempts (51 pivots against 60).
-/// `tin_lp`'s netflow test
+/// Upper bound on the warm pivots both feeds take together: 705 within the
+/// repair budget, 891 when the long repairs the budget sends cold stay
+/// warm (673 and 871 while the network simplex priced in blocks). Before
+/// the budget this bound told the worst-first repair (870) from a worklist
+/// drained last-in first-out (1,434). It no longer can: a last-in-first-out
+/// drain reads 697 here, restarting cold 9 times against worst-first's 8
+/// and abandoning 58 pivots against 50. `tin_lp`'s netflow test
 /// `worst_first_repair_fits_the_budget_where_a_lifo_drain_does_not` pins
 /// the order instead.
 const MAX_WARM_PIVOTS: usize = 770;
@@ -113,7 +112,7 @@ fn replay(seed: u64) -> usize {
             // The budget is checked before each dual pivot, so a repair
             // overshoots it by at most one pivot's work: `2n` for the cut
             // it marks and clears, `m` for the arcs it reads. Without the
-            // budget, seed 42's batch 62 repairs with 9,352 against 2,962.
+            // budget, seed 42's batch 62 repairs with 9,894 against 2,962.
             let problem = &open.formulation().problem;
             let (m, n) = (problem.num_arcs(), problem.num_nodes());
             let bound = DUAL_REPAIR_BUDGET * (m + n) + m + 2 * n;

@@ -92,17 +92,23 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
 }
 
-/// `dag` with vertex `v` renamed `order[v]` (a permutation drawn from
-/// `seed` by Fisher–Yates): edges may now run from higher to lower ids.
-fn renamed(dag: &RandomDag, seed: u64) -> RandomDag {
+/// A permutation of `0..n` drawn from `seed` by Fisher–Yates.
+fn permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut state = seed | 1;
-    let mut order: Vec<usize> = (0..dag.nodes).collect();
-    for i in (1..dag.nodes).rev() {
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         order.swap(i, (state >> 33) as usize % (i + 1));
     }
+    order
+}
+
+/// `dag` with vertex `v` renamed `order[v]` (a [`permutation`] drawn from
+/// `seed`): edges may now run from higher to lower ids.
+fn renamed(dag: &RandomDag, seed: u64) -> RandomDag {
+    let order = permutation(dag.nodes, seed);
     RandomDag {
         interactions: dag
             .interactions
@@ -249,16 +255,17 @@ proptest! {
     }
 }
 
-/// A temporal DAG fed in time order: the interactions before `STREAM_TIMES
-/// / 2` form the opening graph, and each later sixth of the time range
-/// arrives as one batch that also slides a half-range expiry window
-/// forward. With 60–2,000 interactions the circulations solved have about
-/// 200–2,700 arcs and nodes, so the network simplex prices in blocks of
-/// `⌊√(m+n)⌋` arcs instead of its floor of 16.
+/// A temporal DAG fed in time order ([`replay_stream`]): the interactions
+/// before `STREAM_TIMES / 2` form the opening graph, and each later sixth
+/// of the time range arrives as one batch that also slides a half-range
+/// expiry window forward. With 60–2,000 interactions the circulations
+/// solved have about 200–2,700 arcs and nodes, so a pivot re-hangs
+/// subtrees of dozens of nodes and the pricing queue holds many candidates
+/// at once.
 #[derive(Debug, Clone)]
 struct RandomStream {
     nodes: usize,
-    /// (src, dst, time, quantity) with src < dst.
+    /// (src, dst, time, quantity), with src < dst unless renamed.
     interactions: Vec<(usize, usize, i64, f64)>,
     source: usize,
     sink: usize,
@@ -295,56 +302,116 @@ fn random_stream() -> impl Strategy<Value = RandomStream> {
     })
 }
 
+/// `stream` with vertex `v` renamed `order[v]` (a [`permutation`] drawn
+/// from `seed`).
+fn renamed_stream(stream: &RandomStream, seed: u64) -> RandomStream {
+    let order = permutation(stream.nodes, seed);
+    RandomStream {
+        interactions: stream
+            .interactions
+            .iter()
+            .map(|&(a, c, time, q)| (order[a], order[c], time, q))
+            .collect(),
+        source: order[stream.source],
+        sink: order[stream.sink],
+        ..stream.clone()
+    }
+}
+
+/// Feeds `stream` to a resident [`FlowSession`]: the opening graph, then
+/// three batches. After the opening and after each batch, `check` gets the
+/// batch index, the graph, its flow endpoints and the session's flow.
+/// Returns the session.
+fn replay_stream(
+    stream: &RandomStream,
+    mut check: impl FnMut(i64, &tin_graph::TemporalGraph, NodeId, NodeId, f64),
+) -> FlowSession {
+    let mut b = GraphBuilder::new();
+    let ids: Vec<NodeId> = (0..stream.nodes)
+        .map(|i| b.add_node(format!("v{i}")))
+        .collect();
+    let (s, t) = (ids[stream.source], ids[stream.sink]);
+    let at = |lo: i64, hi: i64| -> Vec<(NodeId, NodeId, Interaction)> {
+        stream
+            .interactions
+            .iter()
+            .filter(|&&(_, _, time, _)| lo <= time && time < hi)
+            .map(|&(a, b, time, q)| (ids[a], ids[b], Interaction::new(time, q)))
+            .collect()
+    };
+    for (a, c, i) in at(0, STREAM_TIMES / 2) {
+        b.add_interaction(a, c, i).unwrap();
+    }
+    let mut g = b.build();
+    let mut session = FlowSession::new(&g, s, t, FlowMethod::Lp).unwrap();
+    for batch in 0..4 {
+        if batch > 0 {
+            let lo = STREAM_TIMES / 2 + (batch - 1) * STREAM_TIMES / 6;
+            let delta = GraphDelta::new(g.node_count(), vec![], at(lo, lo + STREAM_TIMES / 6))
+                .unwrap()
+                .expire_before(lo - STREAM_TIMES / 2);
+            let applied = g.apply(&delta).unwrap();
+            session.advance(&g, &applied);
+        }
+        let warm = session.solve().unwrap().flow;
+        check(batch, &g, s, t, warm);
+    }
+    session
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// On circulations large enough for √ pricing blocks, the cold network
-    /// simplex, a resident session patched batch by batch and the
-    /// time-expanded Dinic (no simplex) compute the same maximum flow after
-    /// every batch. Half of the 72 incremental solves (36) run the dual
-    /// repair over its work budget and restart cold (none did before the
-    /// budget), so this also holds the warm-to-cold switch to Dinic.
+    /// On circulations large enough for the pricing queue to hold many
+    /// candidates, the cold network simplex, a resident session patched
+    /// batch by batch and the time-expanded Dinic (no simplex) compute the
+    /// same maximum flow after every batch. Half of the 72 incremental
+    /// solves (36) run the dual repair over its work budget and restart
+    /// cold (none did before the budget), so this also holds the
+    /// warm-to-cold switch to Dinic.
     #[test]
     fn large_circulations_agree_across_cold_session_and_dinic(stream in random_stream()) {
-        let mut b = GraphBuilder::new();
-        let ids: Vec<NodeId> = (0..stream.nodes)
-            .map(|i| b.add_node(format!("v{i}")))
-            .collect();
-        let (s, t) = (ids[stream.source], ids[stream.sink]);
-        let at = |lo: i64, hi: i64| -> Vec<(NodeId, NodeId, Interaction)> {
-            stream
-                .interactions
-                .iter()
-                .filter(|&&(_, _, time, _)| lo <= time && time < hi)
-                .map(|&(a, b, time, q)| (ids[a], ids[b], Interaction::new(time, q)))
-                .collect()
-        };
-        for (a, c, i) in at(0, STREAM_TIMES / 2) {
-            b.add_interaction(a, c, i).unwrap();
-        }
-        let mut g = b.build();
-        let mut session = FlowSession::new(&g, s, t, FlowMethod::Lp).unwrap();
-        for batch in 0..4 {
-            if batch > 0 {
-                let lo = STREAM_TIMES / 2 + (batch - 1) * STREAM_TIMES / 6;
-                let delta = GraphDelta::new(g.node_count(), vec![], at(lo, lo + STREAM_TIMES / 6))
-                    .unwrap()
-                    .expire_before(lo - STREAM_TIMES / 2);
-                let applied = g.apply(&delta).unwrap();
-                session.advance(&g, &applied);
-            }
-            let warm = session.solve().unwrap().flow;
-            let f = build_mcf(&g, s, t);
+        let session = replay_stream(&stream, |batch, g, s, t, warm| {
+            let f = build_mcf(g, s, t);
             let solution = f.problem.solve();
-            prop_assert!(solution.is_optimal());
+            assert!(solution.is_optimal());
             let cold = solution.flows[f.return_arc];
-            let dinic = compute_flow(&g, s, t, FlowMethod::TimeExpanded).unwrap().flow;
-            prop_assert!(close(cold, dinic), "batch {batch}: cold {cold} vs Dinic {dinic}");
-            prop_assert!(close(warm, dinic), "batch {batch}: session {warm} vs Dinic {dinic}");
-        }
+            let dinic = compute_flow(g, s, t, FlowMethod::TimeExpanded).unwrap().flow;
+            assert!(close(cold, dinic), "batch {batch}: cold {cold} vs Dinic {dinic}");
+            assert!(close(warm, dinic), "batch {batch}: session {warm} vs Dinic {dinic}");
+        });
         // The first batch expires nothing, so no compaction can restart the
         // engine before it.
         prop_assert!(session.stats().basis_hits > 0);
+    }
+
+    /// Renaming a stream's vertices changes no answer (the renaming
+    /// relation, streamed). `emit` then writes the same circulations with
+    /// nodes and arcs in another order, so the network simplex seeds and
+    /// drains its pricing queue, whose order follows arc ids, in another
+    /// order and takes another path. After the opening and every batch,
+    /// the resident session, `maximum_flow` and `FlowMethod::Lp` return the
+    /// unrenamed values within 1e-9 relative.
+    #[test]
+    fn vertex_renaming_changes_no_streamed_answer(stream in random_stream(), seed in any::<u64>()) {
+        let values = |stream: &RandomStream| {
+            let mut values = Vec::new();
+            replay_stream(stream, |_, g, s, t, warm| {
+                let max = maximum_flow(g, s, t).unwrap().flow;
+                let lp = compute_flow(g, s, t, FlowMethod::Lp).unwrap().flow;
+                values.push([warm, max, lp]);
+            });
+            values
+        };
+        let (before, after) = (values(&stream), values(&renamed_stream(&stream, seed)));
+        for (batch, (a, b)) in before.iter().zip(&after).enumerate() {
+            for (name, x, y) in [("session", a[0], b[0]), ("maximum_flow", a[1], b[1]), ("Lp", a[2], b[2])] {
+                prop_assert!(
+                    (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+                    "batch {batch}, {name}: {x} renamed to {y}"
+                );
+            }
+        }
     }
 }
 
